@@ -321,6 +321,13 @@ class _Simplex:
         for k, (i, sgn) in enumerate(zip(art_cols, art_signs)):
             diag[i] = sgn
         self.Binv = np.diag(diag) if m else np.zeros((0, 0))
+        self._sync_directions()
+
+    def _sync_directions(self) -> None:
+        """Derive the pricing direction of every column from its state."""
+        st = self.state
+        self.dirn = np.where(st == _AT_LOWER, 1.0, np.where(st == _AT_UPPER, -1.0, 0.0))
+        self.free = np.flatnonzero(st == _FREE)
 
     def _refactor(self) -> bool:
         if self.m == 0:
@@ -341,8 +348,7 @@ class _Simplex:
         m = self.m
         if m == 0:
             return OPTIMAL
-        basic_mask = np.zeros(self.n_total, dtype=bool)
-        basic_mask[self.basis] = True
+        A, lb, ub, x, state, dirn = self.A, self.lb, self.ub, self.x, self.state, self.dirn
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
@@ -354,61 +360,55 @@ class _Simplex:
                 return TIME_LIMIT
             self.iterations += 1
 
-            y = c[self.basis] @ self.Binv
-            d = c - y @ self.A
-            basic_mask[:] = False
-            basic_mask[self.basis] = True
-
-            up = (~basic_mask) & ((self.state == _AT_LOWER) | (self.state == _FREE)) & (d > _RC_TOL)
-            dn = (~basic_mask) & ((self.state == _AT_UPPER) | (self.state == _FREE)) & (d < -_RC_TOL)
-            eligible = np.flatnonzero(up | dn)
+            basis = self.basis
+            y = c[basis] @ self.Binv
+            d = c - y @ A
+            # d * dirn > 0 is the improving direction of a column at a bound;
+            # a nonbasic free column improves either way
+            score = d * dirn
+            if self.free.size:
+                score[self.free] = np.abs(d[self.free])
+            eligible = np.flatnonzero(score > _RC_TOL)
             if eligible.size == 0:
                 return OPTIMAL
             if self.bland:
                 e = int(eligible[0])
             else:
                 e = int(eligible[np.argmax(np.abs(d[eligible]))])
-            delta = 1.0 if (up[e]) else -1.0
+            delta = 1.0 if d[e] > 0 else -1.0
 
-            w = self.Binv @ self.A[:, e]
+            w = self.Binv @ A[:, e]
 
             # two-pass (Harris style) ratio test: basic values move by
             # -delta * t * w; a small feasibility slack lets us pick the
             # largest pivot among the rows that block within tolerance,
-            # which keeps the updated inverse well conditioned
-            span = self.ub[e] - self.lb[e]
+            # which keeps the updated inverse well conditioned.  Rows that
+            # do not block get infinite room, hence infinite ratios.
+            span = ub[e] - lb[e]
             leave_pos = -1
             leave_to_upper = False
-            xB = self.x[self.basis]
-            lbB = self.lb[self.basis]
-            ubB = self.ub[self.basis]
+            xB = x[basis]
             coef = delta * w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dec = coef > _PIVOT_TOL
-                inc = coef < -_PIVOT_TOL
-                blocking = dec | inc
-                room = np.full(m, INF)
-                room[dec] = xB[dec] - lbB[dec]
-                room[inc] = ubB[inc] - xB[inc]
-                room = np.maximum(room, 0.0)
-                acoef = np.abs(coef)
-                plain = np.full(m, INF)
-                relaxed = np.full(m, INF)
-                plain[blocking] = room[blocking] / acoef[blocking]
-                # slack small enough that accumulated bound drift stays
-                # below the feasibility tolerance over a whole solve
-                relaxed[blocking] = (room[blocking] + 1e-11) / acoef[blocking]
-            t_lim = float(relaxed.min()) if m else INF
+            dec = coef > _PIVOT_TOL
+            inc = coef < -_PIVOT_TOL
+            room = np.where(dec, xB - lb[basis], np.where(inc, ub[basis] - xB, INF))
+            room = np.maximum(room, 0.0)
+            acoef = np.abs(coef)
+            plain = room / acoef
+            # slack small enough that accumulated bound drift stays
+            # below the feasibility tolerance over a whole solve
+            relaxed = (room + 1e-11) / acoef
+            t_lim = float(relaxed.min())
 
             if span <= t_lim:
                 t_best = span  # entering variable flips to its other bound
             else:
-                cand = np.flatnonzero(blocking & (plain <= t_lim))
+                cand = np.flatnonzero(plain <= t_lim)
                 if cand.size == 0:
                     t_best = span
                 else:
                     if self.bland:
-                        leave_pos = int(cand[np.argmin(self.basis[cand])])
+                        leave_pos = int(cand[np.argmin(basis[cand])])
                     else:
                         leave_pos = int(cand[np.argmax(acoef[cand])])
                     leave_to_upper = bool(inc[leave_pos])
@@ -435,20 +435,23 @@ class _Simplex:
             else:
                 self._degen_run = 0
 
-            self.x[self.basis] = xB - delta * t_best * w
+            x[basis] = xB - delta * t_best * w
             if leave_pos < 0:
                 # bound flip, no basis change
-                self.x[e] = self.ub[e] if delta > 0 else self.lb[e]
-                self.state[e] = _AT_UPPER if delta > 0 else _AT_LOWER
+                x[e] = ub[e] if delta > 0 else lb[e]
+                self._set_nonbasic(e, delta > 0)
                 continue
 
-            leaving = int(self.basis[leave_pos])
-            self.state[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
-            self.x[leaving] = self.ub[leaving] if leave_to_upper else self.lb[leaving]
-            entering_from = self.x[e]
-            self.x[e] = entering_from + delta * t_best
-            self.state[e] = _BASIC
-            self.basis[leave_pos] = e
+            leaving = int(basis[leave_pos])
+            self._set_nonbasic(leaving, leave_to_upper)
+            x[leaving] = ub[leaving] if leave_to_upper else lb[leaving]
+            entering_from = x[e]
+            x[e] = entering_from + delta * t_best
+            if state[e] == _FREE:
+                self.free = self.free[self.free != e]
+            state[e] = _BASIC
+            dirn[e] = 0.0
+            basis[leave_pos] = e
 
             piv = w[leave_pos]
             if abs(piv) < _PIVOT_TOL:
@@ -456,13 +459,17 @@ class _Simplex:
                     return BREAKDOWN
                 continue
             row = self.Binv[leave_pos] / piv
-            self.Binv -= np.outer(w, row)
+            self.Binv -= w[:, None] * row
             self.Binv[leave_pos] = row
 
             self._since_refactor += 1
             if self._since_refactor >= self._refactor_every:
                 if not self._refactor():
                     return BREAKDOWN
+
+    def _set_nonbasic(self, j: int, at_upper: bool) -> None:
+        self.state[j] = _AT_UPPER if at_upper else _AT_LOWER
+        self.dirn[j] = -1.0 if at_upper else 1.0
 
     def solve(self) -> LpSolution:
         if self.trivially_infeasible:
@@ -488,9 +495,10 @@ class _Simplex:
         # a heavily degenerate run can stall for thousands of pivots and
         # corrupt the updated inverse; the retry breaks ties with a tiny
         # deterministic cost perturbation and cleans up exactly afterwards
-        result = self._solve_once(refactor_every=_REFACTOR_EVERY)
-        if result.status == BREAKDOWN:
-            result = self._solve_once(refactor_every=50, perturb=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            result = self._solve_once(refactor_every=_REFACTOR_EVERY)
+            if result.status == BREAKDOWN:
+                result = self._solve_once(refactor_every=50, perturb=True)
         return result
 
     def _perturbed_costs(self) -> np.ndarray:
