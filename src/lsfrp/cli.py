@@ -22,7 +22,7 @@ from .io import GeneratorParams, ParseError, generate_random, parse_instance, wr
 from .lazy import run_colgen_lazy
 from .lp import NumericalBreakdownError
 from .oracle import OracleBudgetError, brute_force_solve
-from .solution import OPTIMAL, REFUSED, TIME_LIMIT, Solution
+from .solution import BREAKDOWN, OPTIMAL, REFUSED, TIME_LIMIT, Solution
 
 METHODS = ("reduced", "reduced-tight", "revised", "colgen", "colgen-lazy", "oracle")
 
@@ -66,7 +66,7 @@ def run_method(
         if method == "colgen-lazy":
             return run_colgen_lazy(instance, CgConfig(time_limit=time_limit, log=log))
     except NumericalBreakdownError as exc:
-        sol = Solution(method=method, status="breakdown")
+        sol = Solution(method=method, status=BREAKDOWN)
         sol.meta["refusal"] = f"numerical breakdown in the embedded solver: {exc}"
         return sol
     raise _CliError(f"unknown method {method!r}")

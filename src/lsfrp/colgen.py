@@ -59,7 +59,6 @@ class CgConfig:
     splitting: bool = True  # compact engine only
     resolve_each_column: bool = True  # re-solve RMP after every improving column
     time_limit: float | None = None
-    oracle_budget: int = 10**6  # unused here; carried for CLI symmetry
     log: "object" = None  # callable taking one machine-parsable progress line
 
 
@@ -382,6 +381,7 @@ class ArcFlowPricing:
         return col, value
 
     def fill_diagnostics(self, diag: Diagnostics) -> None:
+        diag.pricing_bnb_nodes = self.bnb_nodes
         if self.model_sizes:
             sizes = list(self.model_sizes.values())
             diag.model_rows = round(sum(s[0] for s in sizes) / len(sizes))
@@ -590,9 +590,11 @@ def run_column_generation(
     clock = _TimeBudget(config.time_limit)
     diag = Diagnostics()
     method = "colgen" if config.pricing == "arcflow" else "colgen-lazy"
-    reach = build_reach_index(instance)
 
-    if engine is None:
+    if engine is not None:
+        reach = engine.reach
+    else:
+        reach = build_reach_index(instance)
         if config.pricing == "arcflow":
             engine = ArcFlowPricing(instance, reach)
         elif config.pricing == "compact":

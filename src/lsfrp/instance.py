@@ -153,9 +153,6 @@ class Instance:
             self.demands, self.empty_points, revenue,
         )
 
-    def without_empty_points(self) -> "Instance":
-        return Instance(self.ships, self.visits, self.sink, self.arcs, self.demands, (), self.empty_revenue)
-
     def _compute_topo(self) -> tuple[str, ...] | None:
         indeg = {n: 0 for n in self.node_ids}
         for a in self.arcs:

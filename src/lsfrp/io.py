@@ -228,6 +228,7 @@ def write_solution(solution: Solution) -> bytes:
             "columns_generated": d.columns_generated,
             "rmp_iterations": d.rmp_iterations,
             "bnb_nodes": d.bnb_nodes,
+            "pricing_bnb_nodes": d.pricing_bnb_nodes,
             "cuts_dc": dict(sorted(d.cuts_dc.items())),
             "cuts_rf": dict(sorted(d.cuts_rf.items())),
             "splits": d.splits,
@@ -269,6 +270,7 @@ def parse_solution(data: bytes | str) -> Solution:
             columns_generated=diag.get("columns_generated", 0),
             rmp_iterations=diag.get("rmp_iterations", 0),
             bnb_nodes=diag.get("bnb_nodes", 0),
+            pricing_bnb_nodes=diag.get("pricing_bnb_nodes", 0),
             cuts_dc=diag.get("cuts_dc", {}),
             cuts_rf=diag.get("cuts_rf", {}),
             splits=diag.get("splits", 0),

@@ -585,7 +585,6 @@ class CompactPricing:
         self.model_sizes: dict[str, tuple[int, int, int]] = {}
         self.split_counts: dict[str, int] = {}
         self.bnb_nodes = 0
-        self.incumbent_log: list[tuple[str, tuple[str, ...], dict[str, float]]] = []
 
     def price(
         self,
@@ -648,10 +647,10 @@ class CompactPricing:
                 empty_flows=empty_flows,
             ),
         )
-        self.incumbent_log.append((ship_id, path, {k: float(mip.x[v]) for k, v in ctx.xvars.items()}))
         return col, value
 
     def fill_diagnostics(self, diag: Diagnostics) -> None:
+        diag.pricing_bnb_nodes = self.bnb_nodes
         for sid, pool in self.pools.items():
             dc = sum(1 for c in pool if c.scope == "dc")
             rf = sum(1 for c in pool if c.scope == "rf")

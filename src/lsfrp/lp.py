@@ -6,6 +6,14 @@ driver with a lazy-cut callback.  Everything downstream of the instance
 model solves through this module; an external solver could be slotted in
 behind the same two entry points, but the embedded simplex is the default
 and the one the test suite exercises.
+
+An optimal solve returns its final basis.  Given that basis, a re-solve
+after bound changes or appended rows (a branch-and-bound child, or a node
+re-solved with new lazy cuts) skips phase 1: the appended rows' slacks
+enter the basis, which stays dual feasible, and a bounded dual simplex
+restores primal feasibility before the primal loop confirms optimality.
+Should the warm start break down or hit its iteration cap, the same call
+solves cold from scratch.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ TOL_GAP = 1e-6  # relative optimality gap
 
 _RC_TOL = 1e-9  # reduced-cost optimality threshold
 _PIVOT_TOL = 1e-10
+_DUAL_FEAS_TOL = 1e-9  # bound violation the dual simplex leaves to the primal cleanup
+_DUAL_PIVOT_TOL = 1e-9  # smallest row entry the dual ratio test accepts
 _REFACTOR_EVERY = 150
 
 LE, EQ, GE = "<=", "==", ">="
@@ -166,6 +176,20 @@ class LinearModel:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class LpBasis:
+    """Final basis of an optimal solve, to warm-start a re-solve of the same
+    model after bound changes or appended rows.
+
+    ``basic[i]`` is the column basic in row i; ``state`` holds the state of
+    every structural column followed by one slack column per row.  Both
+    arrays are read-only, so one basis can seed any number of re-solves.
+    """
+
+    basic: np.ndarray
+    state: np.ndarray
+
+
 @dataclass
 class LpSolution:
     status: str
@@ -173,6 +197,7 @@ class LpSolution:
     duals: np.ndarray | None = None
     objective: float = -INF
     iterations: int = 0
+    basis: LpBasis | None = None  # set on optimal solves with at least one row
 
     def value(self, j: int) -> float:
         return float(self.x[j])
@@ -299,6 +324,7 @@ class _Simplex:
                 basis.append(self.n_total + len(art_cols) - 1)
 
         self.n_art = len(art_cols)
+        self.art_rows = np.array(art_cols, dtype=np.int64)
         if self.n_art:
             art = np.zeros((m, self.n_art))
             for k, (i, sgn) in enumerate(zip(art_cols, art_signs)):
@@ -344,11 +370,32 @@ class _Simplex:
         self._since_refactor = 0
         return True
 
+    def _pivot(self, r: int, e: int, w: np.ndarray) -> bool:
+        """Make column e basic in row r (w = Binv @ A[:, e]); values and the
+        leaving column's state are the caller's.  False on breakdown."""
+        if self.state[e] == _FREE:
+            self.free = self.free[self.free != e]
+        self.state[e] = _BASIC
+        self.dirn[e] = 0.0
+        self.basis[r] = e
+
+        piv = w[r]
+        if abs(piv) < _PIVOT_TOL:
+            return self._refactor()
+        row = self.Binv[r] / piv
+        self.Binv -= w[:, None] * row
+        self.Binv[r] = row
+
+        self._since_refactor += 1
+        if self._since_refactor >= self._refactor_every:
+            return self._refactor()
+        return True
+
     def _optimize(self, c: np.ndarray, max_iters: int, allow_unbounded: bool) -> str:
         m = self.m
         if m == 0:
             return OPTIMAL
-        A, lb, ub, x, state, dirn = self.A, self.lb, self.ub, self.x, self.state, self.dirn
+        A, lb, ub, x, dirn = self.A, self.lb, self.ub, self.x, self.dirn
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
@@ -447,31 +494,89 @@ class _Simplex:
             x[leaving] = ub[leaving] if leave_to_upper else lb[leaving]
             entering_from = x[e]
             x[e] = entering_from + delta * t_best
-            if state[e] == _FREE:
-                self.free = self.free[self.free != e]
-            state[e] = _BASIC
-            dirn[e] = 0.0
-            basis[leave_pos] = e
+            if not self._pivot(leave_pos, e, w):
+                return BREAKDOWN
 
-            piv = w[leave_pos]
-            if abs(piv) < _PIVOT_TOL:
+    def _dual(self, max_iters: int) -> str:
+        """Bounded dual simplex on the real costs from a dual feasible basis.
+
+        Each pivot moves the most infeasible basic column to the bound it
+        violates.  OPTIMAL here means the basic values are within bounds;
+        the primal loop then settles any dual infeasibility left by the
+        tolerant ratio test.
+        """
+        A, lb, ub, x, dirn, c = self.A, self.lb, self.ub, self.x, self.dirn, self.c_real
+        while True:
+            if self.iterations >= max_iters:
+                return BREAKDOWN
+            if (
+                self.deadline is not None
+                and self.iterations % 128 == 0
+                and time.monotonic() > self.deadline
+            ):
+                return TIME_LIMIT
+
+            basis = self.basis
+            xB = x[basis]
+            below = lb[basis] - xB
+            above = xB - ub[basis]
+            infeas = np.maximum(below, above)
+            r = int(np.argmax(infeas))
+            if infeas[r] <= _DUAL_FEAS_TOL:
+                return OPTIMAL
+            self.iterations += 1
+            raise_p = below[r] > 0  # the leaving column rises to its lower bound
+
+            # basic value p moves by -alpha[j] per unit step of column j;
+            # entering columns are those whose own feasible direction moves
+            # p toward the violated bound
+            alpha = self.Binv[r] @ A
+            toward = (alpha * dirn) if raise_p else -(alpha * dirn)
+            if self.free.size:
+                toward[self.free] = -np.abs(alpha[self.free])
+            eligible = np.flatnonzero(toward < -_DUAL_PIVOT_TOL)
+            if eligible.size == 0:
+                if self._since_refactor > 0:
+                    if not self._refactor():
+                        return BREAKDOWN
+                    continue
+                # p already takes the best value the nonbasic bounds allow,
+                # short of columns whose entries are below the pivot tolerance
+                reach = np.abs(alpha) * (ub - lb)
+                reach = float(reach[toward < 0].sum())
+                scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
+                return INFEASIBLE if infeas[r] - reach > TOL_FEAS * scale else BREAKDOWN
+
+            y = c[basis] @ self.Binv
+            d = c - y @ A
+            # two-pass (Harris style) dual ratio test: reduced cost d[j]
+            # reaches zero after a dual step of room / |alpha[j]|
+            room = np.maximum(-(d[eligible] * dirn[eligible]), 0.0)
+            aa = np.abs(alpha[eligible])
+            t_lim = float(((room + _RC_TOL) / aa).min())
+            cand = np.flatnonzero(room / aa <= t_lim)
+            e = int(eligible[cand[np.argmax(aa[cand])]])
+
+            w = self.Binv @ A[:, e]
+            if abs(w[r]) < 1e-6 and self._since_refactor > 0:
                 if not self._refactor():
                     return BREAKDOWN
                 continue
-            row = self.Binv[leave_pos] / piv
-            self.Binv -= w[:, None] * row
-            self.Binv[leave_pos] = row
-
-            self._since_refactor += 1
-            if self._since_refactor >= self._refactor_every:
-                if not self._refactor():
-                    return BREAKDOWN
+            leaving = int(basis[r])
+            target = lb[leaving] if raise_p else ub[leaving]
+            step = (x[leaving] - target) / w[r]
+            x[basis] = xB - step * w
+            x[e] += step
+            x[leaving] = target
+            self._set_nonbasic(leaving, not raise_p)
+            if not self._pivot(r, e, w):
+                return BREAKDOWN
 
     def _set_nonbasic(self, j: int, at_upper: bool) -> None:
         self.state[j] = _AT_UPPER if at_upper else _AT_LOWER
         self.dirn[j] = -1.0 if at_upper else 1.0
 
-    def solve(self) -> LpSolution:
+    def solve(self, warm: LpBasis | None = None) -> LpSolution:
         if self.trivially_infeasible:
             return LpSolution(INFEASIBLE)
         if self.m == 0:
@@ -492,13 +597,20 @@ class _Simplex:
             obj = float(self.c_real[: self.n_struct] @ x)
             return LpSolution(OPTIMAL, x, np.zeros(0), obj)
 
-        # a heavily degenerate run can stall for thousands of pivots and
-        # corrupt the updated inverse; the retry breaks ties with a tiny
-        # deterministic cost perturbation and cleans up exactly afterwards
         with np.errstate(divide="ignore", invalid="ignore"):
+            spent = 0
+            if warm is not None:
+                result = self._solve_warm(warm)
+                if result.status != BREAKDOWN:
+                    return result
+                spent = result.iterations
+            # a heavily degenerate run can stall for thousands of pivots and
+            # corrupt the updated inverse; the retry breaks ties with a tiny
+            # deterministic cost perturbation and cleans up exactly afterwards
             result = self._solve_once(refactor_every=_REFACTOR_EVERY)
             if result.status == BREAKDOWN:
                 result = self._solve_once(refactor_every=50, perturb=True)
+        result.iterations += spent
         return result
 
     def _perturbed_costs(self) -> np.ndarray:
@@ -555,11 +667,70 @@ class _Simplex:
         if status != OPTIMAL:
             return LpSolution(status, iterations=self.iterations)
 
-        y = self.c_real[self.basis] @ self.Binv if self.m else np.zeros(0)
-        x = self.x[: self.n_struct].copy()
-        x = np.minimum(np.maximum(x, self.lb[: self.n_struct]), self.ub[: self.n_struct])
-        obj = float(self.c_real[: self.n_struct] @ x)
-        return LpSolution(OPTIMAL, x, np.asarray(y, dtype=float), obj, self.iterations)
+        return self._optimal_solution()
+
+    def _solve_warm(self, warm: LpBasis) -> LpSolution:
+        """Re-solve from the basis of an earlier solve of the same model.
+
+        Rows appended since then enter with their slacks basic, which keeps
+        the basis dual feasible; bound changes do not affect dual
+        feasibility at all.  BREAKDOWN sends the caller to the cold path.
+        """
+        n, m, N = self.n_struct, self.m, self.n_total
+        m0 = warm.basic.size
+        if m0 > m or warm.state.size != n + m0:
+            return LpSolution(BREAKDOWN)
+        self.n_art = 0
+        self.art_rows = np.zeros(0, dtype=np.int64)
+        self.basis = np.concatenate([warm.basic, np.arange(n + m0, N)])
+        state = np.full(N, _BASIC, dtype=np.int8)
+        state[: n + m0] = warm.state
+        # a nonbasic column sits at the bound its state names, or at the
+        # other one if that bound is now infinite
+        lo_ok, hi_ok = self.lb > -INF, self.ub < INF
+        nonbasic = state != _BASIC
+        at_lo = nonbasic & lo_ok & ((state != _AT_UPPER) | ~hi_ok)
+        at_up = nonbasic & ~at_lo & hi_ok
+        state[nonbasic] = _FREE
+        state[at_lo] = _AT_LOWER
+        state[at_up] = _AT_UPPER
+        self.state = state
+        self.x = np.where(at_lo, self.lb, np.where(at_up, self.ub, 0.0))
+        self._sync_directions()
+        self.bland = False
+        self._degen_run = 0
+        self._refactor_every = _REFACTOR_EVERY
+        if not self._refactor() or not np.isfinite(self.x).all():
+            return LpSolution(BREAKDOWN)
+
+        status = self._dual(1000 + 10 * (m + N))
+        if status == OPTIMAL:
+            max_iters = self.iterations + 20000 + 40 * (m + N)
+            status = self._optimize(self.c_real, max_iters, allow_unbounded=True)
+        if status != OPTIMAL:
+            return LpSolution(status, iterations=self.iterations)
+        return self._optimal_solution()
+
+    def _optimal_solution(self) -> LpSolution:
+        n, m = self.n_struct, self.m
+        y = self.c_real[self.basis] @ self.Binv
+        x = self.x[:n].copy()
+        x = np.minimum(np.maximum(x, self.lb[:n]), self.ub[:n])
+        obj = float(self.c_real[:n] @ x)
+        # a basic artificial and its row's slack are both +-e_i, and that
+        # slack is nonbasic, so swapping them keeps the basis nonsingular
+        basic = self.basis.copy()
+        state = self.state[: n + m].copy()
+        art = basic >= n + m
+        if art.any():
+            slacks = n + self.art_rows[basic[art] - (n + m)]
+            basic[art] = slacks
+            state[slacks] = _BASIC
+        basic.flags.writeable = False
+        state.flags.writeable = False
+        return LpSolution(
+            OPTIMAL, x, np.asarray(y, dtype=float), obj, self.iterations, LpBasis(basic, state)
+        )
 
 
 def solve_lp(
@@ -567,10 +738,15 @@ def solve_lp(
     extra_rows: Sequence[Constraint] = (),
     bound_overrides: dict[int, tuple[float, float]] | None = None,
     deadline: float | None = None,
+    warm: LpBasis | None = None,
 ) -> LpSolution:
     """Solve the LP relaxation; duals come back aligned with the rows
-    (extra rows appended after the model's own)."""
-    return _Simplex(model, extra_rows, bound_overrides, deadline).solve()
+    (extra rows appended after the model's own).
+
+    warm is the basis of an earlier optimal solve of the same model whose
+    rows are a prefix of this solve's rows; bounds may differ.
+    """
+    return _Simplex(model, extra_rows, bound_overrides, deadline).solve(warm)
 
 
 # -- branch and bound -----------------------------------------------------------
@@ -591,7 +767,6 @@ def solve_mip(
     model: LinearModel,
     on_candidate: CandidateCallback | None = None,
     time_limit: float | None = None,
-    collected_cuts: list[Constraint] | None = None,
     stop_above: float | None = None,
 ) -> MipSolution:
     """Deterministic best-bound branch and bound.
@@ -604,26 +779,32 @@ def solve_mip(
     stop_above halts the search as soon as an accepted incumbent exceeds
     the threshold (status "stopped"); useful when any sufficiently good
     solution serves, as in intermediate pricing rounds.
+
+    Each node's LP starts from its parent's optimal basis, and a re-solve
+    after new cuts from the basis of the solve the cuts were made from.
     """
     t0 = time.monotonic()
     deadline = t0 + time_limit if time_limit is not None else None
     int_vars = [j for j in range(model.num_vars) if model.is_int[j]]
-    cuts: list[Constraint] = collected_cuts if collected_cuts is not None else []
+    cuts: list[Constraint] = []
     cuts_added = 0
 
     best_x: np.ndarray | None = None
     best_obj = -INF
 
-    # heap entries: (-parent bound, insertion index, overrides)
+    # heap entries: (-parent bound, insertion index, overrides, parent basis);
+    # both children of a node share its basis, which solve_lp never writes to
     counter = 0
-    heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = [(-INF, 0, {})]
+    heap: list[tuple[float, int, dict[int, tuple[float, float]], LpBasis | None]] = [
+        (-INF, 0, {}, None)
+    ]
     nodes = 0
     timed_out = False
     stopped = False
     abandoned_bound = -INF  # bound of a node dropped mid-solve on timeout
 
     while heap and not stopped and not timed_out:
-        neg_bound, _, overrides = heapq.heappop(heap)
+        neg_bound, _, overrides, warm = heapq.heappop(heap)
         if -neg_bound <= best_obj + TOL_GAP * (1 + abs(best_obj)):
             continue
         if time_limit is not None and time.monotonic() - t0 > time_limit:
@@ -633,7 +814,7 @@ def solve_mip(
         nodes += 1
 
         while True:
-            sol = solve_lp(model, cuts, overrides, deadline)
+            sol = solve_lp(model, cuts, overrides, deadline, warm)
             if sol.status == TIME_LIMIT:
                 timed_out = True
                 abandoned_bound = -neg_bound
@@ -646,6 +827,7 @@ def solve_mip(
                 break
             if sol.objective <= best_obj + TOL_GAP * (1 + abs(best_obj)):
                 break
+            warm = sol.basis
 
             frac = np.array([sol.x[j] - math.floor(sol.x[j] + 0.5) for j in int_vars])
             if int_vars and np.any(np.abs(frac) > TOL_INT):
@@ -661,9 +843,9 @@ def solve_mip(
                 up = dict(overrides)
                 up[j] = (math.ceil(sol.x[j]), hi)
                 counter += 1
-                heapq.heappush(heap, (-sol.objective, counter, down))
+                heapq.heappush(heap, (-sol.objective, counter, down, warm))
                 counter += 1
-                heapq.heappush(heap, (-sol.objective, counter, up))
+                heapq.heappush(heap, (-sol.objective, counter, up, warm))
                 break
 
             if on_candidate is not None:
@@ -686,7 +868,7 @@ def solve_mip(
             break
 
     if timed_out or stopped:
-        open_bounds = [-nb for nb, _, _ in heap]
+        open_bounds = [-nb for nb, _, _, _ in heap]
         bound = max(open_bounds + [best_obj, abandoned_bound])
         status = STOPPED if stopped else TIME_LIMIT
         return MipSolution(status, best_x, best_obj, bound, nodes, cuts_added)

@@ -10,6 +10,7 @@ TIME_LIMIT = "time_limit"
 INFEASIBLE = "infeasible"
 NO_DISJOINT_ROUTING = "no_disjoint_routing"
 REFUSED = "refused"  # oracle enumeration budget exceeded
+BREAKDOWN = "breakdown"  # the embedded LP kernel failed numerically
 
 
 @dataclass
@@ -34,6 +35,7 @@ class Diagnostics:
     columns_generated: int = 0
     rmp_iterations: int = 0
     bnb_nodes: int = 0
+    pricing_bnb_nodes: int = 0  # summed over every pricing MIP
     cuts_dc: dict[str, int] = field(default_factory=dict)  # per ship
     cuts_rf: dict[str, int] = field(default_factory=dict)
     splits: int = 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -237,3 +238,164 @@ def test_optimality_conditions_on_duals():
             activity = sum(cc * sol.x[j] for j, cc in coeffs.items())
             if dual > 1e-6:
                 assert activity == pytest.approx(rhs, abs=1e-6)
+
+
+# -- warm re-solves from a parent basis --------------------------------------------
+
+
+def _random_bounded_lp(rng):
+    n = rng.randint(3, 8)
+    m = LinearModel("rand")
+    for _ in range(n):
+        lo = rng.choice([0, 0, -3])
+        m.add_var(lo, lo + rng.randint(1, 9), obj=rng.randint(-9, 9), integer=True)
+    for _ in range(rng.randint(2, 6)):
+        coeffs = {j: rng.randint(-5, 5) for j in range(n) if rng.random() < 0.7}
+        m.add_constr(coeffs, rng.choice([LE, LE, GE, EQ]), rng.randint(-6, 14))
+    return m
+
+
+def _pricing_models():
+    from lsfrp.colgen import ArcFlowPricing
+    from lsfrp.instance import build_reach_index
+    from lsfrp.io import GeneratorParams, generate_random
+    from lsfrp.lazy import build_compact_pricing
+
+    for seed in range(6):
+        ins = generate_random(
+            GeneratorParams(ships=2, visits=10, demands=8, capacity_dc_range=(25, 60), seed=seed)
+        )
+        reach = build_reach_index(ins)
+        rng = random.Random(seed)
+        prices = {v.id: rng.uniform(0.0, 40.0) for v in ins.visits}
+        engine = ArcFlowPricing(ins, reach)
+        for ship in ins.ships:
+            yield engine._build(ship, prices, frozenset())[0]
+            yield build_compact_pricing(ins, ship.id, prices, reach=reach).model
+
+
+def _kkt_ok(model, extra, overrides, sol, tol=1e-6):
+    """Complementary slackness of the duals, and sign of every reduced cost."""
+    rows = list(model.rows) + list(extra)
+    x, y = sol.x, sol.duals
+    d = np.array(model.obj, dtype=float)
+    for i, r in enumerate(rows):
+        activity = sum(c * x[j] for j, c in r.coeffs.items())
+        if r.sense == LE and y[i] < -tol or r.sense == GE and y[i] > tol:
+            return False
+        if abs(y[i]) > tol and abs(activity - r.rhs) > tol * (1 + abs(r.rhs)):
+            return False
+        for j, c in r.coeffs.items():
+            d[j] -= y[i] * c
+    for j in range(model.num_vars):
+        lo, hi = (overrides or {}).get(j, (model.lb[j], model.ub[j]))
+        if d[j] > tol and x[j] < hi - tol or d[j] < -tol and x[j] > lo + tol:
+            return False
+    return True
+
+
+def _highs_objective(model, extra, overrides):
+    """HiGHS optimum of the same LP, or None when it reports infeasible."""
+    from scipy.optimize import linprog
+
+    rows = list(model.rows) + list(extra)
+    n = model.num_vars
+
+    def dense(rs, sign):
+        a = np.zeros((len(rs), n))
+        for i, r in enumerate(rs):
+            for j, c in r.coeffs.items():
+                a[i, j] = sign(r) * c
+        return a
+
+    ub_rows = [r for r in rows if r.sense != EQ]
+    eq_rows = [r for r in rows if r.sense == EQ]
+    flip = lambda r: -1.0 if r.sense == GE else 1.0
+    bounds = [
+        (overrides or {}).get(j, (model.lb[j], model.ub[j])) for j in range(n)
+    ]
+    res = linprog(
+        -np.array(model.obj),
+        A_ub=dense(ub_rows, flip) if ub_rows else None,
+        b_ub=[flip(r) * r.rhs for r in ub_rows] if ub_rows else None,
+        A_eq=dense(eq_rows, lambda r: 1.0) if eq_rows else None,
+        b_eq=[r.rhs for r in eq_rows] if eq_rows else None,
+        bounds=[(lo, None if hi == INF else hi) for lo, hi in bounds],
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return -res.fun if res.status == 0 else None
+
+
+def _warm_cases(model):
+    """(extra rows, bound overrides) re-solves of an optimal root: both
+    branches on the first fractional integer variable, and one appended
+    row that cuts the root point off."""
+    root = solve_lp(model)
+    if root.status != OPTIMAL:
+        return root, []
+    cases = []
+    frac = [j for j in range(model.num_vars) if model.is_int[j] and abs(root.x[j] - round(root.x[j])) > 1e-6]
+    if frac:
+        j = frac[0]
+        cases.append(((), {j: (model.lb[j], math.floor(root.x[j]))}))
+        cases.append(((), {j: (math.ceil(root.x[j]), model.ub[j])}))
+    support = [j for j in range(model.num_vars) if root.x[j] > model.lb[j] + 1e-6]
+    if support:
+        coeffs = {j: 1.0 for j in support}
+        activity = sum(root.x[j] for j in support)
+        cases.append(([Constraint(coeffs, LE, activity - 0.5, "cut")], {}))
+    return root, cases
+
+
+def test_warm_resolves_match_cold():
+    rng = random.Random(31)
+    models = [_random_bounded_lp(rng) for _ in range(250)] + list(_pricing_models())
+    compared = infeasible = warm_pivots = cold_pivots = 0
+    for model in models:
+        root, cases = _warm_cases(model)
+        for extra, overrides in cases:
+            warm = solve_lp(model, extra, overrides, warm=root.basis)
+            cold = solve_lp(model, extra, overrides)
+            assert warm.status == cold.status
+            compared += 1
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+            if cold.status == INFEASIBLE:
+                infeasible += 1
+                continue
+            assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+            assert _kkt_ok(model, extra, overrides, warm)
+    assert compared >= 300 and infeasible >= 10
+    # a warm path that silently fell back to the cold one every time would
+    # spend more pivots than the cold solves, not fewer
+    assert warm_pivots < cold_pivots / 2
+
+
+def test_warm_resolves_match_highs():
+    pytest.importorskip("scipy")
+    rng = random.Random(47)
+    models = [_random_bounded_lp(rng) for _ in range(60)] + list(_pricing_models())[:8]
+    for model in models:
+        root, cases = _warm_cases(model)
+        for extra, overrides in cases:
+            warm = solve_lp(model, extra, overrides, warm=root.basis)
+            ref = _highs_objective(model, extra, overrides)
+            if ref is None:
+                assert warm.status == INFEASIBLE
+            else:
+                assert warm.status == OPTIMAL
+                assert warm.objective == pytest.approx(ref, rel=1e-7, abs=1e-7)
+
+
+def test_warm_basis_is_read_only_and_shared():
+    m = knap([10, 9, 8, 7], [5, 5, 4, 3], 9)
+    root = solve_lp(m)
+    before = (root.basis.basic.copy(), root.basis.state.copy())
+    for j in range(m.num_vars):
+        solve_lp(m, (), {j: (0.0, 0.0)}, warm=root.basis)
+        solve_lp(m, (), {j: (1.0, 1.0)}, warm=root.basis)
+    assert np.array_equal(root.basis.basic, before[0])
+    assert np.array_equal(root.basis.state, before[1])
+    with pytest.raises(ValueError):
+        root.basis.state[0] = 0
