@@ -6,8 +6,8 @@ master duals priced into node entries.  Two pricing engines plug in behind
 the same interface: the arc-flow single-ship model built here, and the
 compact lazy-constraint model from lsfrp.lazy.
 
-The relaxed master is integral whenever all ships share one type; for
-mixed fleets a fallback branches on (visit, ship type) usage.
+When the relaxed master ends fractional, branch-and-price branches on
+(visit, ship) usage: whether ship s calls at visit v.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ class Column:
 class MasterDuals:
     pi: dict[str, float]  # per-ship convexity duals, free sign
     mu: dict[str, float]  # per-visit node-once duals
-    branch: dict[tuple[str, str], float] = field(default_factory=dict)  # (visit, type)
+    branch: dict[tuple[str, str], float] = field(default_factory=dict)  # (visit, ship)
 
-    def node_price(self, visit: str, ship_type: str) -> float:
-        return self.mu.get(visit, 0.0) + self.branch.get((visit, ship_type), 0.0)
+    def node_price(self, visit: str, ship_id: str) -> float:
+        return self.mu.get(visit, 0.0) + self.branch.get((visit, ship_id), 0.0)
 
 
 @dataclass
@@ -64,8 +64,8 @@ class CgConfig:
 
 @dataclass
 class _BranchState:
-    excluded: frozenset[tuple[str, str]] = frozenset()  # (visit, ship_type) banned
-    required: tuple[tuple[str, str], ...] = ()  # (visit, ship_type) must be used
+    excluded: frozenset[tuple[str, str]] = frozenset()  # (visit, ship) banned
+    required: tuple[tuple[str, str], ...] = ()  # (visit, ship) must be used
 
 
 def dummy_profit(instance: Instance) -> float:
@@ -107,10 +107,7 @@ def _build_rmp(
     model = LinearModel("rmp")
     zvars = []
     for k, col in enumerate(columns):
-        banned = any(
-            instance.ship_by_id[col.ship].ship_type == t and node in col.nodes
-            for (node, t) in state.excluded
-        )
+        banned = any((node, col.ship) in state.excluded for node in col.nodes)
         ub = 0.0 if banned else 1.0
         zvars.append(
             model.add_var(0.0, ub, obj=col.profit, integer=not relax, name=f"z{k}")
@@ -128,16 +125,16 @@ def _build_rmp(
         }
         if coeffs:
             model.add_constr(coeffs, LE, 1.0, f"once[{v.id}]")
-    for (node, t) in state.required:
+    for (node, sid) in state.required:
         coeffs = {
             zvars[k]: 1.0
             for k, col in enumerate(columns)
-            if node in col.nodes and instance.ship_by_id[col.ship].ship_type == t
+            if col.ship == sid and node in col.nodes
         }
         # artificial keeps the row feasible until pricing covers it
-        art = model.add_var(0.0, 1.0, obj=dummy_profit(instance), name=f"art[{node},{t}]")
+        art = model.add_var(0.0, 1.0, obj=dummy_profit(instance), name=f"art[{node},{sid}]")
         coeffs[art] = 1.0
-        model.add_constr(coeffs, GE, 1.0, f"req[{node},{t}]")
+        model.add_constr(coeffs, GE, 1.0, f"req[{node},{sid}]")
     return model, zvars
 
 
@@ -163,8 +160,8 @@ def solve_rmp(
                 mu[v.id] = float(sol.duals[row])
                 row += 1
         branch = {}
-        for (node, t) in state.required:
-            branch[(node, t)] = float(sol.duals[row])
+        for key in state.required:
+            branch[key] = float(sol.duals[row])
             row += 1
         return sol, MasterDuals(pi, mu, branch)
     return lp.solve_mip(model), None
@@ -444,10 +441,8 @@ def price_ship(
     """
     state = state or _BranchState()
     ship = instance.ship_by_id[ship_id]
-    excluded = frozenset(n for (n, t) in state.excluded if t == ship.ship_type)
-    prices = {
-        v.id: duals.node_price(v.id, ship.ship_type) for v in instance.visits
-    }
+    excluded = frozenset(n for (n, sid) in state.excluded if sid == ship_id)
+    prices = {v.id: duals.node_price(v.id, ship_id) for v in instance.visits}
     stop_above = None
     if not exact:
         stop_above = (
@@ -538,15 +533,14 @@ def _cg_loop(instance, columns, engine, state, config, clock, diag):
             _log_progress(config, diag, sol, columns)
 
 
-def _fractional_pairs(instance, columns, z):
-    """Aggregate (visit, ship type) usage; fractional entries drive branching."""
+def _fractional_pairs(columns, z):
+    """Aggregate (visit, ship) usage; fractional entries drive branching."""
     usage: dict[tuple[str, str], float] = {}
     for k, col in enumerate(columns):
         if z[k] <= lp.TOL_INT:
             continue
-        t = instance.ship_by_id[col.ship].ship_type
         for node in col.nodes:
-            usage[(node, t)] = usage.get((node, t), 0.0) + z[k]
+            usage[(node, col.ship)] = usage.get((node, col.ship), 0.0) + z[k]
     out = []
     for key, val in usage.items():
         frac = val - math.floor(val)
@@ -562,6 +556,20 @@ def _is_integral(z: list[float]) -> bool:
 
 def _chosen_columns(columns, z) -> list[Column]:
     return [col for k, col in enumerate(columns) if z[k] > 0.5]
+
+
+def _settled_columns(columns, z) -> list[Column]:
+    """One column per ship once every (visit, ship) usage is integral.
+
+    A ship's columns in use then all call at the same visits, so they have
+    the same master rows, and an optimal master gives them the same profit:
+    the most profitable one alone is worth the mix.
+    """
+    pick: dict[str, int] = {}
+    for k, col in enumerate(columns):
+        if z[k] > lp.TOL_INT and (col.ship not in pick or col.profit > columns[pick[col.ship]].profit):
+            pick[col.ship] = k
+    return [columns[k] for k in sorted(pick.values())]
 
 
 def _assemble(instance, method, chosen, diag, config) -> Solution:
@@ -585,7 +593,7 @@ def run_column_generation(
     engine=None,
 ) -> Solution:
     """Full column generation: heuristic start, pricing loop, integrality
-    check, and (visit, ship type) branching when the master is fractional."""
+    check, and (visit, ship) branching when the master is fractional."""
     config = config or CgConfig()
     clock = _TimeBudget(config.time_limit)
     diag = Diagnostics()
@@ -630,10 +638,9 @@ def run_column_generation(
             sol.meta["root_master_integral"] = True
             return sol
 
-        # mixed-type fallback: branch on fractional (visit, ship type) usage
+        # branch on fractional (visit, ship) usage
         best: Solution | None = None
         best_obj = -math.inf
-        types = instance.ship_types
         counter = 0
         heap: list[tuple[float, int, _BranchState]] = [(-root_sol.objective, 0, _BranchState())]
         while heap:
@@ -647,37 +654,23 @@ def run_column_generation(
             if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
                 continue
             z = [float(node_sol.x[k]) for k in range(len(columns))]
-            pairs = _fractional_pairs(instance, columns, z)
-            if _is_integral(z):
-                chosen = _chosen_columns(columns, z)
-                cand = _assemble(instance, method, chosen, diag, config)
-                val = -math.inf if cand.status != OPTIMAL else cand.objective
-                if cand.status == OPTIMAL and val > best_obj:
-                    best, best_obj = cand, val
-                continue
+            pairs = _fractional_pairs(columns, z)
             if not pairs:
-                # all usage aggregates integral yet Z fractional: settle the
-                # node with a master MIP over the current column pool
-                mip, _ = solve_rmp(instance, columns, relax=False, state=state)
-                if mip.status == lp.OPTIMAL and mip.objective > best_obj:
-                    if mip.objective < node_sol.objective - lp.TOL_GAP * (1 + abs(mip.objective)):
-                        raise RuntimeError(
-                            "branching incomplete: master MIP below node bound"
-                        )
-                    z = [float(mip.x[k]) for k in range(len(columns))]
-                    cand = _assemble(instance, method, _chosen_columns(columns, z), diag, config)
-                    if cand.status == OPTIMAL:
-                        best, best_obj = cand, cand.objective
+                cand = _assemble(instance, method, _settled_columns(columns, z), diag, config)
+                if cand.status == OPTIMAL and cand.objective > best_obj:
+                    if cand.objective < node_sol.objective - lp.TOL_GAP * (1 + abs(cand.objective)):
+                        raise RuntimeError("branching incomplete: settled node below its bound")
+                    best, best_obj = cand, cand.objective
                 continue
-            _, (node, t), _ = pairs[0]
+            _, (node, sid), _ = pairs[0]
             off = _BranchState(
-                excluded=state.excluded | {(node, t)}, required=state.required
+                excluded=state.excluded | {(node, sid)}, required=state.required
             )
-            # requiring (node, t) shuts the node for every other type
-            others = frozenset((node, t2) for t2 in types if t2 != t)
+            # requiring (node, sid) shuts the node for every other ship
+            others = frozenset((node, s.id) for s in instance.ships if s.id != sid)
             on = _BranchState(
                 excluded=state.excluded | others,
-                required=state.required + ((node, t),),
+                required=state.required + ((node, sid),),
             )
             counter += 1
             heapq.heappush(heap, (-node_sol.objective, counter, off))

@@ -155,7 +155,7 @@ def mixed_type_fractional() -> Instance:
 
     Type TA can collect the -10 fee at n1 or n2 (value 10 each); type TB can
     chain both for 18.  The master LP mixes both half-half for 19; the best
-    integer solution is 18, reached only through ship-type branching.
+    integer solution is 18, reached only through branching.
     """
     big = 1000
     ships = [Ship("sA", "a0", 100, 0, "TA"), Ship("sB", "b0", 100, 0, "TB")]

@@ -262,27 +262,33 @@ def test_pricing_bnb_nodes_reported(monkeypatch):
         assert back.diagnostics.pricing_bnb_nodes == sol.diagnostics.pricing_bnb_nodes
 
 
-# Known defect: on this instance the (visit, ship type) branching settles a
-# node whose usage aggregates are all integral with a master MIP over the
-# column pool, and that MIP lies below the node's bound, so both column
-# generation methods raise where revised finds 9085.
-@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="branching incomplete on integral aggregates")
+# Each instance reaches a branch-and-price node whose master is fractional
+# while every (visit, ship type) usage is integral.  Branching on that
+# usage could not split such a node: the first instance raised "branching
+# incomplete", the second returned 3446.  (visit, ship) branching settles
+# both.
 @pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
-def test_known_branching_defect_single_type(method):
+@pytest.mark.parametrize(
+    "params, optimum",
+    [
+        (
+            GeneratorParams(ships=3, ship_types=1, visits=17, demands=12, arc_density=0.35,
+                            reefer_fraction=0.25, seed=1489315916),
+            9085.0,
+        ),
+        (
+            GeneratorParams(ships=2, ship_types=1, visits=11, demands=6, arc_density=0.67,
+                            reefer_fraction=0.25, seed=476222078),
+            3909.0,
+        ),
+    ],
+)
+def test_branching_settles_fractional_master(method, params, optimum):
     from lsfrp.cli import run_method
 
-    ins = generate_random(
-        GeneratorParams(
-            ships=3,
-            ship_types=1,
-            visits=17,
-            demands=12,
-            arc_density=0.35,
-            reefer_fraction=0.25,
-            capacity_dc_range=(60, 160),
-            amount_range=(5, 60),
-            seed=1489315916,
-        )
-    )
-    assert run_method(ins, "revised").objective == pytest.approx(9085.0)
-    assert run_method(ins, method).objective == pytest.approx(9085.0)
+    ins = generate_random(params)
+    assert run_method(ins, "revised").objective == pytest.approx(optimum)
+    sol = run_method(ins, method)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(optimum)
+    assert sol.meta["root_master_integral"] is False

@@ -375,7 +375,7 @@ def test_warm_resolves_match_cold():
 def test_warm_resolves_match_highs():
     pytest.importorskip("scipy")
     rng = random.Random(47)
-    models = [_random_bounded_lp(rng) for _ in range(60)] + list(_pricing_models())[:8]
+    models = [_random_bounded_lp(rng) for _ in range(60)] + list(itertools.islice(_pricing_models(), 8))
     for model in models:
         root, cases = _warm_cases(model)
         for extra, overrides in cases:
