@@ -554,10 +554,6 @@ def _is_integral(z: list[float]) -> bool:
     return all(abs(v - round(v)) <= lp.TOL_INT for v in z)
 
 
-def _chosen_columns(columns, z) -> list[Column]:
-    return [col for k, col in enumerate(columns) if z[k] > 0.5]
-
-
 def _settled_columns(columns, z) -> list[Column]:
     """One column per ship once every (visit, ship) usage is integral.
 
@@ -634,7 +630,7 @@ def run_column_generation(
         if root_integral:
             engine.fill_diagnostics(diag)
             diag.wall_time_sec = clock.elapsed()
-            sol = _assemble(instance, method, _chosen_columns(columns, z), diag, config)
+            sol = _assemble(instance, method, _settled_columns(columns, z), diag, config)
             sol.meta["root_master_integral"] = True
             return sol
 

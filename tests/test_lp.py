@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from lsfrp.lp import (
     INFEASIBLE,
     LE,
     OPTIMAL,
+    TIME_LIMIT,
     UNBOUNDED,
     Constraint,
     CutSoundnessError,
     LinearModel,
+    LpBasis,
     solve_lp,
     solve_mip,
 )
@@ -399,3 +402,31 @@ def test_warm_basis_is_read_only_and_shared():
     assert np.array_equal(root.basis.state, before[1])
     with pytest.raises(ValueError):
         root.basis.state[0] = 0
+
+
+def test_unusable_warm_basis_falls_back_to_cold():
+    m = LinearModel()
+    x = m.add_var(0, 1, obj=2.0)
+    y = m.add_var(0, 1, obj=1.0)
+    m.add_constr({x: 1.0, y: 1.0}, LE, 1.0)
+    m.add_constr({x: 1.0, y: 1.0}, LE, 1.5)
+    cold = solve_lp(m)
+    wider = LinearModel()
+    for j in range(2):
+        wider.add_var(0, 1, obj=m.obj[j])
+    for r in m.rows + [Constraint({x: 1.0}, LE, 0.5)]:
+        wider.add_constr(r.coeffs, r.sense, r.rhs)
+    too_many_rows = solve_lp(wider).basis
+    # x and y have equal columns, so a basis of both is singular
+    singular = LpBasis(np.array([x, y]), np.array([0, 0, 1, 1], dtype=np.int8))
+    for basis in (too_many_rows, singular):
+        sol = solve_lp(m, warm=basis)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_warm_resolve_honours_deadline():
+    m = knap([10, 9, 8, 7], [5, 5, 4, 3], 9)
+    root = solve_lp(m)
+    sol = solve_lp(m, (), {0: (0.0, 0.0)}, deadline=time.monotonic() - 1.0, warm=root.basis)
+    assert sol.status == TIME_LIMIT
