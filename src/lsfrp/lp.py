@@ -80,7 +80,10 @@ class LinearModel:
         self.is_int: list[bool] = []
         self.var_names: list[str] = []
         self.rows: list[Constraint] = []
-        self._version = 0
+        # bumped by add_var/add_constr only: objective and bound edits keep
+        # the cached dense rows of _row_block valid
+        self._structure = 0
+        self._block_cache: tuple[int, tuple] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -101,7 +104,7 @@ class LinearModel:
         self.obj.append(float(obj))
         self.is_int.append(bool(integer))
         self.var_names.append(name or f"x{len(self.lb) - 1}")
-        self._version += 1
+        self._structure += 1
         return len(self.lb) - 1
 
     def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float, name: str = "") -> int:
@@ -118,19 +121,17 @@ class LinearModel:
             if c != 0.0:
                 clean[int(j)] = float(c)
         self.rows.append(Constraint(clean, sense, float(rhs), name or f"c{len(self.rows)}"))
-        self._version += 1
+        self._structure += 1
         return len(self.rows) - 1
 
     def set_objective_coeff(self, j: int, value: float) -> None:
         self.obj[j] = float(value)
-        self._version += 1
 
     def set_bounds(self, j: int, lb: float, ub: float) -> None:
         if not lb <= ub:
             raise ValueError(f"variable {j}: lb {lb} > ub {ub}")
         self.lb[j] = float(lb)
         self.ub[j] = float(ub)
-        self._version += 1
 
     # -- inspection -----------------------------------------------------------
 
@@ -221,6 +222,35 @@ _AT_UPPER = 2
 _FREE = 3
 
 
+def _dense_rows(rows: Sequence[Constraint], n: int):
+    """Dense coefficients, right-hand sides and slack bounds of some rows;
+    each row's slack s makes it ``a.x + s = rhs``."""
+    A = np.zeros((len(rows), n))
+    for i, r in enumerate(rows):
+        for j, c in r.coeffs.items():
+            A[i, j] = c
+    b = np.array([r.rhs for r in rows], dtype=float)
+    slack_lb = np.array([-INF if r.sense == GE else 0.0 for r in rows], dtype=float)
+    slack_ub = np.array([INF if r.sense == LE else 0.0 for r in rows], dtype=float)
+    return A, b, slack_lb, slack_ub
+
+
+def _row_block(model: LinearModel):
+    """``[A | I]``, b and slack bounds of the model's own rows, cached on the
+    model until its next add_var/add_constr.  The arrays are read-only:
+    every solve of the model shares them."""
+    cache = model._block_cache
+    if cache is not None and cache[0] == model._structure:
+        return cache[1]
+    n, m = model.num_vars, model.num_rows
+    A, b, slack_lb, slack_ub = _dense_rows(model.rows, n)
+    block = (np.hstack([A, np.eye(m)]) if m else A, b, slack_lb, slack_ub)
+    for arr in block:
+        arr.flags.writeable = False
+    model._block_cache = (model._structure, block)
+    return block
+
+
 class _Simplex:
     def __init__(
         self,
@@ -230,31 +260,25 @@ class _Simplex:
         deadline: float | None = None,
     ):
         self.deadline = deadline
-        rows = list(model.rows) + list(extra_rows)
         n = model.num_vars
-        m = len(rows)
+        m = model.num_rows + len(extra_rows)
         self.n_struct = n
         self.m = m
 
-        cache = getattr(model, "_dense_cache", None)
-        if cache is not None and cache[0] == model._version:
-            A_base = cache[1]
-        else:
-            A_base = np.zeros((model.num_rows, n))
-            for i, r in enumerate(model.rows):
-                for j, c in r.coeffs.items():
-                    A_base[i, j] = c
-            model._dense_cache = (model._version, A_base)
+        A, b, slack_lb, slack_ub = _row_block(model)
         if extra_rows:
-            A_extra = np.zeros((len(extra_rows), n))
-            for i, r in enumerate(extra_rows):
-                for j, c in r.coeffs.items():
-                    A_extra[i, j] = c
-            A_struct = np.vstack([A_base, A_extra]) if model.num_rows else A_extra
-        else:
-            A_struct = A_base
+            # the extra rows' slacks follow the model's own in the identity
+            m0 = model.num_rows
+            A_extra, b_extra, extra_lb, extra_ub = _dense_rows(extra_rows, n)
+            A_full = np.zeros((m, n + m))
+            A_full[:m0, : n + m0] = A
+            A_full[m0:, :n] = A_extra
+            A_full[m0:, n + m0 :] = np.eye(len(extra_rows))
+            A = A_full
+            b = np.concatenate([b, b_extra])
+            slack_lb = np.concatenate([slack_lb, extra_lb])
+            slack_ub = np.concatenate([slack_ub, extra_ub])
 
-        b = np.array([r.rhs for r in rows], dtype=float)
         lb = np.array(model.lb, dtype=float)
         ub = np.array(model.ub, dtype=float)
         if overrides:
@@ -262,18 +286,7 @@ class _Simplex:
                 lb[j], ub[j] = lo, hi
         self.trivially_infeasible = bool(np.any(lb > ub))
 
-        # one logical (slack) column per row
-        slack_lb = np.empty(m)
-        slack_ub = np.empty(m)
-        for i, r in enumerate(rows):
-            if r.sense == LE:
-                slack_lb[i], slack_ub[i] = 0.0, INF
-            elif r.sense == GE:
-                slack_lb[i], slack_ub[i] = -INF, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
-
-        self.A = np.hstack([A_struct, np.eye(m)]) if m else A_struct.reshape(0, n)
+        self.A = A
         self.b = b
         self.lb = np.concatenate([lb, slack_lb])
         self.ub = np.concatenate([ub, slack_ub])

@@ -430,3 +430,30 @@ def test_warm_resolve_honours_deadline():
     root = solve_lp(m)
     sol = solve_lp(m, (), {0: (0.0, 0.0)}, deadline=time.monotonic() - 1.0, warm=root.basis)
     assert sol.status == TIME_LIMIT
+
+
+def _rebuilt(model):
+    """A fresh model with the same variables and rows, so no cached state."""
+    out = LinearModel(model.name)
+    for j in range(model.num_vars):
+        out.add_var(model.lb[j], model.ub[j], model.obj[j], model.is_int[j])
+    for r in model.rows:
+        out.add_constr(r.coeffs, r.sense, r.rhs)
+    return out
+
+
+def test_edits_after_a_solve_reach_the_next_solve():
+    rng = random.Random(13)
+    for _ in range(40):
+        model = _random_bounded_lp(rng)
+        solve_lp(model)
+        for j in range(model.num_vars):
+            model.set_objective_coeff(j, rng.randint(-9, 9))
+            lo = model.lb[j] + rng.choice([0, 0, 1])
+            model.set_bounds(j, lo, max(lo, model.ub[j] - rng.choice([0, 1])))
+        if rng.random() < 0.5:
+            model.add_constr({0: 1.0, 1: 1.0}, LE, rng.randint(0, 6))
+        edited, fresh = solve_lp(model), solve_lp(_rebuilt(model))
+        assert edited.status == fresh.status
+        assert edited.objective == pytest.approx(fresh.objective, abs=1e-9)
+        assert solve_mip(model).objective == pytest.approx(solve_mip(_rebuilt(model)).objective, abs=1e-9)
