@@ -187,6 +187,35 @@ def _usable_pricing_result(mip: lp.MipSolution, stop_above: float | None):
     return None
 
 
+class PricingModel:
+    """One ship's pricing MIP, built once with no prices and no exclusions.
+
+    Each round writes the node prices into the arc objectives, turns the
+    excluded visits into zero bounds on their arcs, and warm-starts the
+    root LP from the previous round's root basis.  Rows appended between
+    rounds must follow the order in which solve_mip added them as cuts,
+    so that the stored basis covers a prefix of the model's rows.
+    """
+
+    def __init__(self, model: LinearModel, yvars: dict[tuple[str, str], int], sink: str):
+        self.model = model
+        self.yvars = yvars
+        self.sink = sink
+        self.base = [model.obj[k] for k in yvars.values()]  # y costs before prices
+        self.basis: lp.LpBasis | None = None
+
+    def solve(self, node_price: dict[str, float], excluded: frozenset[str], **mip_args):
+        model = self.model
+        for ((i, j), k), base in zip(self.yvars.items(), self.base):
+            price = 0.0 if j == self.sink else node_price.get(j, 0.0)
+            model.set_objective_coeff(k, base - price)
+            model.set_bounds(k, 0.0, 0.0 if i in excluded or j in excluded else 1.0)
+        mip = lp.solve_mip(model, warm=self.basis, **mip_args)
+        if mip.root_basis is not None:
+            self.basis = mip.root_basis
+        return mip
+
+
 class ArcFlowPricing:
     """Single-ship pricing on the revised arc-flow model with node prices."""
 
@@ -197,6 +226,8 @@ class ArcFlowPricing:
             raise ValueError(
                 "arc-flow pricing does not model empty equipment; use compact pricing"
             )
+        # ship -> (persistent model, cargo variables), None without a start arc
+        self.models: dict[str, tuple[PricingModel, dict] | None] = {}
         self.model_sizes: dict[str, tuple[int, int, int]] = {}
         self.bnb_nodes = 0
 
@@ -327,13 +358,17 @@ class ArcFlowPricing:
         ship = ins.ship_by_id[ship_id]
         if ship.start_visit in excluded:
             return None, -math.inf
-        built = self._build(ship, node_price, excluded)
-        if built[0] is None:
+        if ship_id not in self.models:
+            model, yvars, xvars = self._build(ship, {}, frozenset())
+            self.models[ship_id] = None
+            if model is not None:
+                self.models[ship_id] = (PricingModel(model, yvars, ins.sink), xvars)
+                self.model_sizes[ship_id] = model.size_triple()
+        if self.models[ship_id] is None:
             return None, -math.inf
-        model, yvars, xvars = built
-        if ship_id not in self.model_sizes:
-            self.model_sizes[ship_id] = model.size_triple()
-        mip = lp.solve_mip(model, stop_above=stop_above, time_limit=time_limit)
+        priced, xvars = self.models[ship_id]
+        yvars = priced.yvars
+        mip = priced.solve(node_price, excluded, stop_above=stop_above, time_limit=time_limit)
         self.bnb_nodes += mip.nodes
         mip = _usable_pricing_result(mip, stop_above)
         if mip is None:

@@ -6,7 +6,8 @@ node.  Joint capacity along the path is enforced lazily: every integer
 candidate is replayed from the start visit (cargo loads at its origin and
 unloads at the first visited destination), and wherever the onboard total
 exceeds a capacity a cut over every demand that can be aboard there is
-added.  Cuts persist in a per-ship pool across pricing rounds.
+added.  Cuts persist across pricing rounds, in a per-ship pool and as rows
+of the ship's pricing model, which is built once and re-priced each round.
 
 Multi-destination demands whose variables a cut could wrongly tie together
 are split into per-destination variables sharing one availability cap.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import lp
-from .colgen import CgConfig, Column, _usable_pricing_result, run_column_generation
+from .colgen import CgConfig, Column, PricingModel, _usable_pricing_result, run_column_generation
 from .formulations import evaluate_objective
 from .instance import Instance, ReachIndex, Ship, build_reach_index
 from .lp import EQ, LE, LinearModel
@@ -214,7 +215,6 @@ class CompactModel:
     xvars: dict[str, int]
     evars: dict[tuple[str, str, str], int]
     members: dict[str, Member]
-    node_price: dict[str, float]
     carry_nodes: dict[str, frozenset[str]]  # member key -> nodes it can depart loaded
     empty_nodes: dict[tuple[str, str, str], frozenset[str]]
     split_parents: int = 0
@@ -224,14 +224,13 @@ def build_compact_pricing(
     instance: Instance,
     ship_id: str,
     node_price: dict[str, float] | None = None,
-    carried_cuts: tuple[Cut, ...] = (),
     reach: ReachIndex | None = None,
     splitting: bool = True,
     excluded: frozenset[str] = frozenset(),
 ) -> CompactModel | None:
     """Per-ship compact pricing model: path rows, load-node capacities,
-    origin/destination gates, split caps, empty pairs and carried cuts.
-    Returns None when exclusions cut every start->sink path."""
+    origin/destination gates, split caps and empty pairs.  Returns None when
+    the start visit is excluded or left without an outgoing arc."""
     reach = reach or build_reach_index(instance)
     node_price = node_price or {}
     ins = instance
@@ -428,21 +427,17 @@ def build_compact_pricing(
         if len(group) > 1:
             model.add_constr({v: 1.0 for v in group}, LE, -p.amount, f"def[{p.cargo_type},{p.visit}]")
 
-    ctx = CompactModel(
+    return CompactModel(
         model=model,
         ship=ship,
         yvars=yvars,
         xvars=xvars,
         evars=evars,
         members=member_by_key,
-        node_price=dict(node_price),
         carry_nodes=carry_nodes,
         empty_nodes=empty_nodes,
         split_parents=split_parents,
     )
-    for cut in carried_cuts:
-        model.add_constr(*_cut_row(ctx, cut))
-    return ctx
 
 
 def _cut_row(ctx: CompactModel, cut: Cut):
@@ -582,6 +577,8 @@ class CompactPricing:
         self.splitting = splitting
         self.pools: dict[str, list[Cut]] = {s.id: [] for s in instance.ships}
         self.pool_keys: dict[str, set[tuple[str, str]]] = {s.id: set() for s in instance.ships}
+        # ship -> (compact model, its persistent solver), None without a start arc
+        self.models: dict[str, tuple[CompactModel, PricingModel] | None] = {}
         self.model_sizes: dict[str, tuple[int, int, int]] = {}
         self.split_counts: dict[str, int] = {}
         self.bnb_nodes = 0
@@ -595,41 +592,45 @@ class CompactPricing:
         time_limit: float | None = None,
     ):
         ins = self.instance
-        ctx = build_compact_pricing(
-            ins,
-            ship_id,
-            node_price,
-            tuple(self.pools[ship_id]),
-            self.reach,
-            self.splitting,
-            excluded,
-        )
-        if ctx is None:
+        if ins.ship_by_id[ship_id].start_visit in excluded:
             return None, -math.inf
-        if ship_id not in self.model_sizes:
-            self.model_sizes[ship_id] = ctx.model.size_triple()
-            self.split_counts[ship_id] = ctx.split_parents
+        if ship_id not in self.models:
+            ctx = build_compact_pricing(ins, ship_id, reach=self.reach, splitting=self.splitting)
+            self.models[ship_id] = None
+            if ctx is not None:
+                self.models[ship_id] = (ctx, PricingModel(ctx.model, ctx.yvars, ins.sink))
+                self.model_sizes[ship_id] = ctx.model.size_triple()
+                self.split_counts[ship_id] = ctx.split_parents
+        if self.models[ship_id] is None:
+            return None, -math.inf
+        ctx, priced = self.models[ship_id]
 
+        pool = self.pools[ship_id]
+        pooled = len(pool)
         pool_keys = frozenset(self.pool_keys[ship_id])
 
         def on_candidate(x):
             new_cuts = separate_cuts(ctx, x, pool_keys)
             rows = []
             for cut in new_cuts:
-                self.pools[ship_id].append(cut)
+                pool.append(cut)
                 self.pool_keys[ship_id].add((cut.node, cut.scope))
                 rows.append(lp.Constraint(*_cut_row(ctx, cut)))
             return rows
 
-        mip = lp.solve_mip(
-            ctx.model, on_candidate=on_candidate, stop_above=stop_above, time_limit=time_limit
+        mip = priced.solve(
+            node_price, excluded,
+            on_candidate=on_candidate, stop_above=stop_above, time_limit=time_limit,
         )
+        # the new pool cuts become rows in the order solve_mip added them
+        for cut in pool[pooled:]:
+            ctx.model.add_constr(*_cut_row(ctx, cut))
         self.bnb_nodes += mip.nodes
         mip = _usable_pricing_result(mip, stop_above)
         if mip is None:
             return None, -math.inf
         start = ins.ship_by_id[ship_id].start_visit
-        value = mip.objective - (node_price or {}).get(start, 0.0)
+        value = mip.objective - node_price.get(start, 0.0)
         path, flows, empty_flows = replay_column(ctx, mip.x)
         col = Column(
             ship=ship_id,

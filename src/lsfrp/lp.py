@@ -14,6 +14,16 @@ enter the basis, which stays dual feasible, and a bounded dual simplex
 restores primal feasibility before the primal loop confirms optimality.
 Should the warm start break down or hit its iteration cap, the same call
 solves cold from scratch.
+
+Column generation re-solves each ship's pricing MIP once per round, and
+only the objective, some bounds and appended cut rows change in between.
+The pricing engines keep one model per ship, edit it in place, and pass
+the last round's root basis (``MipSolution.root_basis``) back to
+``solve_mip(warm=...)``.  After a price change that basis is still primal
+feasible, so the dual phase has nothing to do and the primal loop goes on
+from the old vertex; bound changes and new rows take the dual path above.
+The dense rows of a model are cached on it until its next
+``add_var``/``add_constr``, so objective and bound edits cost no rebuild.
 """
 
 from __future__ import annotations
@@ -212,6 +222,9 @@ class MipSolution:
     bound: float = INF
     nodes: int = 0
     cuts_added: int = 0
+    # last optimal basis of the root LP, after its own lazy-cut re-solves;
+    # its rows are the model's followed by the first cuts the search added
+    root_basis: LpBasis | None = None
 
 
 # -- simplex kernel -------------------------------------------------------------
@@ -693,6 +706,11 @@ class _Simplex:
         m0 = warm.basic.size
         if m0 > m or warm.state.size != n + m0:
             return LpSolution(BREAKDOWN)
+        # the columns the rows name as basic must be exactly those the
+        # state marks basic, or a column would be neither basic nor priced
+        marked = np.flatnonzero(warm.state == _BASIC)
+        if not np.array_equal(np.sort(warm.basic), marked):
+            return LpSolution(BREAKDOWN)
         self.n_art = 0
         self.art_rows = np.zeros(0, dtype=np.int64)
         self.basis = np.concatenate([warm.basic, np.arange(n + m0, N)])
@@ -781,6 +799,7 @@ def solve_mip(
     on_candidate: CandidateCallback | None = None,
     time_limit: float | None = None,
     stop_above: float | None = None,
+    warm: LpBasis | None = None,
 ) -> MipSolution:
     """Deterministic best-bound branch and bound.
 
@@ -795,6 +814,8 @@ def solve_mip(
 
     Each node's LP starts from its parent's optimal basis, and a re-solve
     after new cuts from the basis of the solve the cuts were made from.
+    warm seeds the root LP: the root basis of an earlier solve of this
+    model, taken before objective or bound edits or appended rows.
     """
     t0 = time.monotonic()
     deadline = t0 + time_limit if time_limit is not None else None
@@ -809,12 +830,13 @@ def solve_mip(
     # both children of a node share its basis, which solve_lp never writes to
     counter = 0
     heap: list[tuple[float, int, dict[int, tuple[float, float]], LpBasis | None]] = [
-        (-INF, 0, {}, None)
+        (-INF, 0, {}, warm)
     ]
     nodes = 0
     timed_out = False
     stopped = False
     abandoned_bound = -INF  # bound of a node dropped mid-solve on timeout
+    root_basis: LpBasis | None = None
 
     while heap and not stopped and not timed_out:
         neg_bound, _, overrides, warm = heapq.heappop(heap)
@@ -841,6 +863,8 @@ def solve_mip(
             if sol.objective <= best_obj + TOL_GAP * (1 + abs(best_obj)):
                 break
             warm = sol.basis
+            if nodes == 1:
+                root_basis = warm
 
             frac = np.array([sol.x[j] - math.floor(sol.x[j] + 0.5) for j in int_vars])
             if int_vars and np.any(np.abs(frac) > TOL_INT):
@@ -884,7 +908,7 @@ def solve_mip(
         open_bounds = [-nb for nb, _, _, _ in heap]
         bound = max(open_bounds + [best_obj, abandoned_bound])
         status = STOPPED if stopped else TIME_LIMIT
-        return MipSolution(status, best_x, best_obj, bound, nodes, cuts_added)
+        return MipSolution(status, best_x, best_obj, bound, nodes, cuts_added, root_basis)
     if best_x is None:
-        return MipSolution(INFEASIBLE, None, -INF, -INF, nodes, cuts_added)
-    return MipSolution(OPTIMAL, best_x, best_obj, best_obj, nodes, cuts_added)
+        return MipSolution(INFEASIBLE, None, -INF, -INF, nodes, cuts_added, root_basis)
+    return MipSolution(OPTIMAL, best_x, best_obj, best_obj, nodes, cuts_added, root_basis)

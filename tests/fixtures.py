@@ -1,9 +1,12 @@
-"""Hand-built instances used across the test suite.
+"""Hand-built instances and shared helpers used across the test suite.
 
 Expected values marked below were computed with the brute-force oracle
 (and, where noted, by hand arithmetic) before being frozen here.
 """
 
+import random
+
+from lsfrp import lp
 from lsfrp.instance import Demand, EmptyPoint, Instance, Ship, Visit, make_arc
 
 Z0 = {"T0": 0}
@@ -225,3 +228,42 @@ def isolated_start() -> Instance:
     visits = [Visit("a")]
     arcs = [make_arc("a", "tau", Z0)]
     return Instance(ships, visits, "tau", arcs, [])
+
+
+# -- persistent pricing engines -----------------------------------------------------
+
+
+def pricing_calls(instance: Instance, seed: int, calls: int):
+    """A seeded sequence of (ship, node prices, excluded visits) pricing
+    calls, cycling through the ships.  Prices may be negative, as the duals
+    of branching rows are; an exclusion set may hold a ship's start."""
+    rng = random.Random(seed)
+    visits = [v.id for v in instance.visits]
+    for k in range(calls):
+        ship = instance.ships[k % len(instance.ships)]
+        prices = {v: rng.choice([0.0, rng.uniform(-10.0, 40.0)]) for v in visits}
+        excluded = frozenset(rng.sample(visits, rng.choice([0, 0, 1, 2, 3])))
+        yield ship.id, prices, excluded
+
+
+def record_warm_roots(monkeypatch) -> dict[str, int]:
+    """Count the root LPs that solve_mip(warm=...) seeds: "warm" for those
+    the warm path finished, "cold" for those that fell back to a cold solve."""
+    counts = {"warm": 0, "cold": 0}
+    seeds: dict[int, lp.LpBasis] = {}  # held, so that no id is reused
+    real_mip, real_warm = lp.solve_mip, lp._Simplex._solve_warm
+
+    def solve_mip(*args, warm=None, **kwargs):
+        if warm is not None:
+            seeds[id(warm)] = warm
+        return real_mip(*args, warm=warm, **kwargs)
+
+    def solve_warm(self, warm):
+        result = real_warm(self, warm)
+        if seeds.get(id(warm)) is warm:
+            counts["cold" if result.status == lp.BREAKDOWN else "warm"] += 1
+        return result
+
+    monkeypatch.setattr(lp, "solve_mip", solve_mip)
+    monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
+    return counts

@@ -23,6 +23,8 @@ from fixtures import (
     T1_OPT,
     isolated_start,
     mixed_type_fractional,
+    pricing_calls,
+    record_warm_roots,
     shared_corridor,
     t1,
 )
@@ -292,3 +294,37 @@ def test_branching_settles_fractional_master(method, params, optimum):
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(optimum)
     assert sol.meta["root_master_integral"] is False
+
+
+# -- persistent pricing models ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GeneratorParams(ships=3, visits=12, demands=10, capacity_dc_range=(25, 60),
+                        amount_range=(10, 45), seed=63),
+        GeneratorParams(ships=3, visits=14, demands=9, seed=62),
+    ],
+    ids=["tight", "loose"],
+)
+def test_persistent_arcflow_engine_matches_fresh_models(monkeypatch, params):
+    ins = generate_random(params)
+    reach = build_reach_index(ins)
+    engine = ArcFlowPricing(ins, reach)
+    warm = record_warm_roots(monkeypatch)
+    for ship_id, prices, excluded in pricing_calls(ins, params.seed, 15):
+        ship = ins.ship_by_id[ship_id]
+        model, _, _ = ArcFlowPricing(ins, reach)._build(ship, prices, excluded)
+        expected = None
+        if model is not None:
+            mip = lp.solve_mip(model)
+            if mip.status == lp.OPTIMAL:
+                expected = mip.objective - prices[ship.start_visit]
+        col, value = engine.price(ship_id, prices, excluded)
+        assert (col is None) == (expected is None)
+        if col is not None:
+            assert abs(value - expected) <= 1e-6 * (1 + abs(expected))
+    assert set(engine.models) == {s.id for s in ins.ships}
+    assert warm["warm"] >= 1
+

@@ -15,6 +15,7 @@ from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import (
     CompactPricing,
     SplitRequiredError,
+    _cut_row,
     build_compact_pricing,
     capacity_violations,
     run_colgen_lazy,
@@ -34,6 +35,8 @@ from fixtures import (
     empty_repos19,
     fig3_split,
     overload1,
+    pricing_calls,
+    record_warm_roots,
     reefer_overload,
     t1,
 )
@@ -148,8 +151,6 @@ def _solve_compact(ins, ship_id):
     def cb(x):
         cuts = separate_cuts(ctx, x, frozenset((c.node, c.scope) for c in collected))
         collected.extend(cuts)
-        from lsfrp.lazy import _cut_row
-
         return [lp.Constraint(*_cut_row(ctx, c)) for c in cuts]
 
     mip = lp.solve_mip(ctx.model, on_candidate=cb)
@@ -285,3 +286,54 @@ def test_gamma_matches_final_pool_rows():
     assert sol.diagnostics.total_cuts_dc == len(
         [c for c in engine.pools["s1"] if c.scope == "dc"]
     )
+
+
+# -- persistent pricing models --------------------------------------------------------
+
+TIGHT = dict(capacity_dc_range=(25, 60), amount_range=(10, 45))
+
+
+def _fresh_compact_value(ins, reach, ship_id, prices, excluded, pool):
+    """Value of a freshly built model carrying the pool's cuts, solved cold
+    with the same separation callback; None when no column exists."""
+    ctx = build_compact_pricing(ins, ship_id, prices, reach=reach, excluded=excluded)
+    if ctx is None:
+        return None
+    for cut in pool:
+        ctx.model.add_constr(*_cut_row(ctx, cut))
+    keys = frozenset((c.node, c.scope) for c in pool)
+
+    def cb(x):
+        return [lp.Constraint(*_cut_row(ctx, c)) for c in separate_cuts(ctx, x, keys)]
+
+    mip = lp.solve_mip(ctx.model, on_candidate=cb)
+    if mip.status != lp.OPTIMAL:
+        return None
+    return mip.objective - prices[ins.ship_by_id[ship_id].start_visit]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GeneratorParams(ships=3, visits=12, demands=10, seed=63, **TIGHT),
+        GeneratorParams(ships=3, visits=13, demands=9, seed=62),
+        GeneratorParams(ships=3, visits=14, demands=8, empty_points=4, seed=65, **TIGHT),
+    ],
+    ids=["tight", "loose", "empties"],
+)
+def test_persistent_compact_engine_matches_fresh_models(monkeypatch, params):
+    ins = generate_random(params)
+    reach = build_reach_index(ins)
+    engine = CompactPricing(ins, reach)
+    warm = record_warm_roots(monkeypatch)
+    for ship_id, prices, excluded in pricing_calls(ins, params.seed, 15):
+        expected = _fresh_compact_value(
+            ins, reach, ship_id, prices, excluded, list(engine.pools[ship_id])
+        )
+        col, value = engine.price(ship_id, prices, excluded)
+        assert (col is None) == (expected is None)
+        if col is not None:
+            assert abs(value - expected) <= 1e-6 * (1 + abs(expected))
+    # one model per ship, and a fallback firing every time would leave 0
+    assert set(engine.models) == {s.id for s in ins.ships}
+    assert warm["warm"] >= 1

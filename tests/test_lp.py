@@ -457,3 +457,71 @@ def test_edits_after_a_solve_reach_the_next_solve():
         assert edited.status == fresh.status
         assert edited.objective == pytest.approx(fresh.objective, abs=1e-9)
         assert solve_mip(model).objective == pytest.approx(solve_mip(_rebuilt(model)).objective, abs=1e-9)
+
+
+def test_warm_mip_after_edits_matches_cold(monkeypatch):
+    from fixtures import record_warm_roots
+
+    import lsfrp.lp as lp_module
+
+    warm_roots = record_warm_roots(monkeypatch)
+    rng = random.Random(71)
+    compared = 0
+    for _ in range(200):
+        model = _random_bounded_lp(rng)
+        first = lp_module.solve_mip(model)
+        if first.root_basis is None:
+            continue  # infeasible root: nothing to warm-start from
+        for j in range(model.num_vars):
+            model.set_objective_coeff(j, model.obj[j] + rng.randint(-4, 4))
+        j = rng.randrange(model.num_vars)
+        lo, hi = model.lb[j], model.ub[j]
+        model.set_bounds(j, *rng.choice([(lo, lo + (hi - lo) // 2), (lo + (hi - lo) // 2, hi)]))
+        warm = lp_module.solve_mip(model, warm=first.root_basis)
+        cold = lp_module.solve_mip(_rebuilt(model))
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        compared += 1
+    assert compared >= 100
+    assert warm_roots["warm"] >= compared // 2
+
+
+def test_root_basis_covers_the_root_cuts():
+    m = knap([10, 9, 8, 7], [5, 5, 4, 3], 9)
+    plain = solve_mip(m)
+    assert isinstance(plain.root_basis, LpBasis)
+    assert plain.root_basis.basic.size == m.num_rows
+    assert plain.root_basis.state.size == m.num_vars + m.num_rows
+
+    # two variables may not both be taken; the cut is only found at a
+    # candidate, and every cut the root adds is in its basis
+    cut = Constraint({0: 1.0, 1: 1.0}, LE, 1.0, "pair")
+    m = LinearModel()
+    for c in (3.0, 2.0, 1.0):
+        m.add_var(0, 1, obj=c, integer=True)
+    sol = solve_mip(m, on_candidate=lambda x: [cut] if x[0] + x[1] > 1.5 else [])
+    assert sol.cuts_added == 1 and sol.nodes == 1
+    assert sol.root_basis.basic.size == m.num_rows + 1
+    m.add_constr(cut.coeffs, cut.sense, cut.rhs)
+    again = solve_mip(m, warm=sol.root_basis)
+    assert again.objective == pytest.approx(sol.objective)
+    assert solve_mip(knap([1], [1], 0)).root_basis is not None
+
+
+def test_unusable_warm_basis_falls_back_to_cold_in_mip():
+    m = LinearModel()
+    x = m.add_var(0, 1, obj=2.0, integer=True)
+    y = m.add_var(0, 1, obj=1.0, integer=True)
+    m.add_constr({x: 1.0, y: 1.0}, LE, 1.0)
+    m.add_constr({x: 2.0, y: 2.0}, LE, 3.0)
+    cold = solve_mip(m)
+    wrong_size = solve_mip(knap([10, 9, 8, 7], [5, 5, 4, 3], 9)).root_basis
+    # x and y have parallel columns, so a basis of both is singular
+    singular = LpBasis(np.array([x, y]), np.array([0, 0, 1, 1], dtype=np.int8))
+    # x is marked basic but the rows' basic columns are the two slacks
+    inconsistent = LpBasis(np.array([2, 3]), np.array([0, 1, 0, 0], dtype=np.int8))
+    for basis in (wrong_size, singular, inconsistent):
+        sol = solve_mip(m, warm=basis)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
