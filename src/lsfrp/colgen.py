@@ -657,7 +657,7 @@ def run_column_generation(
     diag.columns_generated = sum(1 for c in columns if not c.is_dummy)
 
     try:
-        root_sol, root_duals = _cg_loop(
+        root_sol, _ = _cg_loop(
             instance, columns, engine, _BranchState(), config, clock, diag
         )
         z = [float(root_sol.x[k]) for k in range(len(columns))]
@@ -669,19 +669,24 @@ def run_column_generation(
             sol.meta["root_master_integral"] = True
             return sol
 
-        # branch on fractional (visit, ship) usage
+        # branch on fractional (visit, ship) usage; the root node branches
+        # from the master solution it already has, every other node runs
+        # its own pricing loop first
         best: Solution | None = None
         best_obj = -math.inf
         counter = 0
-        heap: list[tuple[float, int, _BranchState]] = [(-root_sol.objective, 0, _BranchState())]
+        heap: list[tuple[float, int, _BranchState, lp.LpSolution | None]] = [
+            (-root_sol.objective, 0, _BranchState(), root_sol)
+        ]
         while heap:
-            neg_bound, _, state = heapq.heappop(heap)
+            neg_bound, _, state, node_sol = heapq.heappop(heap)
             if -neg_bound <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
                 continue
             if clock.exceeded():
                 raise ColgenTimeout()
             diag.bnb_nodes += 1
-            node_sol, _ = _cg_loop(instance, columns, engine, state, config, clock, diag)
+            if node_sol is None:
+                node_sol, _ = _cg_loop(instance, columns, engine, state, config, clock, diag)
             if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
                 continue
             z = [float(node_sol.x[k]) for k in range(len(columns))]
@@ -704,9 +709,9 @@ def run_column_generation(
                 required=state.required + ((node, sid),),
             )
             counter += 1
-            heapq.heappush(heap, (-node_sol.objective, counter, off))
+            heapq.heappush(heap, (-node_sol.objective, counter, off, None))
             counter += 1
-            heapq.heappush(heap, (-node_sol.objective, counter, on))
+            heapq.heappush(heap, (-node_sol.objective, counter, on, None))
 
         engine.fill_diagnostics(diag)
         diag.wall_time_sec = clock.elapsed()

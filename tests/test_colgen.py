@@ -285,15 +285,21 @@ def test_pricing_bnb_nodes_reported(monkeypatch):
         ),
     ],
 )
-def test_branching_settles_fractional_master(method, params, optimum):
+def test_branching_settles_fractional_master(monkeypatch, method, params, optimum):
+    from lsfrp import colgen
     from lsfrp.cli import run_method
 
     ins = generate_random(params)
     assert run_method(ins, "revised").objective == pytest.approx(optimum)
+    # the root node branches from the master it has: one pricing loop per node
+    loops = []
+    real = colgen._cg_loop
+    monkeypatch.setattr(colgen, "_cg_loop", lambda *args: loops.append(1) or real(*args))
     sol = run_method(ins, method)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(optimum)
     assert sol.meta["root_master_integral"] is False
+    assert len(loops) == sol.diagnostics.bnb_nodes
 
 
 # -- persistent pricing models ----------------------------------------------------
