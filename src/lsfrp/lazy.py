@@ -64,50 +64,21 @@ FLOW_EPS = 1e-5
 # -- demand-triple splitting -----------------------------------------------------
 
 
-def _four_criteria_split(instance: Instance, reach: ReachIndex, demand_ids) -> set[str]:
-    """Demands meeting all four splitting criteria against the candidate set."""
-    out = set()
-    pool = [instance.demand_by_id[mid] for mid in sorted(demand_ids)]
-    for m in pool:
-        if len(m.destinations) < 2:
-            continue
-        hit = False
-        for d1 in sorted(m.destinations):
-            if hit:
-                break
-            avoiding = reach.reach_avoiding(m.origin, {d1})
-            for d2 in sorted(m.destinations):
-                if d2 == d1 or not reach.can_reach(d1, d2):
-                    continue  # criterion 1: d2 lies beyond d1
-                for other in pool:
-                    if other.id == m.id:
-                        continue
-                    o2 = other.origin
-                    # criterion 2: the second origin interleaves d1 and d2
-                    if not (reach.can_reach(d1, o2) and reach.can_reach(o2, d2)):
-                        continue
-                    # criterion 3: the other demand can still deliver past d2
-                    if not any(reach.can_reach(d2, dd) for dd in other.destinations):
-                        continue
-                    # criterion 4: the first origin can reach o2 around d1
-                    if o2 not in avoiding:
-                        continue
-                    out.add(m.id)
-                    hit = True
-                    break
-                if hit:
-                    break
-    return out
+def _split_demands(
+    instance: Instance, reach: ReachIndex, demand_ids, deliver_past: bool
+) -> set[str]:
+    """Multi-destination demands that need per-destination variables.
 
-
-def _conflict_split(instance: Instance, reach: ReachIndex, demand_ids) -> set[str]:
-    """Split trigger actually used by the builder: criteria 1, 2 and 4.
-
-    Dropping criterion 3 is a deliberate safety margin: whenever another
-    demand can load while this one may already have unloaded at an earlier
-    destination, a static cut over total flows could tie the two together
-    even though they never share the ship.  Splitting is optimum-preserving,
-    so the wider trigger only costs a few extra variables.
+    A demand m with destinations d1, d2 splits when another demand's
+    origin o2 can interleave them: (1) d2 lies beyond d1, (2) o2 lies
+    between d1 and d2, (3) the other demand can still deliver past d2, and
+    (4) m's origin reaches o2 around d1.  split_demand_triples reports the
+    four-criteria set (deliver_past=True).  The builder drops criterion 3
+    as a deliberate safety margin: whenever another demand can load while
+    this one may already have unloaded at an earlier destination, a static
+    cut over total flows could tie the two together even though they never
+    share the ship.  Splitting is optimum-preserving, so the wider trigger
+    only costs a few extra variables.
     """
     out = set()
     pool = [instance.demand_by_id[mid] for mid in sorted(demand_ids)]
@@ -121,15 +92,19 @@ def _conflict_split(instance: Instance, reach: ReachIndex, demand_ids) -> set[st
             avoiding = reach.reach_avoiding(m.origin, {d1})
             for d2 in sorted(m.destinations):
                 if d2 == d1 or not reach.can_reach(d1, d2):
-                    continue
+                    continue  # criterion 1
                 for other in pool:
                     if other.id == m.id:
                         continue
                     o2 = other.origin
                     if not (reach.can_reach(d1, o2) and reach.can_reach(o2, d2)):
-                        continue
+                        continue  # criterion 2
+                    if deliver_past and not any(
+                        reach.can_reach(d2, dd) for dd in other.destinations
+                    ):
+                        continue  # criterion 3
                     if o2 not in avoiding:
-                        continue
+                        continue  # criterion 4
                     out.add(m.id)
                     hit = True
                     break
@@ -146,7 +121,7 @@ def split_demand_triples(
     all four splitting criteria hold over the demands this ship can move."""
     reach = reach or build_reach_index(instance)
     movable = reach.movable[ship_id]
-    to_split = _four_criteria_split(instance, reach, movable)
+    to_split = _split_demands(instance, reach, movable, deliver_past=True)
     out: dict[str, list[frozenset[str]]] = {}
     for mid in sorted(movable):
         m = instance.demand_by_id[mid]
@@ -163,7 +138,7 @@ def _members_for_ship(
     movable = reach.movable[ship_id]
     to_split: set[str] = set()
     if splitting:
-        to_split = _conflict_split(instance, reach, movable)
+        to_split = _split_demands(instance, reach, movable, deliver_past=False)
     members: list[Member] = []
     for mid in sorted(movable):
         m = instance.demand_by_id[mid]

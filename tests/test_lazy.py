@@ -86,6 +86,31 @@ def test_no_interleaving_no_split():
     assert split["mB"] == [frozenset({"b1", "b2"})]
 
 
+def test_builder_splits_without_criterion_three():
+    # mB loads between mA's destinations but delivers before a2, so the four
+    # criteria keep mA whole while the builder's wider trigger splits it
+    ins = Instance(
+        [Ship("s1", "s0", 100, 0, "T0")],
+        [Visit(v) for v in ("s0", "oA", "a1", "oB", "b1", "a2")],
+        "tau",
+        [
+            make_arc("s0", "oA", Z0),
+            make_arc("oA", "a1", Z0),
+            make_arc("oA", "oB", Z0),
+            make_arc("a1", "oB", Z0),
+            make_arc("oB", "b1", Z0),
+            make_arc("b1", "a2", Z0),
+            make_arc("a2", "tau", Z0),
+        ],
+        [
+            Demand("mA", "oA", frozenset({"a1", "a2"}), "dc", 10, 5),
+            Demand("mB", "oB", frozenset({"b1"}), "dc", 10, 5),
+        ],
+    )
+    assert split_demand_triples(ins, "s1")["mA"] == [frozenset({"a1", "a2"})]
+    assert set(build_compact_pricing(ins, "s1").xvars) == {"mA@a1", "mA@a2", "mB"}
+
+
 # -- compact model ------------------------------------------------------------------
 
 
