@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import lp
-from .formulations import _cargo_objective, evaluate_objective
+from .formulations import _cargo_objective, _trace_path, evaluate_objective
 from .instance import Instance, ReachIndex, build_reach_index, path_count
 from .lp import EQ, GE, LE, LinearModel
 from .solution import (
@@ -57,7 +57,6 @@ class MasterDuals:
 class CgConfig:
     pricing: str = "arcflow"  # or "compact"
     splitting: bool = True  # compact engine only
-    resolve_each_column: bool = True  # re-solve RMP after every improving column
     time_limit: float | None = None
     log: "object" = None  # callable taking one machine-parsable progress line
 
@@ -98,44 +97,67 @@ def make_dummy(instance: Instance, ship_id: str) -> Column:
 # -- restricted master problem ----------------------------------------------------
 
 
-def _build_rmp(
-    instance: Instance,
-    columns: list[Column],
-    relax: bool,
-    state: _BranchState,
-) -> tuple[LinearModel, list[int]]:
-    model = LinearModel("rmp")
-    zvars = []
-    for k, col in enumerate(columns):
-        banned = any((node, col.ship) in state.excluded for node in col.nodes)
-        ub = 0.0 if banned else 1.0
-        zvars.append(
-            model.add_var(0.0, ub, obj=col.profit, integer=not relax, name=f"z{k}")
+class RestrictedMaster:
+    """The master of one branch-and-price node over a growing column list.
+
+    Rows: one convexity row per ship, one node-once row per visit (empty,
+    with dual 0, until a column calls there), and one row per required
+    (visit, ship) pair, kept feasible by an artificial until pricing covers
+    it.  Columns enter with ``add_var(column=...)`` at zero, so the last
+    optimal basis stays primal feasible and each relaxed solve starts from
+    it.
+    """
+
+    def __init__(self, instance: Instance, state: _BranchState, relax: bool = True):
+        self.state = state
+        self.relax = relax
+        model = LinearModel("rmp")
+        self.ship_rows = {s.id: model.add_constr({}, EQ, 1.0, f"conv[{s.id}]") for s in instance.ships}
+        self.visit_rows = {v.id: model.add_constr({}, LE, 1.0, f"once[{v.id}]") for v in instance.visits}
+        self.req_rows: dict[tuple[str, str], int] = {}
+        for node, sid in state.required:
+            art = model.add_var(0.0, 1.0, obj=dummy_profit(instance), name=f"art[{node},{sid}]")
+            self.req_rows[(node, sid)] = model.add_constr({art: 1.0}, GE, 1.0, f"req[{node},{sid}]")
+        self.model = model
+        self.zvars: list[int] = []  # model variable of each column, in column order
+        self.basis: lp.LpBasis | None = None
+
+    def add(self, col: Column) -> None:
+        rows = [self.ship_rows[col.ship]] + [self.visit_rows[v] for v in col.nodes]
+        rows += [r for (v, sid), r in self.req_rows.items() if sid == col.ship and v in col.nodes]
+        # no upper bound: the convexity row implies z <= 1, and a column
+        # nonbasic at a bound of 1 could price positive under optimal duals
+        banned = any((v, col.ship) in self.state.excluded for v in col.nodes)
+        self.zvars.append(self.model.add_var(
+            0.0, 0.0 if banned else lp.INF, obj=col.profit, integer=not self.relax,
+            name=f"z{len(self.zvars)}", column=dict.fromkeys(rows, 1.0),
+        ))
+
+    def solve(self, columns: list[Column]):
+        """Append the columns not held yet (a suffix of ``columns``) and
+        solve; x comes back in column order, duals when relaxed."""
+        for col in columns[len(self.zvars):]:
+            self.add(col)
+        for sid, row in self.ship_rows.items():
+            if not self.model.rows[row].coeffs:
+                raise ValueError(f"ship {sid!r} has no column")
+        if not self.relax:
+            mip = lp.solve_mip(self.model)
+            if mip.x is not None:
+                mip.x = mip.x[self.zvars]
+            return mip, None
+        sol = lp.solve_lp(self.model, warm=self.basis)
+        if sol.status != lp.OPTIMAL:
+            raise RuntimeError(f"relaxed master is {sol.status}")
+        self.basis = sol.basis
+        y = sol.duals
+        duals = MasterDuals(
+            {sid: float(y[r]) for sid, r in self.ship_rows.items()},
+            {v: float(y[r]) for v, r in self.visit_rows.items()},
+            {key: float(y[r]) for key, r in self.req_rows.items()},
         )
-    by_ship: dict[str, list[int]] = {s.id: [] for s in instance.ships}
-    for k, col in enumerate(columns):
-        by_ship[col.ship].append(k)
-    for s in instance.ships:
-        if not by_ship[s.id]:
-            raise ValueError(f"ship {s.id!r} has no column")
-        model.add_constr({zvars[k]: 1.0 for k in by_ship[s.id]}, EQ, 1.0, f"conv[{s.id}]")
-    for v in instance.visits:
-        coeffs = {
-            zvars[k]: 1.0 for k, col in enumerate(columns) if v.id in col.nodes
-        }
-        if coeffs:
-            model.add_constr(coeffs, LE, 1.0, f"once[{v.id}]")
-    for (node, sid) in state.required:
-        coeffs = {
-            zvars[k]: 1.0
-            for k, col in enumerate(columns)
-            if col.ship == sid and node in col.nodes
-        }
-        # artificial keeps the row feasible until pricing covers it
-        art = model.add_var(0.0, 1.0, obj=dummy_profit(instance), name=f"art[{node},{sid}]")
-        coeffs[art] = 1.0
-        model.add_constr(coeffs, GE, 1.0, f"req[{node},{sid}]")
-    return model, zvars
+        sol.x = sol.x[self.zvars]
+        return sol, duals
 
 
 def solve_rmp(
@@ -143,28 +165,17 @@ def solve_rmp(
     columns: list[Column],
     relax: bool = True,
     state: _BranchState | None = None,
+    master: RestrictedMaster | None = None,
 ) -> tuple[lp.LpSolution | lp.MipSolution, MasterDuals | None]:
-    """Solve the master over the given columns; duals returned when relaxed."""
-    state = state or _BranchState()
-    model, zvars = _build_rmp(instance, columns, relax, state)
-    if relax:
-        sol = lp.solve_lp(model)
-        if sol.status != lp.OPTIMAL:
-            raise RuntimeError(f"relaxed master is {sol.status}")
-        n_ship = len(instance.ships)
-        pi = {s.id: float(sol.duals[k]) for k, s in enumerate(instance.ships)}
-        mu: dict[str, float] = {}
-        row = n_ship
-        for v in instance.visits:
-            if any(v.id in col.nodes for col in columns):
-                mu[v.id] = float(sol.duals[row])
-                row += 1
-        branch = {}
-        for key in state.required:
-            branch[key] = float(sol.duals[row])
-            row += 1
-        return sol, MasterDuals(pi, mu, branch)
-    return lp.solve_mip(model), None
+    """Solve the master over the given columns; duals returned when relaxed.
+
+    Without a master, a one-shot master is built for the given branching
+    state; with one, the columns it does not hold yet are appended and the
+    solve starts from its last basis (relax and state are then its own).
+    """
+    if master is None:
+        master = RestrictedMaster(instance, state or _BranchState(), relax)
+    return master.solve(columns)
 
 
 # -- pricing engines ----------------------------------------------------------------
@@ -367,7 +378,6 @@ class ArcFlowPricing:
         if self.models[ship_id] is None:
             return None, -math.inf
         priced, xvars = self.models[ship_id]
-        yvars = priced.yvars
         mip = priced.solve(node_price, excluded, stop_above=stop_above, time_limit=time_limit)
         self.bnb_nodes += mip.nodes
         mip = _usable_pricing_result(mip, stop_above)
@@ -375,18 +385,7 @@ class ArcFlowPricing:
             return None, -math.inf
         value = mip.objective - node_price.get(ship.start_visit, 0.0)
 
-        # trace path and net deliveries
-        path = [ship.start_visit]
-        while path[-1] != ins.sink:
-            nxt = None
-            for a in ins.out_arcs[path[-1]]:
-                k = yvars.get((a.src, a.dst))
-                if k is not None and mip.x[k] > 0.5:
-                    nxt = a.dst
-                    break
-            if nxt is None:
-                raise RuntimeError("pricing path broke")
-            path.append(nxt)
+        path = _trace_path(priced.yvars, mip.x, ship.start_visit, ins.sink)
         delivered: dict[tuple[str, str], float] = {}
         for (mid, i, j), var in xvars.items():
             val = float(mip.x[var])
@@ -536,7 +535,8 @@ def _cg_loop(instance, columns, engine, state, config, clock, diag):
         key=lambda s: (path_count(instance, s.id), _ship_index(instance, s.id)),
         reverse=True,
     )
-    sol, duals = solve_rmp(instance, columns, relax=True, state=state)
+    master = RestrictedMaster(instance, state)
+    sol, duals = solve_rmp(instance, columns, master=master)
     diag.rmp_iterations += 1
     _log_progress(config, diag, sol, columns)
     while True:
@@ -556,16 +556,11 @@ def _cg_loop(instance, columns, engine, state, config, clock, diag):
                 columns.append(col)
                 diag.columns_generated += 1
                 improved = True
-                if config.resolve_each_column:
-                    sol, duals = solve_rmp(instance, columns, relax=True, state=state)
-                    diag.rmp_iterations += 1
-                    _log_progress(config, diag, sol, columns)
+                sol, duals = solve_rmp(instance, columns, master=master)
+                diag.rmp_iterations += 1
+                _log_progress(config, diag, sol, columns)
         if not improved:
             return sol, duals
-        if not config.resolve_each_column:
-            sol, duals = solve_rmp(instance, columns, relax=True, state=state)
-            diag.rmp_iterations += 1
-            _log_progress(config, diag, sol, columns)
 
 
 def _fractional_pairs(columns, z):

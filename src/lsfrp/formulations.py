@@ -327,22 +327,18 @@ def build_revised(
 # -- extraction and evaluation ----------------------------------------------------
 
 
-def _trace_path(instance: Instance, yvals: dict[tuple[str, str], float], start: str) -> tuple[str, ...]:
+def _trace_path(
+    yvars: dict[tuple[str, str], int], x, start: str, sink: str
+) -> tuple[str, ...]:
+    """One ship's path: follow its used arcs (y above 1/2) from start to sink."""
+    heads = {i: j for (i, j), k in yvars.items() if x[k] > 0.5}
     path = [start]
-    node = start
-    guard = 0
-    while node != instance.sink:
-        nxt = None
-        for a in instance.out_arcs[node]:
-            if yvals.get((a.src, a.dst), 0.0) > 0.5:
-                nxt = a.dst
-                break
+    while path[-1] != sink:
+        nxt = heads.get(path[-1])
         if nxt is None:
-            raise RuntimeError(f"ship path breaks at {node!r}")
+            raise RuntimeError(f"ship path breaks at {path[-1]!r}")
         path.append(nxt)
-        node = nxt
-        guard += 1
-        if guard > len(instance.node_ids):
+        if len(path) > len(heads) + 1:
             raise RuntimeError("ship path does not terminate")
     return tuple(path)
 
@@ -356,10 +352,8 @@ def extract_solution(
     """Turn an integer solution vector into paths and per-destination flows."""
     sol = Solution(method=method, status=OPTIMAL)
     for s in instance.ships:
-        yvals = {
-            (i, j): x[v] for (sid, i, j), v in vars_.y.items() if sid == s.id
-        }
-        sol.ship_paths[s.id] = _trace_path(instance, yvals, s.start_visit)
+        yvars = {(i, j): v for (sid, i, j), v in vars_.y.items() if sid == s.id}
+        sol.ship_paths[s.id] = _trace_path(yvars, x, s.start_visit, instance.sink)
 
     visit_owner = {}
     for sid, path in sol.ship_paths.items():

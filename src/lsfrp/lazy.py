@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import lp
 from .colgen import CgConfig, Column, PricingModel, _usable_pricing_result, run_column_generation
-from .formulations import evaluate_objective
+from .formulations import _trace_path, evaluate_objective
 from .instance import Instance, ReachIndex, Ship, build_reach_index
 from .lp import EQ, LE, LinearModel
 from .solution import OPTIMAL, DemandFlow, Diagnostics, EmptyFlow, Solution
@@ -186,6 +186,7 @@ def _members_for_ship(
 class CompactModel:
     model: LinearModel
     ship: Ship
+    sink: str
     yvars: dict[tuple[str, str], int]
     xvars: dict[str, int]
     evars: dict[tuple[str, str, str], int]
@@ -405,6 +406,7 @@ def build_compact_pricing(
     return CompactModel(
         model=model,
         ship=ship,
+        sink=instance.sink,
         yvars=yvars,
         xvars=xvars,
         evars=evars,
@@ -423,23 +425,11 @@ def _cut_row(ctx: CompactModel, cut: Cut):
     return coeffs, LE, cut.rhs, f"lazy[{cut.scope},{cut.node}]"
 
 
-def _trace(ctx: CompactModel, x) -> tuple[str, ...]:
-    path = [ctx.ship.start_visit]
-    # follow the unique outgoing used arc until the sink
-    heads = {}
-    for (i, j), var in ctx.yvars.items():
-        if x[var] > 0.5:
-            heads[i] = j
-    while path[-1] in heads:
-        path.append(heads[path[-1]])
-    return tuple(path)
-
-
 def separate_cuts(ctx: CompactModel, x, pool_keys: frozenset = frozenset()) -> list[Cut]:
     """Replay the candidate path tracking onboard load per scope; emit one
     cut per (node, scope) where a capacity is exceeded."""
     ship = ctx.ship
-    path = _trace(ctx, x)
+    path = _trace_path(ctx.yvars, x, ctx.ship.start_visit, ctx.sink)
     loads: dict[str, float] = {}
     for key, var in ctx.xvars.items():
         val = float(x[var])
@@ -513,7 +503,7 @@ def separate_cuts(ctx: CompactModel, x, pool_keys: frozenset = frozenset()) -> l
 def replay_column(ctx: CompactModel, x) -> tuple[tuple[str, ...], list[DemandFlow], list[EmptyFlow]]:
     """Path plus realized flows: members unload at the first visited member
     destination after their origin."""
-    path = _trace(ctx, x)
+    path = _trace_path(ctx.yvars, x, ctx.ship.start_visit, ctx.sink)
     pos = {node: k for k, node in enumerate(path)}
     flows: dict[tuple[str, str], float] = {}
     for key, var in ctx.xvars.items():

@@ -12,8 +12,21 @@ after bound changes or appended rows (a branch-and-bound child, or a node
 re-solved with new lazy cuts) skips phase 1: the appended rows' slacks
 enter the basis, which stays dual feasible, and a bounded dual simplex
 restores primal feasibility before the primal loop confirms optimality.
-Should the warm start break down or hit its iteration cap, the same call
-solves cold from scratch.
+Columns appended with ``add_var(column=...)`` enter nonbasic at a bound,
+so after an append at zero the old basis stays primal feasible and the
+primal loop goes on from the old vertex; the restricted master of column
+generation grows this way.  Should the warm start break down or hit its
+iteration cap, the same call solves cold from scratch.
+
+The basis carries its inverse (``LpBasis.inverse``) and the number of
+rank-one updates applied since that inverse was last computed from
+scratch (``LpBasis.age``).  Bound and objective edits leave the inverse as
+it is, appended rows extend it by a block and appended columns stay out
+of the basis, so a warm start inverts nothing; the refactorization every
+``_REFACTOR_EVERY`` updates counts across a chain of warm solves.  Open
+branch-and-bound nodes hold their parent's basis without the inverse, to
+keep memory bounded: only the last node that branched keeps it, for the
+child popped next.
 
 Column generation re-solves each ship's pricing MIP once per round, and
 only the objective, some bounds and appended cut rows change in between.
@@ -104,18 +117,31 @@ class LinearModel:
         obj: float = 0.0,
         integer: bool = False,
         name: str = "",
+        column: dict[int, float] | None = None,
     ) -> int:
+        """Append a variable; column gives its coefficients in existing rows."""
         if not lb <= ub:
             raise ValueError(f"variable {name or len(self.lb)}: lb {lb} > ub {ub}")
         if not math.isfinite(obj):
             raise ValueError("objective coefficient must be finite")
+        clean = {}
+        for i, c in (column or {}).items():
+            if not 0 <= i < len(self.rows):
+                raise ValueError(f"variable {name!r} references unknown row {i}")
+            if not math.isfinite(c):
+                raise ValueError(f"variable {name!r} has non-finite coefficient")
+            if c != 0.0:
+                clean[int(i)] = float(c)
+        j = len(self.lb)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.obj.append(float(obj))
         self.is_int.append(bool(integer))
-        self.var_names.append(name or f"x{len(self.lb) - 1}")
+        self.var_names.append(name or f"x{j}")
+        for i, c in clean.items():
+            self.rows[i].coeffs[j] = c
         self._structure += 1
-        return len(self.lb) - 1
+        return j
 
     def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float, name: str = "") -> int:
         if sense not in (LE, EQ, GE):
@@ -190,15 +216,20 @@ class LinearModel:
 @dataclass(frozen=True)
 class LpBasis:
     """Final basis of an optimal solve, to warm-start a re-solve of the same
-    model after bound changes or appended rows.
+    model after bound changes, appended rows or appended columns.
 
     ``basic[i]`` is the column basic in row i; ``state`` holds the state of
-    every structural column followed by one slack column per row.  Both
-    arrays are read-only, so one basis can seed any number of re-solves.
+    every structural column followed by one slack column per row.
+    ``inverse`` is the basis inverse in basic order, or None when the
+    re-solve must compute it; ``age`` counts the rank-one updates applied
+    since it was last computed from scratch.  All arrays are read-only, so
+    one basis can seed any number of re-solves.
     """
 
     basic: np.ndarray
     state: np.ndarray
+    inverse: np.ndarray | None = None
+    age: int = 0
 
 
 @dataclass
@@ -351,6 +382,7 @@ class _Simplex:
 
         self.n_art = len(art_cols)
         self.art_rows = np.array(art_cols, dtype=np.int64)
+        self.art_signs = np.array(art_signs, dtype=float)
         if self.n_art:
             art = np.zeros((m, self.n_art))
             for k, (i, sgn) in enumerate(zip(art_cols, art_signs)):
@@ -389,12 +421,15 @@ class _Simplex:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             return False
+        self._since_refactor = 0
+        self._basic_values()
+        return True
+
+    def _basic_values(self) -> None:
+        """Set the basic values from the nonbasic ones, in place."""
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        resid = self.b - self.A @ xn
-        self.x[self.basis] = self.Binv @ resid
-        self._since_refactor = 0
-        return True
+        self.x[self.basis] = self.Binv @ (self.b - self.A @ xn)
 
     def _pivot(self, r: int, e: int, w: np.ndarray) -> bool:
         """Make column e basic in row r (w = Binv @ A[:, e]); values and the
@@ -700,11 +735,14 @@ class _Simplex:
 
         Rows appended since then enter with their slacks basic, which keeps
         the basis dual feasible; bound changes do not affect dual
-        feasibility at all.  BREAKDOWN sends the caller to the cold path.
+        feasibility at all.  Columns appended since then enter nonbasic at
+        a bound, which keeps it primal feasible when that bound is zero.
+        BREAKDOWN sends the caller to the cold path.
         """
         n, m, N = self.n_struct, self.m, self.n_total
         m0 = warm.basic.size
-        if m0 > m or warm.state.size != n + m0:
+        n0 = warm.state.size - m0
+        if m0 > m or not 0 <= n0 <= n:
             return LpSolution(BREAKDOWN)
         # the columns the rows name as basic must be exactly those the
         # state marks basic, or a column would be neither basic nor priced
@@ -713,9 +751,13 @@ class _Simplex:
             return LpSolution(BREAKDOWN)
         self.n_art = 0
         self.art_rows = np.zeros(0, dtype=np.int64)
-        self.basis = np.concatenate([warm.basic, np.arange(n + m0, N)])
+        # appended columns come before the slacks, which shift right
+        basic0 = np.where(warm.basic >= n0, warm.basic + (n - n0), warm.basic)
+        self.basis = np.concatenate([basic0, np.arange(n + m0, N)])
         state = np.full(N, _BASIC, dtype=np.int8)
-        state[: n + m0] = warm.state
+        state[:n0] = warm.state[:n0]
+        state[n0:n] = _AT_LOWER
+        state[n : n + m0] = warm.state[n0:]
         # a nonbasic column sits at the bound its state names, or at the
         # other one if that bound is now infinite
         lo_ok, hi_ok = self.lb > -INF, self.ub < INF
@@ -731,7 +773,19 @@ class _Simplex:
         self.bland = False
         self._degen_run = 0
         self._refactor_every = _REFACTOR_EVERY
-        if not self._refactor() or not np.isfinite(self.x).all():
+        if warm.inverse is None:
+            if not self._refactor():
+                return LpSolution(BREAKDOWN)
+        else:
+            # B = [[B0, 0], [E, I]] with E the appended rows on the old
+            # basic columns, so B^-1 = [[B0^-1, 0], [-E B0^-1, I]]
+            Binv = np.eye(m)
+            Binv[:m0, :m0] = warm.inverse
+            Binv[m0:, :m0] = -self.A[m0:, basic0] @ warm.inverse
+            self.Binv = Binv
+            self._since_refactor = warm.age
+            self._basic_values()
+        if not np.isfinite(self.x).all():
             return LpSolution(BREAKDOWN)
 
         status = self._dual(1000 + 10 * (m + N))
@@ -749,19 +803,24 @@ class _Simplex:
         x = np.minimum(np.maximum(x, self.lb[:n]), self.ub[:n])
         obj = float(self.c_real[:n] @ x)
         # a basic artificial and its row's slack are both +-e_i, and that
-        # slack is nonbasic, so swapping them keeps the basis nonsingular
+        # slack is nonbasic, so swapping them keeps the basis nonsingular;
+        # the swap scales the artificial's column, hence its inverse row,
+        # by the artificial's sign.  Nothing pivots after this, so Binv
+        # itself becomes the exported inverse.
         basic = self.basis.copy()
         state = self.state[: n + m].copy()
+        inverse = self.Binv
         art = basic >= n + m
         if art.any():
-            slacks = n + self.art_rows[basic[art] - (n + m)]
+            k = basic[art] - (n + m)
+            slacks = n + self.art_rows[k]
             basic[art] = slacks
             state[slacks] = _BASIC
-        basic.flags.writeable = False
-        state.flags.writeable = False
-        return LpSolution(
-            OPTIMAL, x, np.asarray(y, dtype=float), obj, self.iterations, LpBasis(basic, state)
-        )
+            inverse[art] *= self.art_signs[k][:, None]
+        for arr in (basic, state, inverse):
+            arr.flags.writeable = False
+        basis = LpBasis(basic, state, inverse, self._since_refactor)
+        return LpSolution(OPTIMAL, x, np.asarray(y, dtype=float), obj, self.iterations, basis)
 
 
 def solve_lp(
@@ -816,6 +875,11 @@ def solve_mip(
     after new cuts from the basis of the solve the cuts were made from.
     warm seeds the root LP: the root basis of an earlier solve of this
     model, taken before objective or bound edits or appended rows.
+
+    Open nodes hold their parent's basis without its inverse, so memory
+    does not grow with the open list; the last node that branched keeps
+    its inverse for whichever of its children is popped while it is the
+    last.
     """
     t0 = time.monotonic()
     deadline = t0 + time_limit if time_limit is not None else None
@@ -832,6 +896,7 @@ def solve_mip(
     heap: list[tuple[float, int, dict[int, tuple[float, float]], LpBasis | None]] = [
         (-INF, 0, {}, warm)
     ]
+    branched: LpBasis | None = None  # with its inverse
     nodes = 0
     timed_out = False
     stopped = False
@@ -842,6 +907,8 @@ def solve_mip(
         neg_bound, _, overrides, warm = heapq.heappop(heap)
         if -neg_bound <= best_obj + TOL_GAP * (1 + abs(best_obj)):
             continue
+        if branched is not None and warm is not None and warm.basic is branched.basic:
+            warm = branched
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             timed_out = True
             abandoned_bound = -neg_bound
@@ -879,10 +946,12 @@ def solve_mip(
                 down[j] = (lo, math.floor(sol.x[j]))
                 up = dict(overrides)
                 up[j] = (math.ceil(sol.x[j]), hi)
+                branched = warm
+                parent = LpBasis(warm.basic, warm.state)
                 counter += 1
-                heapq.heappush(heap, (-sol.objective, counter, down, warm))
+                heapq.heappush(heap, (-sol.objective, counter, down, parent))
                 counter += 1
-                heapq.heappush(heap, (-sol.objective, counter, up, warm))
+                heapq.heappush(heap, (-sol.objective, counter, up, parent))
                 break
 
             if on_candidate is not None:

@@ -6,6 +6,8 @@ from lsfrp.colgen import (
     CgConfig,
     Column,
     MasterDuals,
+    RestrictedMaster,
+    _BranchState,
     initial_columns,
     make_dummy,
     price_ship,
@@ -209,14 +211,6 @@ def test_columns_are_simple_paths():
             assert (col.path[i], col.path[i + 1]) in ins.arc_by_pair
 
 
-def test_batched_mode_matches_resolve_mode():
-    for seed in (61, 62):
-        ins = generate_random(GeneratorParams(ships=3, visits=10, demands=7, seed=seed))
-        a = run_column_generation(ins, CgConfig(pricing="arcflow", resolve_each_column=True))
-        b = run_column_generation(ins, CgConfig(pricing="arcflow", resolve_each_column=False))
-        assert a.objective == pytest.approx(b.objective, rel=1e-6)
-
-
 def test_solution_objective_matches_reevaluation():
     from lsfrp.formulations import evaluate_objective
 
@@ -334,3 +328,65 @@ def test_persistent_arcflow_engine_matches_fresh_models(monkeypatch, params):
     assert set(engine.models) == {s.id for s in ins.ships}
     assert warm["warm"] >= 1
 
+
+
+# -- the growing restricted master ------------------------------------------------
+
+
+def _random_columns(ins, seed, count):
+    """Columns on random start-to-sink walks, with random profits."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        ship = ins.ships[k % len(ins.ships)]
+        path = [ship.start_visit]
+        while path[-1] != ins.sink:
+            path.append(rng.choice(ins.out_arcs[path[-1]]).dst)
+        # later columns tend to pay more, so that most of them enter the master
+        out.append(_col(ship.id, tuple(path), path[:-1], float(rng.randint(-50, 100) + 10 * k)))
+    return out
+
+
+@pytest.mark.parametrize("branched", [False, True], ids=["root", "branched"])
+def test_growing_master_matches_one_shot_master(monkeypatch, branched):
+    ins = generate_random(GeneratorParams(ships=3, visits=12, demands=8, seed=41))
+    sequence = _random_columns(ins, 41, 60)
+    state = _BranchState()
+    if branched:
+        col = next(c for c in sequence if len(c.nodes) > 2)
+        node = sorted(col.nodes - {ins.ship_by_id[col.ship].start_visit})[0]
+        others = [s.id for s in ins.ships if s.id != col.ship]
+        other_node = sorted(v.id for v in ins.visits if v.id not in col.nodes)[0]
+        state = _BranchState(
+            excluded=frozenset({(node, sid) for sid in others} | {(other_node, col.ship)}),
+            required=((node, col.ship),),
+        )
+    finished = []
+    real_warm = lp._Simplex._solve_warm
+
+    def solve_warm(self, warm):
+        result = real_warm(self, warm)
+        finished.append(result.status != lp.BREAKDOWN)
+        return result
+
+    monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
+    columns = [make_dummy(ins, s.id) for s in ins.ships]
+    master = RestrictedMaster(ins, state)
+    banned = 0
+    for col in sequence:
+        columns.append(col)
+        sol, duals = solve_rmp(ins, columns, master=master)
+        cold, _ = solve_rmp(ins, columns, state=state)
+        tol = 1e-9 * (1 + abs(cold.objective))
+        assert abs(sol.objective - cold.objective) <= tol
+        assert len(sol.x) == len(columns)
+        for c in columns:
+            if any((v, c.ship) in state.excluded for v in c.nodes):
+                banned += 1
+                continue  # fixed at zero
+            price = duals.pi[c.ship] + sum(duals.node_price(v, c.ship) for v in c.nodes)
+            assert c.profit - price <= tol
+    assert banned > 0 if branched else banned == 0
+    assert sum(finished) >= len(sequence) // 2

@@ -19,6 +19,7 @@ from lsfrp.lp import (
     CutSoundnessError,
     LinearModel,
     LpBasis,
+    _REFACTOR_EVERY,
     solve_lp,
     solve_mip,
 )
@@ -66,6 +67,12 @@ def test_model_validation():
         m.add_constr({x: float("nan")}, LE, 1.0)
     with pytest.raises(ValueError):
         m.add_constr({99: 1.0}, LE, 1.0)
+    m.add_constr({x: 1.0}, LE, 1.0)
+    with pytest.raises(ValueError):
+        m.add_var(0, 1, column={1: 1.0})
+    with pytest.raises(ValueError):
+        m.add_var(0, 1, column={0: float("inf")})
+    assert m.num_vars == 1 and m.rows[0].coeffs == {x: 1.0}
 
 
 def test_lp_dump_round_trips_visually():
@@ -402,6 +409,8 @@ def test_warm_basis_is_read_only_and_shared():
     assert np.array_equal(root.basis.state, before[1])
     with pytest.raises(ValueError):
         root.basis.state[0] = 0
+    with pytest.raises(ValueError):
+        root.basis.inverse[0, 0] = 1.0
 
 
 def test_unusable_warm_basis_falls_back_to_cold():
@@ -525,3 +534,170 @@ def test_unusable_warm_basis_falls_back_to_cold_in_mip():
         sol = solve_mip(m, warm=basis)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+# -- appended columns and the carried basis inverse ------------------------------
+
+
+def _basis_matrix(model, extra, basis):
+    """Columns of ``[A | I]`` that the basis names, over model and extra rows."""
+    rows = list(model.rows) + list(extra)
+    n, m = model.num_vars, len(rows)
+    full = np.zeros((m, n + m))
+    for i, r in enumerate(rows):
+        for j, c in r.coeffs.items():
+            full[i, j] = c
+        full[i, n + i] = 1.0
+    return full[:, basis.basic]
+
+
+def _add_random_columns(rng, model, count):
+    for _ in range(count):
+        rows = rng.sample(range(model.num_rows), rng.randint(1, model.num_rows))
+        lo = rng.choice([0, 0, 0, -2])
+        model.add_var(lo, lo + rng.randint(1, 6), obj=rng.randint(-6, 9),
+                      column={i: rng.randint(-4, 4) for i in rows})
+
+
+def test_column_appends_resolve_warm_like_cold():
+    rng = random.Random(83)
+    compared = warm_pivots = cold_pivots = 0
+    for trial in range(400):
+        model = _random_bounded_lp(rng)
+        root = solve_lp(model)
+        if root.status != OPTIMAL:
+            continue
+        _add_random_columns(rng, model, rng.randint(1, 3))
+        extra = []
+        if trial % 2:
+            n = model.num_vars
+            coeffs = {j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.6}
+            extra.append(Constraint(coeffs, rng.choice([LE, GE]), rng.randint(-2, 8), "row"))
+        warm = solve_lp(model, extra, warm=root.basis)
+        cold = solve_lp(model, extra)
+        assert warm.status == cold.status
+        compared += 1
+        warm_pivots += warm.iterations
+        cold_pivots += cold.iterations
+        if cold.status != OPTIMAL:
+            continue
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+        assert _kkt_ok(model, extra, None, warm)
+        B = _basis_matrix(model, extra, warm.basis)
+        assert np.allclose(warm.basis.inverse @ B, np.eye(B.shape[0]), atol=1e-8)
+    assert compared >= 150
+    assert warm_pivots < cold_pivots / 2
+
+
+def test_column_appends_resolve_like_highs():
+    pytest.importorskip("scipy")
+    rng = random.Random(89)
+    for trial in range(80):
+        model = _random_bounded_lp(rng)
+        root = solve_lp(model)
+        if root.status != OPTIMAL:
+            continue
+        _add_random_columns(rng, model, rng.randint(1, 3))
+        extra = []
+        if trial % 2:
+            coeffs = {j: 1.0 for j in range(root.x.size) if root.x[j] > model.lb[j] + 1e-6}
+            extra.append(Constraint(coeffs, LE, rng.randint(0, 6), "row"))
+        warm = solve_lp(model, extra, warm=root.basis)
+        ref = _highs_objective(model, extra, None)
+        if ref is None:
+            assert warm.status == INFEASIBLE
+        else:
+            assert warm.status == OPTIMAL
+            assert warm.objective == pytest.approx(ref, rel=1e-7, abs=1e-7)
+
+
+def test_warm_chain_carries_the_inverse_across_refactors():
+    """Each solve of a growing model starts from the last one's basis; the
+    chain's pivots pass the refactor interval, so the carried inverse ages
+    across solves and is recomputed on the way."""
+    rng = random.Random(97)
+    model = LinearModel("chain")
+    for _ in range(12):
+        model.add_var(0, rng.randint(2, 9), obj=rng.randint(-3, 9))
+    for _ in range(25):
+        coeffs = {j: rng.randint(1, 5) for j in range(model.num_vars) if rng.random() < 0.5}
+        model.add_constr(coeffs, LE, rng.randint(10, 40))
+    sol = solve_lp(model)
+    pivots, ages, carried = 0, [sol.basis.age], 0
+    for step in range(400):
+        for j in rng.sample(range(model.num_vars), 4):
+            model.set_objective_coeff(j, rng.randint(-3, 12))
+        rows = rng.sample(range(model.num_rows), 6)
+        model.add_var(0, rng.randint(2, 9), obj=rng.randint(0, 12),
+                      column={i: rng.randint(1, 5) for i in rows})
+        if step % 10 == 9:
+            coeffs = {j: 1.0 for j in range(sol.x.size) if sol.x[j] > 1e-6}
+            model.add_constr(coeffs, LE, max(1.0, sum(sol.x) - 1.0))
+        warm = solve_lp(model, warm=sol.basis)
+        cold = solve_lp(_rebuilt(model))
+        assert warm.status == cold.status == OPTIMAL
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+        assert _kkt_ok(model, (), None, warm)
+        carried += warm.basis.age > warm.iterations
+        pivots += warm.iterations
+        ages.append(warm.basis.age)
+        sol = warm
+        if pivots > 2 * _REFACTOR_EVERY:
+            break
+    assert pivots > 2 * _REFACTOR_EVERY
+    assert carried >= 1  # ages add up across solves ...
+    assert any(b < a for a, b in zip(ages, ages[1:]))  # ... until a refactor
+    assert max(ages) <= _REFACTOR_EVERY
+    B = _basis_matrix(model, (), sol.basis)
+    assert np.allclose(sol.basis.inverse @ B, np.eye(B.shape[0]), atol=1e-8)
+
+
+def test_basis_with_negative_artificial_seeds_warm_solve():
+    from lsfrp import lp as lp_module
+
+    # x >= 2 starts violated, so its row gets an artificial of sign -1;
+    # phase 1 flips x to its upper bound 2, which zeroes the artificial
+    # without a pivot, and the exported basis swaps it for the row's slack
+    model = LinearModel()
+    x = model.add_var(0, 2, obj=1.0)
+    y = model.add_var(0, 5, obj=1.0)
+    model.add_constr({x: -1.0}, LE, -2.0)
+    model.add_constr({x: 1.0, y: 1.0}, LE, 4.0)
+    simplex = lp_module._Simplex(model, (), None)
+    root = simplex.solve()
+    assert root.status == OPTIMAL
+    n, m = model.num_vars, model.num_rows
+    basic_art = simplex.basis[simplex.basis >= n + m] - (n + m)
+    assert basic_art.size == 1 and simplex.art_signs[basic_art[0]] == -1.0
+    assert np.allclose(root.basis.inverse @ _basis_matrix(model, (), root.basis), np.eye(m))
+    cut = Constraint({y: 1.0}, LE, 1.0)
+    for extra, overrides in (((), {x: (0.0, 1.0)}), ((), {x: (0.0, 3.0)}), ([cut], {})):
+        warm = solve_lp(model, extra, overrides, warm=root.basis)
+        cold = solve_lp(model, extra, overrides)
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert _kkt_ok(model, extra, overrides, warm)
+
+
+def test_open_nodes_hold_no_inverse(monkeypatch):
+    import lsfrp.lp as lp_module
+
+    pushed, seeded = [], []
+    real_push, real_warm = lp_module.heapq.heappush, lp_module._Simplex._solve_warm
+
+    def heappush(heap, item):
+        pushed.append(item[3])
+        real_push(heap, item)
+
+    def solve_warm(self, warm):
+        seeded.append(warm.inverse is not None)
+        return real_warm(self, warm)
+
+    monkeypatch.setattr(lp_module.heapq, "heappush", heappush)
+    monkeypatch.setattr(lp_module._Simplex, "_solve_warm", solve_warm)
+    sol = solve_mip(knap([10, 13, 7, 8, 9, 6], [5, 7, 4, 5, 6, 3], 14))
+    assert sol.status == OPTIMAL and sol.nodes > 3
+    assert pushed and all(b is not None and b.inverse is None for b in pushed)
+    # the child popped right after its parent branched skips the inversion
+    assert any(seeded) and not all(seeded)
