@@ -206,14 +206,51 @@ class PricingModel:
     root LP from the previous round's root basis.  Rows appended between
     rounds must follow the order in which solve_mip added them as cuts,
     so that the stored basis covers a prefix of the model's rows.
+
+    Before the first root basis exists, the root starts from the slack
+    basis with the best start->sink path under the current arc objectives
+    at its upper bounds and every other column at its lower bound.  Every
+    row of both engines holds there (the path's arcs balance the routing
+    rows, and cargo at zero fits every capacity, gate and link row), so
+    the root LP skips phase 1.
     """
 
-    def __init__(self, model: LinearModel, yvars: dict[tuple[str, str], int], sink: str):
+    def __init__(
+        self, model: LinearModel, yvars: dict[tuple[str, str], int], instance: Instance, start: str
+    ):
         self.model = model
         self.yvars = yvars
-        self.sink = sink
+        self.sink = instance.sink
+        self.start = start
+        self.order = instance.topological_order()
+        self.out: dict[str, list[tuple[str, int]]] = {}  # arc variables by tail
+        for (i, j), k in yvars.items():
+            self.out.setdefault(i, []).append((j, k))
         self.base = [model.obj[k] for k in yvars.values()]  # y costs before prices
         self.basis: lp.LpBasis | None = None
+
+    def _path_basis(self) -> lp.LpBasis | None:
+        """Slack basis on the best start->sink path over arcs whose upper
+        bound is not zero, or None when there is no such path."""
+        if self.order is None:
+            return None
+        obj, ub = self.model.obj, self.model.ub
+        # node -> (best value, last arc variable, that arc's tail)
+        best: dict[str, tuple[float, int, str]] = {self.start: (0.0, -1, "")}
+        for node in self.order:
+            if node not in best:
+                continue
+            value = best[node][0]
+            for dst, k in self.out.get(node, ()):
+                if ub[k] > 0.0 and (dst not in best or value + obj[k] > best[dst][0]):
+                    best[dst] = (value + obj[k], k, node)
+        if self.sink not in best:
+            return None
+        path, node = [], self.sink
+        while node != self.start:
+            _, k, node = best[node]
+            path.append(k)
+        return lp.slack_basis(self.model, path)
 
     def solve(self, node_price: dict[str, float], excluded: frozenset[str], **mip_args):
         model = self.model
@@ -221,7 +258,8 @@ class PricingModel:
             price = 0.0 if j == self.sink else node_price.get(j, 0.0)
             model.set_objective_coeff(k, base - price)
             model.set_bounds(k, 0.0, 0.0 if i in excluded or j in excluded else 1.0)
-        mip = lp.solve_mip(model, warm=self.basis, **mip_args)
+        warm = self.basis if self.basis is not None else self._path_basis()
+        mip = lp.solve_mip(model, warm=warm, **mip_args)
         if mip.root_basis is not None:
             self.basis = mip.root_basis
         return mip
@@ -373,7 +411,7 @@ class ArcFlowPricing:
             model, yvars, xvars = self._build(ship, {}, frozenset())
             self.models[ship_id] = None
             if model is not None:
-                self.models[ship_id] = (PricingModel(model, yvars, ins.sink), xvars)
+                self.models[ship_id] = (PricingModel(model, yvars, ins, ship.start_visit), xvars)
                 self.model_sizes[ship_id] = model.size_triple()
         if self.models[ship_id] is None:
             return None, -math.inf
@@ -529,7 +567,12 @@ def _log_progress(config, diag, sol, columns):
 
 def _cg_loop(instance, columns, engine, state, config, clock, diag):
     """Price-and-resolve until a full pass adds no column; returns the final
-    relaxed master solution and its duals."""
+    relaxed master solution and its duals.
+
+    A ship is not priced again under the node prices, convexity dual and
+    tolerance of its last call that found no column: the pricing problem
+    is the same, so that call's answer still certifies it.
+    """
     order = sorted(
         instance.ships,
         key=lambda s: (path_count(instance, s.id), _ship_index(instance, s.id)),
@@ -539,12 +582,19 @@ def _cg_loop(instance, columns, engine, state, config, clock, diag):
     sol, duals = solve_rmp(instance, columns, master=master)
     diag.rmp_iterations += 1
     _log_progress(config, diag, sol, columns)
+    priced_out: dict[str, tuple] = {}  # ship -> inputs of its last call without a column
     while True:
         improved = False
         for ship in order:
             if clock.exceeded():
                 raise ColgenTimeout()
             rc_tol = lp.TOL_GAP * (1.0 + abs(sol.objective))
+            inputs = (
+                duals.pi.get(ship.id, 0.0), rc_tol,
+                tuple(duals.node_price(v.id, ship.id) for v in instance.visits),
+            )
+            if priced_out.get(ship.id) == inputs:
+                continue
             try:
                 col = price_ship(
                     instance, ship.id, duals, engine, state, rc_tol,
@@ -552,7 +602,9 @@ def _cg_loop(instance, columns, engine, state, config, clock, diag):
                 )
             except lp.SolveTimeLimit:
                 raise ColgenTimeout()
-            if col is not None:
+            if col is None:
+                priced_out[ship.id] = inputs
+            else:
                 columns.append(col)
                 diag.columns_generated += 1
                 improved = True

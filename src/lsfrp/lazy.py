@@ -563,7 +563,7 @@ class CompactPricing:
             ctx = build_compact_pricing(ins, ship_id, reach=self.reach, splitting=self.splitting)
             self.models[ship_id] = None
             if ctx is not None:
-                self.models[ship_id] = (ctx, PricingModel(ctx.model, ctx.yvars, ins.sink))
+                self.models[ship_id] = (ctx, PricingModel(ctx.model, ctx.yvars, ins, ctx.ship.start_visit))
                 self.model_sizes[ship_id] = ctx.model.size_triple()
                 self.split_counts[ship_id] = ctx.split_parents
         if self.models[ship_id] is None:

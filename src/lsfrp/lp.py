@@ -1,8 +1,9 @@
 """Self-contained LP/MIP kernel.
 
 A dense bounded-variable primal simplex (two phases, explicit basis
-inverse, Bland safeguard) plus a deterministic best-bound branch-and-bound
-driver with a lazy-cut callback.  Everything downstream of the instance
+inverse, Bland safeguard), a bounded dual simplex for warm re-solves, and
+a deterministic best-bound branch-and-bound driver with a lazy-cut
+callback.  Everything downstream of the instance
 model solves through this module; an external solver could be slotted in
 behind the same two entry points, but the embedded simplex is the default
 and the one the test suite exercises.
@@ -37,6 +38,20 @@ feasible, so the dual phase has nothing to do and the primal loop goes on
 from the old vertex; bound changes and new rows take the dual path above.
 The dense rows of a model are cached on it until its next
 ``add_var``/``add_constr``, so objective and bound edits cost no rebuild.
+A pricing model's first root has no earlier basis; it starts from
+``slack_basis`` with the best start-to-sink path at its upper bounds, a
+vertex every pricing row admits, so it skips phase 1 too.
+
+The models are small (tens of rows), so a pivot costs a few numpy calls
+more than it costs arithmetic.  Both simplex loops therefore carry the
+reduced costs d across pivots instead of recomputing ``c - (c_B B^-1) A``:
+a basis change with entering column e in row r updates them by the pivot
+row, ``d -= d[e] / alpha_r[e] * alpha_r`` with ``alpha_r = B^-1[r] A`` taken
+before the inverse update (the dual ratio test computes that row anyway),
+and a bound flip leaves them as they are.  They are computed afresh on
+entry to a loop and after every refactorization, and a verdict reached on
+carried values (optimal, or an unbounded ray) is confirmed on fresh ones
+before it is returned; that re-check is not counted as an iteration.
 """
 
 from __future__ import annotations
@@ -264,6 +279,8 @@ _BASIC = 0
 _AT_LOWER = 1
 _AT_UPPER = 2
 _FREE = 3
+# pricing direction by state: +1 at a lower bound, -1 at an upper bound
+_DIRECTION = np.array([0.0, 1.0, -1.0, 0.0])
 
 
 def _dense_rows(rows: Sequence[Constraint], n: int):
@@ -328,7 +345,7 @@ class _Simplex:
         if overrides:
             for j, (lo, hi) in overrides.items():
                 lb[j], ub[j] = lo, hi
-        self.trivially_infeasible = bool(np.any(lb > ub))
+        self.trivially_infeasible = bool((lb > ub).any())
 
         self.A = A
         self.b = b
@@ -400,6 +417,7 @@ class _Simplex:
             self.n_total += self.n_art
 
         self.basis = np.array(basis, dtype=np.int64)
+        self.xB = self.x[self.basis]
         # initial basis is diagonal +-1 (slacks and signed artificials)
         diag = np.ones(m)
         for k, (i, sgn) in enumerate(zip(art_cols, art_signs)):
@@ -409,9 +427,8 @@ class _Simplex:
 
     def _sync_directions(self) -> None:
         """Derive the pricing direction of every column from its state."""
-        st = self.state
-        self.dirn = np.where(st == _AT_LOWER, 1.0, np.where(st == _AT_UPPER, -1.0, 0.0))
-        self.free = np.flatnonzero(st == _FREE)
+        self.dirn = _DIRECTION[self.state]
+        self.free = (self.state == _FREE).nonzero()[0]
 
     def _refactor(self) -> bool:
         if self.m == 0:
@@ -426,14 +443,31 @@ class _Simplex:
         return True
 
     def _basic_values(self) -> None:
-        """Set the basic values from the nonbasic ones, in place."""
+        """Recompute the basic values ``xB`` from the nonbasic ones."""
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.Binv @ (self.b - self.A @ xn)
+        self.xB = self.Binv @ (self.b - self.A @ xn)
+
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        """Fresh reduced costs ``c - (c_B B^-1) A`` of every column."""
+        return c - (c[self.basis] @ self.Binv) @ self.A
+
+    def _entering(self, d: np.ndarray) -> int:
+        """The improving nonbasic column, or -1: the largest |d| with the
+        lowest index on ties, or the lowest eligible index in Bland mode."""
+        # d * dirn > 0 is the improving direction of a column at a bound
+        # (and |d| itself); a nonbasic free column improves either way
+        score = d * self.dirn
+        if self.free.size:
+            score[self.free] = np.abs(d[self.free])
+        e = int(np.argmax(score > _RC_TOL) if self.bland else score.argmax())
+        return e if score[e] > _RC_TOL else -1
 
     def _pivot(self, r: int, e: int, w: np.ndarray) -> bool:
-        """Make column e basic in row r (w = Binv @ A[:, e]); values and the
-        leaving column's state are the caller's.  False on breakdown."""
+        """Make column e basic in row r (w = Binv @ A[:, e], which this
+        overwrites); values, bounds and the leaving column's state are the
+        caller's.  False on breakdown; ``_since_refactor`` is 0 afterwards
+        when the pivot ended in a refactorization."""
         if self.state[e] == _FREE:
             self.free = self.free[self.free != e]
         self.state[e] = _BASIC
@@ -443,9 +477,10 @@ class _Simplex:
         piv = w[r]
         if abs(piv) < _PIVOT_TOL:
             return self._refactor()
+        # row r becomes Binv[r] / piv, every other row i loses w[i] times it
         row = self.Binv[r] / piv
+        w[r] -= 1.0
         self.Binv -= w[:, None] * row
-        self.Binv[r] = row
 
         self._since_refactor += 1
         if self._since_refactor >= self._refactor_every:
@@ -453,10 +488,18 @@ class _Simplex:
         return True
 
     def _optimize(self, c: np.ndarray, max_iters: int, allow_unbounded: bool) -> str:
-        m = self.m
-        if m == 0:
+        """Bounded primal simplex on costs c from a primal feasible basis.
+
+        The reduced costs d are computed on entry and after every
+        refactorization; a basis change updates them with the pivot row.
+        OPTIMAL and UNBOUNDED are only returned on fresh reduced costs.
+        """
+        if self.m == 0:
             return OPTIMAL
-        A, lb, ub, x, dirn = self.A, self.lb, self.ub, self.x, self.dirn
+        A, lb, ub, x, basis = self.A, self.lb, self.ub, self.x, self.basis
+        lbB, ubB = lb[basis], ub[basis]
+        d = self._reduced_costs(c)
+        fresh = True
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
@@ -468,72 +511,56 @@ class _Simplex:
                 return TIME_LIMIT
             self.iterations += 1
 
-            basis = self.basis
-            y = c[basis] @ self.Binv
-            d = c - y @ A
-            # d * dirn > 0 is the improving direction of a column at a bound;
-            # a nonbasic free column improves either way
-            score = d * dirn
-            if self.free.size:
-                score[self.free] = np.abs(d[self.free])
-            eligible = np.flatnonzero(score > _RC_TOL)
-            if eligible.size == 0:
+            e = self._entering(d)
+            if e < 0 and not fresh:
+                d, fresh = self._reduced_costs(c), True
+                e = self._entering(d)
+            if e < 0:
                 return OPTIMAL
-            if self.bland:
-                e = int(eligible[0])
-            else:
-                e = int(eligible[np.argmax(np.abs(d[eligible]))])
-            delta = 1.0 if d[e] > 0 else -1.0
+            up = bool(d[e] > 0.0)
 
             w = self.Binv @ A[:, e]
 
             # two-pass (Harris style) ratio test: basic values move by
-            # -delta * t * w; a small feasibility slack lets us pick the
-            # largest pivot among the rows that block within tolerance,
-            # which keeps the updated inverse well conditioned.  Rows that
-            # do not block get infinite room, hence infinite ratios.
-            span = ub[e] - lb[e]
-            leave_pos = -1
-            leave_to_upper = False
-            xB = x[basis]
-            coef = delta * w
-            dec = coef > _PIVOT_TOL
-            inc = coef < -_PIVOT_TOL
-            room = np.where(dec, xB - lb[basis], np.where(inc, ub[basis] - xB, INF))
-            room = np.maximum(room, 0.0)
+            # -t * coef; a small feasibility slack lets us pick the largest
+            # pivot among the rows that block within tolerance, which keeps
+            # the updated inverse well conditioned.  Rows that do not block
+            # get infinite ratios.
+            xB = self.xB
+            coef = w if up else -w
+            ratio = np.maximum((xB - np.where(coef > 0.0, lbB, ubB)) / coef, 0.0)
             acoef = np.abs(coef)
-            plain = room / acoef
+            ratio[acoef <= _PIVOT_TOL] = INF
             # slack small enough that accumulated bound drift stays
             # below the feasibility tolerance over a whole solve
-            relaxed = (room + 1e-11) / acoef
-            t_lim = float(relaxed.min())
+            t_lim = float((ratio + 1e-11 / acoef).min())
 
+            span = float(ub[e] - lb[e])
             if span <= t_lim:
+                leave_pos = -1
                 t_best = span  # entering variable flips to its other bound
             else:
-                cand = np.flatnonzero(plain <= t_lim)
-                if cand.size == 0:
-                    t_best = span
+                cand = ratio <= t_lim
+                if self.bland:
+                    leave_pos = int(np.where(cand, basis, self.n_total).argmin())
                 else:
-                    if self.bland:
-                        leave_pos = int(cand[np.argmin(basis[cand])])
-                    else:
-                        leave_pos = int(cand[np.argmax(acoef[cand])])
-                    leave_to_upper = bool(inc[leave_pos])
-                    t_best = float(max(plain[leave_pos], 0.0))
+                    leave_pos = int(np.where(cand, acoef, -1.0).argmax())
+                t_best = float(ratio[leave_pos])
 
             if t_best == INF:
+                if not fresh:
+                    # a re-check of the verdict, not a pivot
+                    d, fresh = self._reduced_costs(c), True
+                    self.iterations -= 1
+                    continue
                 return UNBOUNDED if allow_unbounded else BREAKDOWN
 
             # a suspiciously small pivot may be drift in the updated inverse:
             # refactorize and re-derive the step before committing anything
-            if (
-                leave_pos >= 0
-                and abs(w[leave_pos]) < 1e-6
-                and self._since_refactor > 0
-            ):
+            if leave_pos >= 0 and acoef[leave_pos] < 1e-6 and self._since_refactor > 0:
                 if not self._refactor():
                     return BREAKDOWN
+                d, fresh = self._reduced_costs(c), True
                 continue
 
             if t_best <= 1e-12:
@@ -543,30 +570,46 @@ class _Simplex:
             else:
                 self._degen_run = 0
 
-            x[basis] = xB - delta * t_best * w
+            step = t_best if up else -t_best  # the entering column's move
+            xB -= step * w
             if leave_pos < 0:
-                # bound flip, no basis change
-                x[e] = ub[e] if delta > 0 else lb[e]
-                self._set_nonbasic(e, delta > 0)
+                # bound flip, no basis change: d stays as it is
+                x[e] = ub[e] if up else lb[e]
+                self._set_nonbasic(e, up)
                 continue
 
             leaving = int(basis[leave_pos])
-            self._set_nonbasic(leaving, leave_to_upper)
-            x[leaving] = ub[leaving] if leave_to_upper else lb[leaving]
-            entering_from = x[e]
-            x[e] = entering_from + delta * t_best
+            to_upper = bool(coef[leave_pos] < 0.0)
+            self._set_nonbasic(leaving, to_upper)
+            x[leaving] = ubB[leave_pos] if to_upper else lbB[leave_pos]
+            xB[leave_pos] = x[e] + step
+            lbB[leave_pos], ubB[leave_pos] = lb[e], ub[e]
+            # pivot row of B^-1 A, taken before the update
+            alpha_r = self.Binv[leave_pos] @ A
+            scale = d[e] / w[leave_pos]
             if not self._pivot(leave_pos, e, w):
                 return BREAKDOWN
+            if self._since_refactor == 0:
+                d, fresh = self._reduced_costs(c), True
+            else:
+                d -= scale * alpha_r
+                d[e] = 0.0
+                fresh = False
 
     def _dual(self, max_iters: int) -> str:
         """Bounded dual simplex on the real costs from a dual feasible basis.
 
         Each pivot moves the most infeasible basic column to the bound it
-        violates.  OPTIMAL here means the basic values are within bounds;
-        the primal loop then settles any dual infeasibility left by the
-        tolerant ratio test.
+        violates, and updates the reduced costs with the pivot row it has
+        already computed for the ratio test.  OPTIMAL here means the basic
+        values are within bounds; the primal loop then settles, on fresh
+        reduced costs, any dual infeasibility left by the tolerant ratio
+        test.
         """
         A, lb, ub, x, dirn, c = self.A, self.lb, self.ub, self.x, self.dirn, self.c_real
+        basis = self.basis
+        lbB, ubB = lb[basis], ub[basis]
+        d = None  # computed at the first pivot: a feasible start needs none
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
@@ -577,61 +620,68 @@ class _Simplex:
             ):
                 return TIME_LIMIT
 
-            basis = self.basis
-            xB = x[basis]
-            below = lb[basis] - xB
-            above = xB - ub[basis]
-            infeas = np.maximum(below, above)
-            r = int(np.argmax(infeas))
+            xB = self.xB
+            below = lbB - xB
+            infeas = np.maximum(below, xB - ubB)
+            r = int(infeas.argmax())
             if infeas[r] <= _DUAL_FEAS_TOL:
                 return OPTIMAL
             self.iterations += 1
-            raise_p = below[r] > 0  # the leaving column rises to its lower bound
+            raise_p = bool(below[r] > 0.0)  # the leaving column rises to its lower bound
 
             # basic value p moves by -alpha[j] per unit step of column j;
             # entering columns are those whose own feasible direction moves
             # p toward the violated bound
             alpha = self.Binv[r] @ A
-            toward = (alpha * dirn) if raise_p else -(alpha * dirn)
+            toward = alpha * dirn
+            eligible = toward < -_DUAL_PIVOT_TOL if raise_p else toward > _DUAL_PIVOT_TOL
+            aa = np.abs(alpha)
             if self.free.size:
-                toward[self.free] = -np.abs(alpha[self.free])
-            eligible = np.flatnonzero(toward < -_DUAL_PIVOT_TOL)
-            if eligible.size == 0:
+                eligible[self.free] = aa[self.free] > _DUAL_PIVOT_TOL
+            if not eligible.any():
                 if self._since_refactor > 0:
                     if not self._refactor():
                         return BREAKDOWN
+                    d = None
                     continue
                 # p already takes the best value the nonbasic bounds allow,
                 # short of columns whose entries are below the pivot tolerance
-                reach = np.abs(alpha) * (ub - lb)
-                reach = float(reach[toward < 0].sum())
+                moves = toward < 0.0 if raise_p else toward > 0.0
+                moves[self.free] = aa[self.free] > 0.0
+                reach = float((aa * (ub - lb))[moves].sum())
                 scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
                 return INFEASIBLE if infeas[r] - reach > TOL_FEAS * scale else BREAKDOWN
 
-            y = c[basis] @ self.Binv
-            d = c - y @ A
             # two-pass (Harris style) dual ratio test: reduced cost d[j]
             # reaches zero after a dual step of room / |alpha[j]|
-            room = np.maximum(-(d[eligible] * dirn[eligible]), 0.0)
-            aa = np.abs(alpha[eligible])
-            t_lim = float(((room + _RC_TOL) / aa).min())
-            cand = np.flatnonzero(room / aa <= t_lim)
-            e = int(eligible[cand[np.argmax(aa[cand])]])
+            if d is None:
+                d = self._reduced_costs(c)
+            ratio = np.maximum(-(d * dirn), 0.0) / aa
+            t_lim = float(np.where(eligible, ratio + _RC_TOL / aa, INF).min())
+            e = int(np.where(eligible & (ratio <= t_lim), aa, -1.0).argmax())
 
             w = self.Binv @ A[:, e]
             if abs(w[r]) < 1e-6 and self._since_refactor > 0:
                 if not self._refactor():
                     return BREAKDOWN
+                d = None
                 continue
             leaving = int(basis[r])
-            target = lb[leaving] if raise_p else ub[leaving]
-            step = (x[leaving] - target) / w[r]
-            x[basis] = xB - step * w
-            x[e] += step
+            target = lbB[r] if raise_p else ubB[r]
+            step = (xB[r] - target) / w[r]
+            xB -= step * w
+            xB[r] = x[e] + step
             x[leaving] = target
+            lbB[r], ubB[r] = lb[e], ub[e]
             self._set_nonbasic(leaving, not raise_p)
+            scale = d[e] / alpha[e]
             if not self._pivot(r, e, w):
                 return BREAKDOWN
+            if self._since_refactor == 0:
+                d = None
+            else:
+                d -= scale * alpha
+                d[e] = 0.0
 
     def _set_nonbasic(self, j: int, at_upper: bool) -> None:
         self.state[j] = _AT_UPPER if at_upper else _AT_LOWER
@@ -706,7 +756,8 @@ class _Simplex:
             status = self._optimize(c1, max_iters, allow_unbounded=False)
             if status != OPTIMAL:
                 return LpSolution(status, iterations=self.iterations)
-            infeas = float(self.x[self.n_total - self.n_art :].sum())
+            # nonbasic artificials sit at zero
+            infeas = float(self.xB[self.basis >= self.n_total - self.n_art].sum())
             scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
             if infeas > TOL_FEAS * scale:
                 return LpSolution(INFEASIBLE, iterations=self.iterations)
@@ -746,14 +797,16 @@ class _Simplex:
             return LpSolution(BREAKDOWN)
         # the columns the rows name as basic must be exactly those the
         # state marks basic, or a column would be neither basic nor priced
-        marked = np.flatnonzero(warm.state == _BASIC)
-        if not np.array_equal(np.sort(warm.basic), marked):
+        marked = (warm.state == _BASIC).nonzero()[0]
+        if marked.size != m0 or (np.sort(warm.basic) != marked).any():
             return LpSolution(BREAKDOWN)
         self.n_art = 0
         self.art_rows = np.zeros(0, dtype=np.int64)
         # appended columns come before the slacks, which shift right
-        basic0 = np.where(warm.basic >= n0, warm.basic + (n - n0), warm.basic)
-        self.basis = np.concatenate([basic0, np.arange(n + m0, N)])
+        basic0 = warm.basic
+        if n0 < n:
+            basic0 = np.where(basic0 >= n0, basic0 + (n - n0), basic0)
+        self.basis = np.concatenate([basic0, np.arange(n + m0, N)]) if m0 < m else basic0.copy()
         state = np.full(N, _BASIC, dtype=np.int8)
         state[:n0] = warm.state[:n0]
         state[n0:n] = _AT_LOWER
@@ -777,15 +830,18 @@ class _Simplex:
             if not self._refactor():
                 return LpSolution(BREAKDOWN)
         else:
-            # B = [[B0, 0], [E, I]] with E the appended rows on the old
-            # basic columns, so B^-1 = [[B0^-1, 0], [-E B0^-1, I]]
-            Binv = np.eye(m)
-            Binv[:m0, :m0] = warm.inverse
-            Binv[m0:, :m0] = -self.A[m0:, basic0] @ warm.inverse
-            self.Binv = Binv
+            if m0 == m:
+                self.Binv = warm.inverse.copy()
+            else:
+                # B = [[B0, 0], [E, I]] with E the appended rows on the old
+                # basic columns, so B^-1 = [[B0^-1, 0], [-E B0^-1, I]]
+                Binv = np.eye(m)
+                Binv[:m0, :m0] = warm.inverse
+                Binv[m0:, :m0] = -self.A[m0:, basic0] @ warm.inverse
+                self.Binv = Binv
             self._since_refactor = warm.age
             self._basic_values()
-        if not np.isfinite(self.x).all():
+        if not np.isfinite(self.xB).all():
             return LpSolution(BREAKDOWN)
 
         status = self._dual(1000 + 10 * (m + N))
@@ -799,6 +855,7 @@ class _Simplex:
     def _optimal_solution(self) -> LpSolution:
         n, m = self.n_struct, self.m
         y = self.c_real[self.basis] @ self.Binv
+        self.x[self.basis] = self.xB
         x = self.x[:n].copy()
         x = np.minimum(np.maximum(x, self.lb[:n]), self.ub[:n])
         obj = float(self.c_real[:n] @ x)
@@ -818,7 +875,7 @@ class _Simplex:
             state[slacks] = _BASIC
             inverse[art] *= self.art_signs[k][:, None]
         for arr in (basic, state, inverse):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
         basis = LpBasis(basic, state, inverse, self._since_refactor)
         return LpSolution(OPTIMAL, x, np.asarray(y, dtype=float), obj, self.iterations, basis)
 
@@ -837,6 +894,24 @@ def solve_lp(
     rows are a prefix of this solve's rows; bounds may differ.
     """
     return _Simplex(model, extra_rows, bound_overrides, deadline).solve(warm)
+
+
+def slack_basis(model: LinearModel, at_upper: Sequence[int]) -> LpBasis:
+    """The basis of every row's slack, with the columns in at_upper
+    nonbasic at their upper bounds and the rest at their lower bounds.
+
+    Its inverse is I.  Used as a warm start, it skips phase 1 when that
+    point satisfies every row.
+    """
+    n, m = model.num_vars, model.num_rows
+    state = np.full(n + m, _AT_LOWER, dtype=np.int8)
+    state[list(at_upper)] = _AT_UPPER
+    state[n:] = _BASIC
+    basic = np.arange(n, n + m, dtype=np.int64)
+    inverse = np.eye(m)
+    for arr in (basic, state, inverse):
+        arr.setflags(write=False)
+    return LpBasis(basic, state, inverse)
 
 
 # -- branch and bound -----------------------------------------------------------
@@ -883,7 +958,7 @@ def solve_mip(
     """
     t0 = time.monotonic()
     deadline = t0 + time_limit if time_limit is not None else None
-    int_vars = [j for j in range(model.num_vars) if model.is_int[j]]
+    int_idx = np.flatnonzero(np.array(model.is_int, dtype=bool))
     cuts: list[Constraint] = []
     cuts_added = 0
 
@@ -933,19 +1008,18 @@ def solve_mip(
             if nodes == 1:
                 root_basis = warm
 
-            frac = np.array([sol.x[j] - math.floor(sol.x[j] + 0.5) for j in int_vars])
-            if int_vars and np.any(np.abs(frac) > TOL_INT):
+            xi = sol.x[int_idx]
+            fractional = np.abs(xi - np.floor(xi + 0.5)) > TOL_INT
+            if fractional.any():
                 # branch on most fractional, ties by lowest index
-                f = np.array([sol.x[j] - math.floor(sol.x[j]) for j in int_vars])
-                dist = np.abs(f - 0.5)
-                dist[np.abs(frac) <= TOL_INT] = INF
-                k = int(np.argmin(dist))
-                j = int_vars[k]
+                dist = np.where(fractional, np.abs(xi - np.floor(xi) - 0.5), INF)
+                j = int(int_idx[dist.argmin()])
+                xj = float(sol.x[j])
                 lo, hi = overrides.get(j, (model.lb[j], model.ub[j]))
                 down = dict(overrides)
-                down[j] = (lo, math.floor(sol.x[j]))
+                down[j] = (lo, math.floor(xj))
                 up = dict(overrides)
-                up[j] = (math.ceil(sol.x[j]), hi)
+                up[j] = (math.ceil(xj), hi)
                 branched = warm
                 parent = LpBasis(warm.basic, warm.state)
                 counter += 1

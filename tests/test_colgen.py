@@ -390,3 +390,94 @@ def test_growing_master_matches_one_shot_master(monkeypatch, branched):
             assert c.profit - price <= tol
     assert banned > 0 if branched else banned == 0
     assert sum(finished) >= len(sequence) // 2
+
+
+# -- path-seeded pricing roots and repeated pricing calls -------------------------
+
+
+def _colgen_fixtures():
+    """(name, instance, optimum) on which both column-generation methods run
+    a pricing root per ship, and some branch."""
+    from fixtures import GAP2_IP, gap_2ship
+
+    out = [("t1", t1(), T1_OPT), ("mixed", mixed_type_fractional(), MIXED_OPT), ("gap2", gap_2ship(), GAP2_IP)]
+    for name, params, optimum in (
+        ("b9085", GeneratorParams(ships=3, ship_types=1, visits=17, demands=12, arc_density=0.35,
+                                  reefer_fraction=0.25, seed=1489315916), 9085.0),
+        ("b3909", GeneratorParams(ships=2, ship_types=1, visits=11, demands=6, arc_density=0.67,
+                                  reefer_fraction=0.25, seed=476222078), 3909.0),
+        ("tight", GeneratorParams(ships=3, visits=12, demands=10, capacity_dc_range=(25, 60),
+                                  amount_range=(10, 45), seed=63), 7094.0),
+    ):
+        out.append((name, generate_random(params), optimum))
+    return out
+
+
+@pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
+@pytest.mark.parametrize("case", _colgen_fixtures(), ids=lambda c: c[0])
+def test_only_first_master_solves_start_cold(monkeypatch, method, case):
+    from lsfrp import colgen
+    from lsfrp.cli import run_method
+
+    _, ins, optimum = case
+    solved: list[str] = []  # model name of every solve_lp call
+    cold: list[lp.LinearModel] = []  # models of the calls without a warm basis
+    fallbacks = []
+    real_solve, real_warm, real_loop = lp.solve_lp, lp._Simplex._solve_warm, colgen._cg_loop
+
+    def solve_lp(model, extra_rows=(), bound_overrides=None, deadline=None, warm=None):
+        solved.append(model.name)
+        if warm is None:
+            cold.append(model)
+        return real_solve(model, extra_rows, bound_overrides, deadline, warm)
+
+    def solve_warm(self, warm):
+        result = real_warm(self, warm)
+        if result.status == lp.BREAKDOWN:
+            fallbacks.append(result)
+        return result
+
+    loops = []
+    monkeypatch.setattr(lp, "solve_lp", solve_lp)
+    monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
+    monkeypatch.setattr(colgen, "_cg_loop", lambda *args: loops.append(1) or real_loop(*args))
+    sol = run_method(ins, method)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(optimum)
+    assert any(name != "rmp" for name in solved)
+    # one cold solve per branch-and-price node: the first of its own master
+    assert all(model.name == "rmp" for model in cold)
+    assert len({id(model) for model in cold}) == len(cold) == len(loops)
+    assert not fallbacks
+
+
+@pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
+@pytest.mark.parametrize("case", _colgen_fixtures(), ids=lambda c: c[0])
+def test_pricing_is_not_repeated_under_the_same_duals(monkeypatch, method, case):
+    from lsfrp import colgen
+    from lsfrp.cli import run_method
+
+    _, ins, optimum = case
+    real_price, real_loop = colgen.price_ship, colgen._cg_loop
+    last_none: list[dict] = []  # per pricing loop: ship -> inputs of its last call without a column
+    calls = repeats = 0
+
+    def price_ship(instance, ship_id, duals, engine, state=None, rc_tol=1e-6, **kwargs):
+        nonlocal calls, repeats
+        inputs = (
+            duals.pi.get(ship_id, 0.0), rc_tol,
+            tuple(duals.node_price(v.id, ship_id) for v in instance.visits),
+        )
+        calls += 1
+        repeats += last_none[-1].get(ship_id) == inputs
+        col = real_price(instance, ship_id, duals, engine, state, rc_tol, **kwargs)
+        if col is None:
+            last_none[-1][ship_id] = inputs
+        return col
+
+    monkeypatch.setattr(colgen, "price_ship", price_ship)
+    monkeypatch.setattr(colgen, "_cg_loop", lambda *args: last_none.append({}) or real_loop(*args))
+    sol = run_method(ins, method)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(optimum)
+    assert calls > 0 and repeats == 0

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import lsfrp.lp as lp_module
 from lsfrp.lp import (
     EQ,
     GE,
@@ -306,6 +307,13 @@ def _kkt_ok(model, extra, overrides, sol, tol=1e-6):
 
 def _highs_objective(model, extra, overrides):
     """HiGHS optimum of the same LP, or None when it reports infeasible."""
+    res = _linprog(model, extra, overrides)
+    assert res.status in (0, 2), res.message
+    return -res.fun if res.status == 0 else None
+
+
+def _linprog(model, extra, overrides, **options):
+    """scipy's HiGHS result for the same LP (scipy negates the objective)."""
     from scipy.optimize import linprog
 
     rows = list(model.rows) + list(extra)
@@ -324,17 +332,16 @@ def _highs_objective(model, extra, overrides):
     bounds = [
         (overrides or {}).get(j, (model.lb[j], model.ub[j])) for j in range(n)
     ]
-    res = linprog(
+    return linprog(
         -np.array(model.obj),
         A_ub=dense(ub_rows, flip) if ub_rows else None,
         b_ub=[flip(r) * r.rhs for r in ub_rows] if ub_rows else None,
         A_eq=dense(eq_rows, lambda r: 1.0) if eq_rows else None,
         b_eq=[r.rhs for r in eq_rows] if eq_rows else None,
-        bounds=[(lo, None if hi == INF else hi) for lo, hi in bounds],
+        bounds=[(None if lo == -INF else lo, None if hi == INF else hi) for lo, hi in bounds],
         method="highs",
+        options=options,
     )
-    assert res.status in (0, 2), res.message
-    return -res.fun if res.status == 0 else None
 
 
 def _warm_cases(model):
@@ -539,8 +546,8 @@ def test_unusable_warm_basis_falls_back_to_cold_in_mip():
 # -- appended columns and the carried basis inverse ------------------------------
 
 
-def _basis_matrix(model, extra, basis):
-    """Columns of ``[A | I]`` that the basis names, over model and extra rows."""
+def _full_matrix(model, extra):
+    """``[A | I]`` over model and extra rows."""
     rows = list(model.rows) + list(extra)
     n, m = model.num_vars, len(rows)
     full = np.zeros((m, n + m))
@@ -548,7 +555,12 @@ def _basis_matrix(model, extra, basis):
         for j, c in r.coeffs.items():
             full[i, j] = c
         full[i, n + i] = 1.0
-    return full[:, basis.basic]
+    return full
+
+
+def _basis_matrix(model, extra, basis):
+    """Columns of ``[A | I]`` that the basis names, over model and extra rows."""
+    return _full_matrix(model, extra)[:, basis.basic]
 
 
 def _add_random_columns(rng, model, count):
@@ -701,3 +713,94 @@ def test_open_nodes_hold_no_inverse(monkeypatch):
     assert pushed and all(b is not None and b.inverse is None for b in pushed)
     # the child popped right after its parent branched skips the inversion
     assert any(seeded) and not all(seeded)
+
+
+# -- differential check of the simplex loops against HiGHS -------------------------
+
+
+def _differential_lp(rng, kind):
+    """A random LP built around an integer point.  "degenerate": every row
+    is tight at a point on its bounds, and a few rows may be shifted off it
+    (possibly infeasible).  "free": some columns are free.  "unbounded":
+    some columns have no upper bound.  The last two contain the point, so
+    they are feasible and either optimal or unbounded."""
+    n = rng.randint(3, 9)
+    model = LinearModel(kind)
+    point = []
+    for _ in range(n):
+        if kind == "free" and rng.random() < 0.4:
+            lo, hi, value = -INF, INF, rng.randint(-3, 3)
+        elif kind == "unbounded" and rng.random() < 0.5:
+            lo, hi, value = 0, INF, rng.randint(0, 4)
+        else:
+            lo = rng.choice([0, 0, -2])
+            hi = lo + rng.randint(0, 6)
+            value = rng.choice([lo, hi]) if kind == "degenerate" else rng.randint(lo, hi)
+        model.add_var(lo, hi, obj=rng.randint(-6, 6))
+        point.append(value)
+    for _ in range(rng.randint(2, 2 * n)):
+        coeffs = {j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.6}
+        activity = sum(c * point[j] for j, c in coeffs.items())
+        sense = rng.choice([LE, LE, GE, EQ])
+        if kind == "degenerate":
+            shift = rng.randint(-3, 3) if rng.random() < 0.15 else 0
+        else:
+            shift = {LE: rng.randint(0, 4), GE: -rng.randint(0, 4), EQ: 0}[sense]
+        model.add_constr(coeffs, sense, activity + shift)
+    return model
+
+
+def _highs_verdict(model, extra, overrides):
+    """(status, objective) of HiGHS's simplex on the same LP."""
+    res = _linprog(model, extra, overrides, presolve=False)
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status)
+    assert status is not None, res.message
+    return status, (-res.fun if status == OPTIMAL else None)
+
+
+def _assert_fresh_reduced_costs_optimal(model, extra, overrides, basis, tol=1e-7):
+    """Reduced costs recomputed from scratch at the basis have the sign
+    each column's state needs for optimality."""
+    full = _full_matrix(model, extra)
+    c = np.concatenate([np.array(model.obj, dtype=float), np.zeros(full.shape[0])])
+    y = np.linalg.solve(full[:, basis.basic].T, c[basis.basic])
+    d = c - y @ full
+    for j, s in enumerate(basis.state):
+        if s == lp_module._AT_LOWER:
+            assert d[j] <= tol
+        elif s == lp_module._AT_UPPER:
+            assert d[j] >= -tol
+        else:
+            assert abs(d[j]) <= tol  # basic, or nonbasic free
+            if s == lp_module._FREE:
+                assert (overrides or {}).get(j, (model.lb[j], model.ub[j])) == (-INF, INF)
+
+
+@pytest.mark.parametrize("refactor_every", [_REFACTOR_EVERY, 2], ids=["default", "every2"])
+def test_kernel_matches_highs_on_degenerate_free_and_unbounded_lps(monkeypatch, refactor_every):
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", refactor_every)
+    rng = random.Random(59)
+    seen: dict[tuple[str, str], int] = {}
+    for trial in range(360):
+        model = _differential_lp(rng, ("degenerate", "free", "unbounded")[trial % 3])
+        cold = solve_lp(model)
+        solves = [((), None, cold)]
+        bounded = [j for j in range(model.num_vars) if 1 <= model.ub[j] - model.lb[j] < INF]
+        if cold.status == OPTIMAL and bounded:
+            # a warm re-solve through the dual loop: one bounded column
+            # fixed at the end of its range away from its optimal value
+            j = bounded[trial % len(bounded)]
+            end = model.lb[j] if cold.x[j] > model.lb[j] + 0.5 else model.ub[j]
+            solves.append(((), {j: (end, end)}, solve_lp(model, (), {j: (end, end)}, warm=cold.basis)))
+        for extra, overrides, sol in solves:
+            status, ref = _highs_verdict(model, extra, overrides)
+            assert sol.status == status, (model.name, trial)
+            seen[(model.name, status)] = seen.get((model.name, status), 0) + 1
+            if status == OPTIMAL:
+                assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
+                _assert_fresh_reduced_costs_optimal(model, extra, overrides, sol.basis)
+    assert seen.get(("degenerate", OPTIMAL), 0) >= 50
+    assert seen.get(("degenerate", INFEASIBLE), 0) >= 10
+    assert seen.get(("free", OPTIMAL), 0) >= 20
+    assert seen.get(("free", UNBOUNDED), 0) + seen.get(("unbounded", UNBOUNDED), 0) >= 40
