@@ -3,8 +3,14 @@
 The restricted master problem selects one path column per ship subject to
 node-disjointness; pricing solves a per-ship profit maximization with the
 master duals priced into node entries.  Two pricing engines plug in behind
-the same interface: the arc-flow single-ship model built here, and the
-compact lazy-constraint model from lsfrp.lazy.
+the same interface: arc-flow pricing, whose model is the revised model of
+one ship (``formulations.build_ship_revised``, the revised MIP without its
+node-once rows), and the compact lazy-constraint model of lsfrp.lazy.
+Each engine builds a ship's model once and re-prices it in place.
+
+One time limit covers a whole run: it becomes an absolute
+``time.monotonic()`` deadline that the master loop checks and that every
+pricing solve receives.
 
 When the relaxed master ends fractional, branch-and-price branches on
 (visit, ship) usage: whether ship s calls at visit v.
@@ -18,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import lp
-from .formulations import _cargo_objective, _trace_path, evaluate_objective
+from .formulations import ArcFlowVars, build_ship_revised, evaluate_objective, extract_solution
 from .instance import Instance, ReachIndex, build_reach_index, path_count
 from .lp import EQ, GE, LE, LinearModel
 from .solution import (
@@ -266,7 +272,9 @@ class PricingModel:
 
 
 class ArcFlowPricing:
-    """Single-ship pricing on the revised arc-flow model with node prices."""
+    """Single-ship pricing on the revised model of that one ship
+    (formulations.build_ship_revised), with the node prices in its arc
+    objectives."""
 
     def __init__(self, instance: Instance, reach: ReachIndex):
         self.instance = instance
@@ -275,122 +283,10 @@ class ArcFlowPricing:
             raise ValueError(
                 "arc-flow pricing does not model empty equipment; use compact pricing"
             )
-        # ship -> (persistent model, cargo variables), None without a start arc
-        self.models: dict[str, tuple[PricingModel, dict] | None] = {}
+        # ship -> (persistent model, its variables), None without a start arc
+        self.models: dict[str, tuple[PricingModel, ArcFlowVars] | None] = {}
         self.model_sizes: dict[str, tuple[int, int, int]] = {}
         self.bnb_nodes = 0
-
-    def _build(self, ship, node_price, excluded):
-        ins, reach = self.instance, self.reach
-        sink = ins.sink
-        model = LinearModel(f"price[{ship.id}]")
-        yvars: dict[tuple[str, str], int] = {}
-        for a in ins.arcs:
-            if not reach.can_reach(ship.start_visit, a.src):
-                continue
-            if a.src in excluded or a.dst in excluded:
-                continue
-            cost = a.cost_for(ship.ship_type)
-            fee = 0.0 if a.dst == sink else ins.visit_by_id[a.dst].port_fee
-            price = 0.0 if a.dst == sink else node_price.get(a.dst, 0.0)
-            yvars[(a.src, a.dst)] = model.add_var(
-                0.0, 1.0, obj=-(cost + fee + price), integer=True, name=f"y[{a.src},{a.dst}]"
-            )
-
-        xvars: dict[tuple[str, str, str], int] = {}
-        for mid in sorted(reach.movable[ship.id]):
-            m = ins.demand_by_id[mid]
-            cap = ship.capacity_rf if m.cargo_type == "rf" else ship.capacity_dc
-            for (i, j) in sorted(reach.demand_arcs[mid]):
-                if (i, j) in yvars:
-                    xvars[(mid, i, j)] = model.add_var(
-                        0.0, min(m.amount, cap), obj=_cargo_objective(ins, mid, i, j),
-                        name=f"x[{mid},{i},{j}]",
-                    )
-
-        # routing rows
-        start_coeffs = {
-            yvars[(a.src, a.dst)]: 1.0
-            for a in ins.out_arcs[ship.start_visit]
-            if (a.src, a.dst) in yvars
-        }
-        if not start_coeffs:
-            return None, None, None
-        model.add_constr(start_coeffs, EQ, 1.0, "start")
-        model.add_constr(
-            {yvars[(a.src, a.dst)]: 1.0 for a in ins.in_arcs[sink] if (a.src, a.dst) in yvars},
-            EQ, 1.0, "sink",
-        )
-        for v in ins.visits:
-            if v.id == ship.start_visit:
-                continue
-            coeffs: dict[int, float] = {}
-            for a in ins.in_arcs[v.id]:
-                k = yvars.get((a.src, a.dst))
-                if k is not None:
-                    coeffs[k] = coeffs.get(k, 0.0) + 1.0
-            for a in ins.out_arcs[v.id]:
-                k = yvars.get((a.src, a.dst))
-                if k is not None:
-                    coeffs[k] = coeffs.get(k, 0.0) - 1.0
-            if coeffs:
-                model.add_constr(coeffs, EQ, 0.0, f"cons[{v.id}]")
-
-        # capacities, availability, conservation, linking
-        arcs_with_cargo = sorted({(i, j) for (_, i, j) in xvars})
-        for (i, j) in arcs_with_cargo:
-            rf, total = {}, {}
-            for m in ins.demands:
-                v = xvars.get((m.id, i, j))
-                if v is None:
-                    continue
-                total[v] = 1.0
-                if m.cargo_type == "rf":
-                    rf[v] = 1.0
-            yj = yvars[(i, j)]
-            if rf:
-                rf[yj] = -ship.capacity_rf
-                model.add_constr(rf, LE, 0.0, f"cap_rf[{i},{j}]")
-            total[yj] = -ship.capacity_dc
-            model.add_constr(total, LE, 0.0, f"cap_dc[{i},{j}]")
-        for mid in sorted(reach.movable[ship.id]):
-            m = ins.demand_by_id[mid]
-            coeffs = {}
-            for a in ins.out_arcs[m.origin]:
-                v = xvars.get((mid, a.src, a.dst))
-                if v is not None:
-                    coeffs[v] = 1.0
-                yj = yvars.get((a.src, a.dst))
-                if yj is not None:
-                    coeffs[yj] = coeffs.get(yj, 0.0) - m.amount
-            if coeffs:
-                model.add_constr(coeffs, LE, 0.0, f"avail[{mid}]")
-        by_demand: dict[str, dict[str, tuple[list, list]]] = {}
-        for (mid, i, j), var in xvars.items():
-            nodes = by_demand.setdefault(mid, {})
-            nodes.setdefault(i, ([], []))[1].append(var)
-            nodes.setdefault(j, ([], []))[0].append(var)
-        for mid, nodes in sorted(by_demand.items()):
-            m = ins.demand_by_id[mid]
-            for node, (inflow, outflow) in sorted(nodes.items()):
-                if node == m.origin:
-                    continue
-                coeffs = {}
-                for v in inflow:
-                    coeffs[v] = coeffs.get(v, 0.0) + 1.0
-                for v in outflow:
-                    coeffs[v] = coeffs.get(v, 0.0) - 1.0
-                if not coeffs:
-                    continue
-                sense = GE if node in m.destinations else EQ
-                model.add_constr(coeffs, sense, 0.0, f"flow[{mid},{node}]")
-        for (mid, i, j), v in xvars.items():
-            m = ins.demand_by_id[mid]
-            cap = ship.capacity_rf if m.cargo_type == "rf" else ship.capacity_dc
-            model.add_constr(
-                {v: 1.0, yvars[(i, j)]: -min(m.amount, cap)}, LE, 0.0, f"link[{mid},{i},{j}]"
-            )
-        return model, yvars, xvars
 
     def price(
         self,
@@ -398,7 +294,7 @@ class ArcFlowPricing:
         node_price: dict[str, float],
         excluded: frozenset[str],
         stop_above: float | None = None,
-        time_limit: float | None = None,
+        deadline: float | None = None,
     ):
         """Best column for the ship under the given node prices, or None if
         no start->sink path survives the exclusions.  With stop_above set,
@@ -408,45 +304,31 @@ class ArcFlowPricing:
         if ship.start_visit in excluded:
             return None, -math.inf
         if ship_id not in self.models:
-            model, yvars, xvars = self._build(ship, {}, frozenset())
+            built = build_ship_revised(ins, self.reach, ship)
             self.models[ship_id] = None
-            if model is not None:
-                self.models[ship_id] = (PricingModel(model, yvars, ins, ship.start_visit), xvars)
+            if built is not None:
+                model, vars_ = built
+                priced = PricingModel(model, vars_.y[ship_id], ins, ship.start_visit)
+                self.models[ship_id] = (priced, vars_)
                 self.model_sizes[ship_id] = model.size_triple()
         if self.models[ship_id] is None:
             return None, -math.inf
-        priced, xvars = self.models[ship_id]
-        mip = priced.solve(node_price, excluded, stop_above=stop_above, time_limit=time_limit)
+        priced, vars_ = self.models[ship_id]
+        mip = priced.solve(node_price, excluded, stop_above=stop_above, deadline=deadline)
         self.bnb_nodes += mip.nodes
         mip = _usable_pricing_result(mip, stop_above)
         if mip is None:
             return None, -math.inf
         value = mip.objective - node_price.get(ship.start_visit, 0.0)
-
-        path = _trace_path(priced.yvars, mip.x, ship.start_visit, ins.sink)
-        delivered: dict[tuple[str, str], float] = {}
-        for (mid, i, j), var in xvars.items():
-            val = float(mip.x[var])
-            if abs(val) < 1e-5:
-                continue
-            m = ins.demand_by_id[mid]
-            if j in m.destinations:
-                delivered[(mid, j)] = delivered.get((mid, j), 0.0) + val
-            if i in m.destinations:
-                delivered[(mid, i)] = delivered.get((mid, i), 0.0) - val
-        flows = [
-            DemandFlow(mid, ship_id, dest, amt)
-            for (mid, dest), amt in sorted(delivered.items())
-            if amt > 1e-5
-        ]
+        sol = extract_solution(ins, vars_, mip.x, "pricing")
+        path = sol.ship_paths[ship_id]
         col = Column(
             ship=ship_id,
-            path=tuple(path),
+            path=path,
             nodes=frozenset(path[:-1]),
-            flows=flows,
-            profit=0.0,
+            flows=sol.demand_flows,
+            profit=evaluate_objective(ins, sol),
         )
-        col.profit = evaluate_objective(ins, Solution("pricing", OPTIMAL, ship_paths={ship_id: col.path}, demand_flows=flows))
         return col, value
 
     def fill_diagnostics(self, diag: Diagnostics) -> None:
@@ -465,7 +347,7 @@ def initial_columns(
     instance: Instance,
     reach: ReachIndex | None = None,
     engine=None,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> list[Column]:
     """Greedy start: ships in ascending path-count order, each priced with
     zero duals on the graph minus nodes already claimed; dummy fallback."""
@@ -477,7 +359,7 @@ def initial_columns(
     out: list[Column] = []
     for ship in order:
         col, _ = engine.price(
-            ship.id, {}, frozenset(used - {ship.start_visit}), time_limit=time_limit
+            ship.id, {}, frozenset(used - {ship.start_visit}), deadline=deadline
         )
         if col is None:
             out.append(make_dummy(instance, ship.id))
@@ -502,7 +384,7 @@ def price_ship(
     state: _BranchState | None = None,
     rc_tol: float = 1e-6,
     exact: bool = True,
-    time_limit: float | None = None,
+    deadline: float | None = None,
 ) -> Column | None:
     """One pricing round; a column comes back only when its reduced cost
     clears the tolerance.
@@ -523,7 +405,7 @@ def price_ship(
             + prices.get(ship.start_visit, 0.0)
         )
     col, value = engine.price(
-        ship_id, prices, excluded, stop_above=stop_above, time_limit=time_limit
+        ship_id, prices, excluded, stop_above=stop_above, deadline=deadline
     )
     if col is None:
         return None
@@ -534,23 +416,6 @@ def price_ship(
 
 
 # -- main driver ----------------------------------------------------------------------
-
-
-class _TimeBudget:
-    def __init__(self, limit: float | None):
-        self.t0 = time.monotonic()
-        self.limit = limit
-
-    def exceeded(self) -> bool:
-        return self.limit is not None and time.monotonic() - self.t0 > self.limit
-
-    def remaining(self) -> float | None:
-        if self.limit is None:
-            return None
-        return max(self.limit - (time.monotonic() - self.t0), 0.01)
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.t0
 
 
 class ColgenTimeout(RuntimeError):
@@ -565,7 +430,7 @@ def _log_progress(config, diag, sol, columns):
         )
 
 
-def _cg_loop(instance, columns, engine, state, config, clock, diag):
+def _cg_loop(instance, columns, engine, state, config, deadline, diag):
     """Price-and-resolve until a full pass adds no column; returns the final
     relaxed master solution and its duals.
 
@@ -586,7 +451,7 @@ def _cg_loop(instance, columns, engine, state, config, clock, diag):
     while True:
         improved = False
         for ship in order:
-            if clock.exceeded():
+            if lp.expired(deadline):
                 raise ColgenTimeout()
             rc_tol = lp.TOL_GAP * (1.0 + abs(sol.objective))
             inputs = (
@@ -598,7 +463,7 @@ def _cg_loop(instance, columns, engine, state, config, clock, diag):
             try:
                 col = price_ship(
                     instance, ship.id, duals, engine, state, rc_tol,
-                    exact=False, time_limit=clock.remaining(),
+                    exact=False, deadline=deadline,
                 )
             except lp.SolveTimeLimit:
                 raise ColgenTimeout()
@@ -673,7 +538,8 @@ def run_column_generation(
     """Full column generation: heuristic start, pricing loop, integrality
     check, and (visit, ship) branching when the master is fractional."""
     config = config or CgConfig()
-    clock = _TimeBudget(config.time_limit)
+    t0 = time.monotonic()
+    deadline = None if config.time_limit is None else t0 + config.time_limit
     diag = Diagnostics()
     method = "colgen" if config.pricing == "arcflow" else "colgen-lazy"
 
@@ -696,22 +562,22 @@ def run_column_generation(
 
     columns = [make_dummy(instance, s.id) for s in instance.ships]
     try:
-        start_cols = initial_columns(instance, reach, engine, time_limit=clock.remaining())
+        start_cols = initial_columns(instance, reach, engine, deadline=deadline)
     except lp.SolveTimeLimit:
-        diag.wall_time_sec = clock.elapsed()
+        diag.wall_time_sec = time.monotonic() - t0
         return Solution(method=method, status=TIME_LIMIT, diagnostics=diag)
     columns.extend(c for c in start_cols if not c.is_dummy)
     diag.columns_generated = sum(1 for c in columns if not c.is_dummy)
 
     try:
         root_sol, _ = _cg_loop(
-            instance, columns, engine, _BranchState(), config, clock, diag
+            instance, columns, engine, _BranchState(), config, deadline, diag
         )
         z = [float(root_sol.x[k]) for k in range(len(columns))]
         root_integral = _is_integral(z)
         if root_integral:
             engine.fill_diagnostics(diag)
-            diag.wall_time_sec = clock.elapsed()
+            diag.wall_time_sec = time.monotonic() - t0
             sol = _assemble(instance, method, _settled_columns(columns, z), diag, config)
             sol.meta["root_master_integral"] = True
             return sol
@@ -729,11 +595,11 @@ def run_column_generation(
             neg_bound, _, state, node_sol = heapq.heappop(heap)
             if -neg_bound <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
                 continue
-            if clock.exceeded():
+            if lp.expired(deadline):
                 raise ColgenTimeout()
             diag.bnb_nodes += 1
             if node_sol is None:
-                node_sol, _ = _cg_loop(instance, columns, engine, state, config, clock, diag)
+                node_sol, _ = _cg_loop(instance, columns, engine, state, config, deadline, diag)
             if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
                 continue
             z = [float(node_sol.x[k]) for k in range(len(columns))]
@@ -761,7 +627,7 @@ def run_column_generation(
             heapq.heappush(heap, (-node_sol.objective, counter, on, None))
 
         engine.fill_diagnostics(diag)
-        diag.wall_time_sec = clock.elapsed()
+        diag.wall_time_sec = time.monotonic() - t0
         if best is None:
             return Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
         best.bound = best.objective
@@ -769,5 +635,5 @@ def run_column_generation(
         return best
     except ColgenTimeout:
         engine.fill_diagnostics(diag)
-        diag.wall_time_sec = clock.elapsed()
+        diag.wall_time_sec = time.monotonic() - t0
         return Solution(method=method, status=TIME_LIMIT, diagnostics=diag)

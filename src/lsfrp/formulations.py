@@ -9,6 +9,16 @@ delivered total consistent with availability on every graph, so both
 models agree with the path-replay semantics of the compact solver and the
 oracle.
 
+Every ship's part of a model is built here, once: ``add_ship_arcs`` makes
+a ship's arc variables (with optional node prices and excluded visits),
+``add_path_rows`` its start, sink and conservation rows, and
+``add_revised_cargo`` its per-ship cargo block.  The revised MIP is the
+node-once rows plus those three over all ships; the reduced MIP shares
+the arc variables and path rows and aggregates its cargo.  Arc-flow
+pricing in column generation solves ``build_ship_revised``, the revised
+model of one ship without the node-once rows, and the compact pricing
+model of lsfrp.lazy shares its arc variables and path rows.
+
 Neither arc-flow model covers empty-equipment flows; instances with empty
 points are rejected here and handled by the compact lazy solver.
 """
@@ -37,10 +47,11 @@ class UnsupportedInstanceError(ValueError):
 
 @dataclass
 class ArcFlowVars:
-    """Variable handles: y[(ship, i, j)]; x keyed (demand, i, j) for the
-    reduced model or (ship, demand, i, j) for the revised one."""
+    """Variable handles: y[ship][(i, j)] for the ships the model routes; x
+    keyed (demand, i, j) for the reduced model or (ship, demand, i, j) for
+    the revised one."""
 
-    y: dict[tuple[str, str, str], int]
+    y: dict[str, dict[tuple[str, str], int]]
     x: dict[tuple, int]
     per_ship: bool
 
@@ -59,72 +70,6 @@ def _reject_empties(instance: Instance) -> None:
         )
 
 
-def _ship_arcs(instance: Instance, reach: ReachIndex, ship) -> list:
-    """Arcs a ship can ever sail: tail forward-reachable from its start."""
-    return [a for a in instance.arcs if reach.can_reach(ship.start_visit, a.src)]
-
-
-def _add_ship_routing(model: LinearModel, instance: Instance, reach: ReachIndex, yvars) -> None:
-    """Rows (node-once, start, sink, per-ship conservation) shared by both models."""
-    sink = instance.sink
-    # each visit entered at most once, across all ships
-    for v in instance.visits:
-        coeffs = {}
-        for s in instance.ships:
-            for a in instance.in_arcs[v.id]:
-                j = yvars.get((s.id, a.src, a.dst))
-                if j is not None:
-                    coeffs[j] = 1.0
-        if coeffs:
-            model.add_constr(coeffs, LE, 1.0, f"once[{v.id}]")
-    # every ship leaves its start exactly once
-    for s in instance.ships:
-        coeffs = {
-            yvars[(s.id, a.src, a.dst)]: 1.0
-            for a in instance.out_arcs[s.start_visit]
-            if (s.id, a.src, a.dst) in yvars
-        }
-        model.add_constr(coeffs, EQ, 1.0, f"start[{s.id}]")
-    # all ships reach the sink
-    coeffs = {}
-    for s in instance.ships:
-        for a in instance.in_arcs[sink]:
-            j = yvars.get((s.id, a.src, a.dst))
-            if j is not None:
-                coeffs[j] = 1.0
-    model.add_constr(coeffs, EQ, float(len(instance.ships)), "sink")
-    # per-ship flow conservation away from start visits
-    starts = {s.start_visit for s in instance.ships}
-    for s in instance.ships:
-        for v in instance.visits:
-            if v.id in starts:
-                continue
-            coeffs = {}
-            for a in instance.in_arcs[v.id]:
-                j = yvars.get((s.id, a.src, a.dst))
-                if j is not None:
-                    coeffs[j] = coeffs.get(j, 0.0) + 1.0
-            for a in instance.out_arcs[v.id]:
-                j = yvars.get((s.id, a.src, a.dst))
-                if j is not None:
-                    coeffs[j] = coeffs.get(j, 0.0) - 1.0
-            if coeffs:
-                model.add_constr(coeffs, EQ, 0.0, f"cons[{s.id},{v.id}]")
-
-
-def _make_y_vars(model: LinearModel, instance: Instance, reach: ReachIndex) -> dict:
-    yvars = {}
-    sink = instance.sink
-    for s in instance.ships:
-        for a in _ship_arcs(instance, reach, s):
-            cost = a.cost_for(s.ship_type)
-            fee = 0.0 if a.dst == sink else instance.visit_by_id[a.dst].port_fee
-            yvars[(s.id, a.src, a.dst)] = model.add_var(
-                0.0, 1.0, obj=-(cost + fee), integer=True, name=f"y[{s.id},{a.src},{a.dst}]"
-            )
-    return yvars
-
-
 def _cargo_objective(instance: Instance, demand_id: str, i: str, j: str) -> float:
     """Net-absorption objective coefficient for cargo flow on arc (i, j)."""
     m = instance.demand_by_id[demand_id]
@@ -136,80 +81,147 @@ def _cargo_objective(instance: Instance, demand_id: str, i: str, j: str) -> floa
     return coef
 
 
-def build_reduced(
-    instance: Instance, reach: ReachIndex | None = None, tighten: bool = False
-) -> tuple[LinearModel, ArcFlowVars]:
-    """Reduced MIP: binary ship-arc variables plus ship-aggregated cargo
-    flows; tighten=True adds the per-arc availability rows."""
-    ensure_valid(instance)
-    _reject_empties(instance)
-    reach = reach or build_reach_index(instance)
-    model = LinearModel("reduced" + ("-tight" if tighten else ""))
-    yvars = _make_y_vars(model, instance, reach)
+# -- per-ship builders ------------------------------------------------------------
 
-    # cargo variables only on arcs some ship can sail
-    sailable = {(i, j) for (_, i, j) in yvars}
+
+def add_ship_arcs(
+    model: LinearModel,
+    instance: Instance,
+    reach: ReachIndex,
+    ship,
+    node_price: dict[str, float] | None = None,
+    excluded: frozenset[str] = frozenset(),
+) -> dict[tuple[str, str], int]:
+    """A ship's binary arc variables y[(i, j)]: every arc whose tail the ship
+    can reach from its start, less those touching an excluded visit.  Each
+    costs its sail cost, the port fee of its head and the head's node price."""
+    node_price = node_price or {}
+    sink = instance.sink
+    yvars = {}
+    for a in instance.arcs:
+        if not reach.can_reach(ship.start_visit, a.src):
+            continue
+        if a.src in excluded or a.dst in excluded:
+            continue
+        cost = a.cost_for(ship.ship_type)
+        fee = 0.0 if a.dst == sink else instance.visit_by_id[a.dst].port_fee
+        price = 0.0 if a.dst == sink else node_price.get(a.dst, 0.0)
+        yvars[(a.src, a.dst)] = model.add_var(
+            0.0, 1.0, obj=-(cost + fee + price), integer=True, name=f"y[{ship.id},{a.src},{a.dst}]"
+        )
+    return yvars
+
+
+def leaves_start(instance: Instance, ship, yvars: dict[tuple[str, str], int]) -> bool:
+    """Whether some arc variable of the ship leaves its start visit."""
+    return any((a.src, a.dst) in yvars for a in instance.out_arcs[ship.start_visit])
+
+
+def add_path_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]) -> None:
+    """Path rows of the ships in yvars: each leaves its start exactly once,
+    all of them reach the sink, and each conserves flow at every visit
+    other than their starts."""
+    ships = [instance.ship_by_id[sid] for sid in yvars]
+    for s in ships:
+        ys = yvars[s.id]
+        coeffs = {ys[(a.src, a.dst)]: 1.0 for a in instance.out_arcs[s.start_visit] if (a.src, a.dst) in ys}
+        model.add_constr(coeffs, EQ, 1.0, f"start[{s.id}]")
+    coeffs = {}
+    for ys in yvars.values():
+        for a in instance.in_arcs[instance.sink]:
+            j = ys.get((a.src, a.dst))
+            if j is not None:
+                coeffs[j] = 1.0
+    model.add_constr(coeffs, EQ, float(len(ships)), "sink")
+    starts = {s.start_visit for s in ships}
+    for s in ships:
+        ys = yvars[s.id]
+        for v in instance.visits:
+            if v.id in starts:
+                continue
+            coeffs = {}
+            for a in instance.in_arcs[v.id]:
+                j = ys.get((a.src, a.dst))
+                if j is not None:
+                    coeffs[j] = coeffs.get(j, 0.0) + 1.0
+            for a in instance.out_arcs[v.id]:
+                j = ys.get((a.src, a.dst))
+                if j is not None:
+                    coeffs[j] = coeffs.get(j, 0.0) - 1.0
+            if coeffs:
+                model.add_constr(coeffs, EQ, 0.0, f"cons[{s.id},{v.id}]")
+
+
+def add_revised_cargo(
+    model: LinearModel, instance: Instance, reach: ReachIndex, yvars: dict[str, dict]
+) -> dict[tuple, int]:
+    """Revised cargo block of the ships in yvars: flows x[(ship, demand, i, j)]
+    on the ship's arcs, with its arc capacities, availability gates,
+    flow/absorption rows and the min(amount, capacity) link rows."""
     xvars: dict[tuple, int] = {}
-    for m in instance.demands:
-        for (i, j) in sorted(reach.demand_arcs[m.id]):
-            if (i, j) in sailable:
-                xvars[(m.id, i, j)] = model.add_var(
-                    0.0, m.amount, obj=_cargo_objective(instance, m.id, i, j),
-                    name=f"x[{m.id},{i},{j}]",
-                )
+    for sid, ys in yvars.items():
+        s = instance.ship_by_id[sid]
+        for mid in sorted(reach.movable[sid]):
+            m = instance.demand_by_id[mid]
+            cap = s.capacity_rf if m.cargo_type == "rf" else s.capacity_dc
+            for (i, j) in sorted(reach.demand_arcs[mid]):
+                if (i, j) in ys:
+                    xvars[(sid, mid, i, j)] = model.add_var(
+                        0.0, min(m.amount, cap),
+                        obj=_cargo_objective(instance, mid, i, j),
+                        name=f"x[{sid},{mid},{i},{j}]",
+                    )
 
-    _add_ship_routing(model, instance, reach, yvars)
-
-    # joint arc capacities over all ships, reefer and total
-    arcs_with_cargo = sorted({(i, j) for (_, i, j) in xvars})
-    for (i, j) in arcs_with_cargo:
-        rf = {}
-        total = {}
-        for m in instance.demands:
-            v = xvars.get((m.id, i, j))
-            if v is None:
-                continue
-            total[v] = 1.0
-            if m.cargo_type == "rf":
-                rf[v] = 1.0
-        for s in instance.ships:
-            yj = yvars.get((s.id, i, j))
-            if yj is None:
-                continue
+    # per-ship arc capacities
+    arcs_by_ship: dict[str, set[tuple[str, str]]] = {}
+    for (sid, mid, i, j) in xvars:
+        arcs_by_ship.setdefault(sid, set()).add((i, j))
+    for sid, ys in yvars.items():
+        s = instance.ship_by_id[sid]
+        for (i, j) in sorted(arcs_by_ship.get(sid, ())):
+            yj = ys[(i, j)]
+            rf = {}
+            total = {}
+            for m in instance.demands:
+                v = xvars.get((sid, m.id, i, j))
+                if v is None:
+                    continue
+                total[v] = 1.0
+                if m.cargo_type == "rf":
+                    rf[v] = 1.0
             if rf:
                 rf[yj] = -s.capacity_rf
+                model.add_constr(rf, LE, 0.0, f"cap_rf[{sid},{i},{j}]")
             total[yj] = -s.capacity_dc
-        if rf:
-            model.add_constr(rf, LE, 0.0, f"cap_rf[{i},{j}]")
-        model.add_constr(total, LE, 0.0, f"cap_dc[{i},{j}]")
+            model.add_constr(total, LE, 0.0, f"cap_dc[{sid},{i},{j}]")
 
-    # availability gate at each origin
-    for m in instance.demands:
-        coeffs = {}
-        for a in instance.out_arcs[m.origin]:
-            v = xvars.get((m.id, a.src, a.dst))
-            if v is not None:
-                coeffs[v] = 1.0
-            for s in instance.ships:
-                yj = yvars.get((s.id, a.src, a.dst))
+    # per-ship availability gates
+    for sid, ys in yvars.items():
+        for mid in sorted(reach.movable[sid]):
+            m = instance.demand_by_id[mid]
+            coeffs = {}
+            for a in instance.out_arcs[m.origin]:
+                v = xvars.get((sid, mid, a.src, a.dst))
+                if v is not None:
+                    coeffs[v] = 1.0
+                yj = ys.get((a.src, a.dst))
                 if yj is not None:
                     coeffs[yj] = coeffs.get(yj, 0.0) - m.amount
-        if coeffs:
-            model.add_constr(coeffs, LE, 0.0, f"avail[{m.id}]")
+            if coeffs:
+                model.add_constr(coeffs, LE, 0.0, f"avail[{sid},{mid}]")
 
-    _add_cargo_conservation(model, instance, xvars, per_ship=False)
+    _add_cargo_conservation(model, instance, xvars, per_ship=True)
 
-    if tighten:
-        for (mid, i, j), v in xvars.items():
-            coeffs = {v: 1.0}
-            amount = instance.demand_by_id[mid].amount
-            for s in instance.ships:
-                yj = yvars.get((s.id, i, j))
-                if yj is not None:
-                    coeffs[yj] = -amount
-            model.add_constr(coeffs, LE, 0.0, f"tight[{mid},{i},{j}]")
-
-    return model, ArcFlowVars(yvars, xvars, per_ship=False)
+    # disaggregated link: no more cargo than available or loadable per ship
+    for (sid, mid, i, j), v in xvars.items():
+        s = instance.ship_by_id[sid]
+        m = instance.demand_by_id[mid]
+        cap = s.capacity_rf if m.cargo_type == "rf" else s.capacity_dc
+        model.add_constr(
+            {v: 1.0, yvars[sid][(i, j)]: -min(m.amount, cap)}, LE, 0.0,
+            f"link[{sid},{mid},{i},{j}]",
+        )
+    return xvars
 
 
 def _add_cargo_conservation(model, instance, xvars, per_ship: bool) -> None:
@@ -246,82 +258,142 @@ def _add_cargo_conservation(model, instance, xvars, per_ship: bool) -> None:
                 model.add_constr(coeffs, EQ, 0.0, f"flow[{tag},{node}]")
 
 
+def _add_node_once_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]) -> None:
+    """Each visit entered at most once, across all ships."""
+    for v in instance.visits:
+        coeffs = {}
+        for ys in yvars.values():
+            for a in instance.in_arcs[v.id]:
+                j = ys.get((a.src, a.dst))
+                if j is not None:
+                    coeffs[j] = 1.0
+        if coeffs:
+            model.add_constr(coeffs, LE, 1.0, f"once[{v.id}]")
+
+
+# -- the models -------------------------------------------------------------------
+
+
+def build_reduced(
+    instance: Instance, reach: ReachIndex | None = None, tighten: bool = False
+) -> tuple[LinearModel, ArcFlowVars]:
+    """Reduced MIP: binary ship-arc variables plus ship-aggregated cargo
+    flows; tighten=True adds the per-arc availability rows."""
+    ensure_valid(instance)
+    _reject_empties(instance)
+    reach = reach or build_reach_index(instance)
+    model = LinearModel("reduced" + ("-tight" if tighten else ""))
+    yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
+
+    # cargo variables only on arcs some ship can sail
+    sailable = {arc for ys in yvars.values() for arc in ys}
+    xvars: dict[tuple, int] = {}
+    for m in instance.demands:
+        for (i, j) in sorted(reach.demand_arcs[m.id]):
+            if (i, j) in sailable:
+                xvars[(m.id, i, j)] = model.add_var(
+                    0.0, m.amount, obj=_cargo_objective(instance, m.id, i, j),
+                    name=f"x[{m.id},{i},{j}]",
+                )
+
+    _add_node_once_rows(model, instance, yvars)
+    add_path_rows(model, instance, yvars)
+
+    # joint arc capacities over all ships, reefer and total
+    arcs_with_cargo = sorted({(i, j) for (_, i, j) in xvars})
+    for (i, j) in arcs_with_cargo:
+        rf = {}
+        total = {}
+        for m in instance.demands:
+            v = xvars.get((m.id, i, j))
+            if v is None:
+                continue
+            total[v] = 1.0
+            if m.cargo_type == "rf":
+                rf[v] = 1.0
+        for s in instance.ships:
+            yj = yvars[s.id].get((i, j))
+            if yj is None:
+                continue
+            if rf:
+                rf[yj] = -s.capacity_rf
+            total[yj] = -s.capacity_dc
+        if rf:
+            model.add_constr(rf, LE, 0.0, f"cap_rf[{i},{j}]")
+        model.add_constr(total, LE, 0.0, f"cap_dc[{i},{j}]")
+
+    # availability gate at each origin
+    for m in instance.demands:
+        coeffs = {}
+        for a in instance.out_arcs[m.origin]:
+            v = xvars.get((m.id, a.src, a.dst))
+            if v is not None:
+                coeffs[v] = 1.0
+            for s in instance.ships:
+                yj = yvars[s.id].get((a.src, a.dst))
+                if yj is not None:
+                    coeffs[yj] = coeffs.get(yj, 0.0) - m.amount
+        if coeffs:
+            model.add_constr(coeffs, LE, 0.0, f"avail[{m.id}]")
+
+    _add_cargo_conservation(model, instance, xvars, per_ship=False)
+
+    if tighten:
+        for (mid, i, j), v in xvars.items():
+            coeffs = {v: 1.0}
+            amount = instance.demand_by_id[mid].amount
+            for s in instance.ships:
+                yj = yvars[s.id].get((i, j))
+                if yj is not None:
+                    coeffs[yj] = -amount
+            model.add_constr(coeffs, LE, 0.0, f"tight[{mid},{i},{j}]")
+
+    return model, ArcFlowVars(yvars, xvars, per_ship=False)
+
+
 def build_revised(
     instance: Instance, reach: ReachIndex | None = None
 ) -> tuple[LinearModel, ArcFlowVars]:
-    """Revised MIP: cargo variables disaggregated per ship, with per-ship
-    capacities and the min(amount, capacity) linking rows."""
+    """Revised MIP: node-once rows, then every ship's path rows and cargo
+    block, with cargo variables disaggregated per ship."""
     ensure_valid(instance)
     _reject_empties(instance)
     reach = reach or build_reach_index(instance)
     model = LinearModel("revised")
-    yvars = _make_y_vars(model, instance, reach)
-
-    xvars: dict[tuple, int] = {}
-    for s in instance.ships:
-        for mid in sorted(reach.movable[s.id]):
-            m = instance.demand_by_id[mid]
-            cap = s.capacity_rf if m.cargo_type == "rf" else s.capacity_dc
-            for (i, j) in sorted(reach.demand_arcs[mid]):
-                if (s.id, i, j) in yvars:
-                    xvars[(s.id, mid, i, j)] = model.add_var(
-                        0.0, min(m.amount, cap),
-                        obj=_cargo_objective(instance, mid, i, j),
-                        name=f"x[{s.id},{mid},{i},{j}]",
-                    )
-
-    _add_ship_routing(model, instance, reach, yvars)
-
-    # per-ship arc capacities
-    arcs_by_ship: dict[str, set[tuple[str, str]]] = {}
-    for (sid, mid, i, j) in xvars:
-        arcs_by_ship.setdefault(sid, set()).add((i, j))
-    for s in instance.ships:
-        for (i, j) in sorted(arcs_by_ship.get(s.id, ())):
-            yj = yvars[(s.id, i, j)]
-            rf = {}
-            total = {}
-            for m in instance.demands:
-                v = xvars.get((s.id, m.id, i, j))
-                if v is None:
-                    continue
-                total[v] = 1.0
-                if m.cargo_type == "rf":
-                    rf[v] = 1.0
-            if rf:
-                rf[yj] = -s.capacity_rf
-                model.add_constr(rf, LE, 0.0, f"cap_rf[{s.id},{i},{j}]")
-            total[yj] = -s.capacity_dc
-            model.add_constr(total, LE, 0.0, f"cap_dc[{s.id},{i},{j}]")
-
-    # per-ship availability gates
-    for s in instance.ships:
-        for mid in sorted(reach.movable[s.id]):
-            m = instance.demand_by_id[mid]
-            coeffs = {}
-            for a in instance.out_arcs[m.origin]:
-                v = xvars.get((s.id, mid, a.src, a.dst))
-                if v is not None:
-                    coeffs[v] = 1.0
-                yj = yvars.get((s.id, a.src, a.dst))
-                if yj is not None:
-                    coeffs[yj] = coeffs.get(yj, 0.0) - m.amount
-            if coeffs:
-                model.add_constr(coeffs, LE, 0.0, f"avail[{s.id},{mid}]")
-
-    _add_cargo_conservation(model, instance, xvars, per_ship=True)
-
-    # disaggregated link: no more cargo than available or loadable per ship
-    for (sid, mid, i, j), v in xvars.items():
-        s = instance.ship_by_id[sid]
-        m = instance.demand_by_id[mid]
-        cap = s.capacity_rf if m.cargo_type == "rf" else s.capacity_dc
-        model.add_constr(
-            {v: 1.0, yvars[(sid, i, j)]: -min(m.amount, cap)}, LE, 0.0,
-            f"link[{sid},{mid},{i},{j}]",
-        )
-
+    yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
+    _add_node_once_rows(model, instance, yvars)
+    add_path_rows(model, instance, yvars)
+    xvars = add_revised_cargo(model, instance, reach, yvars)
     return model, ArcFlowVars(yvars, xvars, per_ship=True)
+
+
+def build_ship_revised(
+    instance: Instance,
+    reach: ReachIndex,
+    ship,
+    node_price: dict[str, float] | None = None,
+    excluded: frozenset[str] = frozenset(),
+) -> tuple[LinearModel, ArcFlowVars] | None:
+    """The revised model of one ship without the node-once rows: the
+    arc-flow pricing model.  None when no arc leaves the ship's start."""
+    model = LinearModel(f"price[{ship.id}]")
+    yvars = {ship.id: add_ship_arcs(model, instance, reach, ship, node_price, excluded)}
+    if not leaves_start(instance, ship, yvars[ship.id]):
+        return None
+    add_path_rows(model, instance, yvars)
+    xvars = add_revised_cargo(model, instance, reach, yvars)
+    return model, ArcFlowVars(yvars, xvars, per_ship=True)
+
+
+def build_arcflow(
+    instance: Instance, method: str, reach: ReachIndex | None = None
+) -> tuple[LinearModel, ArcFlowVars]:
+    """The arc-flow MIP a method names: reduced, reduced-tight or revised."""
+    if method in ("reduced", "reduced-tight"):
+        return build_reduced(instance, reach, tighten=method == "reduced-tight")
+    if method == "revised":
+        return build_revised(instance, reach)
+    raise ValueError(f"unknown arc-flow method {method!r}")
 
 
 # -- extraction and evaluation ----------------------------------------------------
@@ -349,11 +421,12 @@ def extract_solution(
     x: "list[float]",
     method: str,
 ) -> Solution:
-    """Turn an integer solution vector into paths and per-destination flows."""
+    """Turn an integer solution vector into paths and per-destination flows,
+    for the ships whose arc variables vars_ holds."""
     sol = Solution(method=method, status=OPTIMAL)
-    for s in instance.ships:
-        yvars = {(i, j): v for (sid, i, j), v in vars_.y.items() if sid == s.id}
-        sol.ship_paths[s.id] = _trace_path(yvars, x, s.start_visit, instance.sink)
+    for sid, yvars in vars_.y.items():
+        start = instance.ship_by_id[sid].start_visit
+        sol.ship_paths[sid] = _trace_path(yvars, x, start, instance.sink)
 
     visit_owner = {}
     for sid, path in sol.ship_paths.items():
@@ -431,17 +504,9 @@ def evaluate_objective(instance: Instance, solution: Solution) -> float:
 def solve_arcflow(instance: Instance, method: str, time_limit: float | None = None) -> Solution:
     """Solve via one of the arc-flow MIPs: reduced, reduced-tight, revised."""
     t0 = time.monotonic()
-    reach = build_reach_index(instance)
-    if method == "reduced":
-        model, vars_ = build_reduced(instance, reach, tighten=False)
-    elif method == "reduced-tight":
-        model, vars_ = build_reduced(instance, reach, tighten=True)
-    elif method == "revised":
-        model, vars_ = build_revised(instance, reach)
-    else:
-        raise ValueError(f"unknown arc-flow method {method!r}")
-
-    mip = lp.solve_mip(model, time_limit=time_limit)
+    deadline = None if time_limit is None else t0 + time_limit
+    model, vars_ = build_arcflow(instance, method, build_reach_index(instance))
+    mip = lp.solve_mip(model, deadline=deadline)
     rows, cols, nnz = model.size_triple()
     diag = Diagnostics(bnb_nodes=mip.nodes, model_rows=rows, model_cols=cols, model_nonzeros=nnz)
 
@@ -457,20 +522,3 @@ def solve_arcflow(instance: Instance, method: str, time_limit: float | None = No
         sol.diagnostics = diag
     diag.wall_time_sec = time.monotonic() - t0
     return sol
-
-
-def relaxation_value(instance: Instance, method: str) -> float:
-    """Optimal value of the LP relaxation of the chosen arc-flow model."""
-    reach = build_reach_index(instance)
-    if method == "reduced":
-        model, _ = build_reduced(instance, reach)
-    elif method == "reduced-tight":
-        model, _ = build_reduced(instance, reach, tighten=True)
-    elif method == "revised":
-        model, _ = build_revised(instance, reach)
-    else:
-        raise ValueError(f"unknown arc-flow method {method!r}")
-    sol = lp.solve_lp(model)
-    if sol.status != lp.OPTIMAL:
-        raise RuntimeError(f"relaxation of {method} is {sol.status}")
-    return sol.objective

@@ -433,14 +433,6 @@ def build_reach_index(instance: Instance) -> ReachIndex:
     return ReachIndex(instance)
 
 
-def movable_demands(instance: Instance, ship_id: str, reach: ReachIndex | None = None) -> frozenset[str]:
-    """Demand ids that the given ship can pick up and deliver."""
-    if ship_id not in instance.ship_by_id:
-        raise KeyError(f"unknown ship {ship_id!r}")
-    reach = reach or build_reach_index(instance)
-    return reach.movable[ship_id]
-
-
 def path_count(instance: Instance, ship_id: str) -> int:
     """Exact number of start->sink directed paths (saturating at a cap)."""
     ship = instance.ship_by_id.get(ship_id)

@@ -11,6 +11,10 @@ of the ship's pricing model, which is built once and re-priced each round.
 
 Multi-destination demands whose variables a cut could wrongly tie together
 are split into per-destination variables sharing one availability cap.
+
+A ship's arc variables and path rows come from the shared per-ship
+builders of lsfrp.formulations, the same ones the arc-flow models use;
+the cargo rows below are the compact model's own.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from dataclasses import dataclass
 
 from . import lp
 from .colgen import CgConfig, Column, PricingModel, _usable_pricing_result, run_column_generation
-from .formulations import _trace_path, evaluate_objective
+from .formulations import _trace_path, add_path_rows, add_ship_arcs, evaluate_objective, leaves_start
 from .instance import Instance, ReachIndex, Ship, build_reach_index
-from .lp import EQ, LE, LinearModel
+from .lp import LE, LinearModel
 from .solution import OPTIMAL, DemandFlow, Diagnostics, EmptyFlow, Solution
 
 
@@ -208,53 +212,15 @@ def build_compact_pricing(
     origin/destination gates, split caps and empty pairs.  Returns None when
     the start visit is excluded or left without an outgoing arc."""
     reach = reach or build_reach_index(instance)
-    node_price = node_price or {}
     ins = instance
     ship = ins.ship_by_id[ship_id]
-    sink = ins.sink
     if ship.start_visit in excluded:
         return None
     model = LinearModel(f"compact[{ship_id}]")
-
-    yvars: dict[tuple[str, str], int] = {}
-    for a in ins.arcs:
-        if not reach.can_reach(ship.start_visit, a.src):
-            continue
-        if a.src in excluded or a.dst in excluded:
-            continue
-        cost = a.cost_for(ship.ship_type)
-        fee = 0.0 if a.dst == sink else ins.visit_by_id[a.dst].port_fee
-        price = 0.0 if a.dst == sink else node_price.get(a.dst, 0.0)
-        yvars[(a.src, a.dst)] = model.add_var(
-            0.0, 1.0, obj=-(cost + fee + price), integer=True, name=f"y[{a.src},{a.dst}]"
-        )
-
-    start_coeffs = {
-        yvars[(a.src, a.dst)]: 1.0
-        for a in ins.out_arcs[ship.start_visit]
-        if (a.src, a.dst) in yvars
-    }
-    if not start_coeffs:
+    yvars = add_ship_arcs(model, ins, reach, ship, node_price, excluded)
+    if not leaves_start(ins, ship, yvars):
         return None
-    model.add_constr(start_coeffs, EQ, 1.0, "start")
-    model.add_constr(
-        {yvars[(a.src, a.dst)]: 1.0 for a in ins.in_arcs[sink] if (a.src, a.dst) in yvars},
-        EQ, 1.0, "sink",
-    )
-    for v in ins.visits:
-        if v.id == ship.start_visit:
-            continue
-        coeffs: dict[int, float] = {}
-        for a in ins.in_arcs[v.id]:
-            k = yvars.get((a.src, a.dst))
-            if k is not None:
-                coeffs[k] = coeffs.get(k, 0.0) + 1.0
-        for a in ins.out_arcs[v.id]:
-            k = yvars.get((a.src, a.dst))
-            if k is not None:
-                coeffs[k] = coeffs.get(k, 0.0) - 1.0
-        if coeffs:
-            model.add_constr(coeffs, EQ, 0.0, f"cons[{v.id}]")
+    add_path_rows(model, ins, {ship_id: yvars})
 
     members = _members_for_ship(ins, reach, ship_id, splitting)
     reachable_members = []
@@ -343,7 +309,7 @@ def build_compact_pricing(
         outflow = {
             yvars[(a.src, a.dst)]: 1.0
             for a in ins.out_arcs[k]
-            if a.dst != sink and (a.src, a.dst) in yvars
+            if a.dst != ins.sink and (a.src, a.dst) in yvars
         }
         total = {xvars[d]: 1.0 for d in dkeys}
         total.update({evars[e]: 1.0 for e in ekeys})
@@ -554,7 +520,7 @@ class CompactPricing:
         node_price: dict[str, float],
         excluded: frozenset[str],
         stop_above: float | None = None,
-        time_limit: float | None = None,
+        deadline: float | None = None,
     ):
         ins = self.instance
         if ins.ship_by_id[ship_id].start_visit in excluded:
@@ -585,7 +551,7 @@ class CompactPricing:
 
         mip = priced.solve(
             node_price, excluded,
-            on_candidate=on_candidate, stop_above=stop_above, time_limit=time_limit,
+            on_candidate=on_candidate, stop_above=stop_above, deadline=deadline,
         )
         # the new pool cuts become rows in the order solve_mip added them
         for cut in pool[pooled:]:

@@ -99,6 +99,11 @@ class SolveTimeLimit(RuntimeError):
     """A pricing-level solve ran out of its time budget."""
 
 
+def expired(deadline: float | None) -> bool:
+    """Whether an absolute ``time.monotonic()`` deadline has passed."""
+    return deadline is not None and time.monotonic() > deadline
+
+
 @dataclass
 class Constraint:
     coeffs: dict[int, float]
@@ -200,32 +205,6 @@ class LinearModel:
 
     def size_triple(self) -> tuple[int, int, int]:
         return (self.num_rows, self.num_vars, self.num_nonzeros)
-
-    def to_lp_text(self) -> str:
-        """Debug dump in LP text format for external verification."""
-
-        def term(j: int, c: float) -> str:
-            return f"{'+' if c >= 0 else '-'} {abs(c):.12g} {self.var_names[j]}"
-
-        lines = [f"\\ model {self.name or 'unnamed'}", "Maximize"]
-        objterms = " ".join(term(j, c) for j, c in enumerate(self.obj) if c != 0.0) or "0 x0"
-        lines.append(f" obj: {objterms}")
-        lines.append("Subject To")
-        for r in self.rows:
-            body = " ".join(term(j, r.coeffs[j]) for j in sorted(r.coeffs))
-            op = {LE: "<=", EQ: "=", GE: ">="}[r.sense]
-            lines.append(f" {r.name}: {body or '0 x0'} {op} {r.rhs:.12g}")
-        lines.append("Bounds")
-        for j in range(self.num_vars):
-            lo = "-inf" if self.lb[j] == -INF else f"{self.lb[j]:.12g}"
-            hi = "+inf" if self.ub[j] == INF else f"{self.ub[j]:.12g}"
-            lines.append(f" {lo} <= {self.var_names[j]} <= {hi}")
-        ints = [self.var_names[j] for j in range(self.num_vars) if self.is_int[j]]
-        if ints:
-            lines.append("Generals")
-            lines.append(" " + " ".join(ints))
-        lines.append("End")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -503,11 +482,7 @@ class _Simplex:
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
-            if (
-                self.deadline is not None
-                and self.iterations % 128 == 0
-                and time.monotonic() > self.deadline
-            ):
+            if self.iterations % 128 == 0 and expired(self.deadline):
                 return TIME_LIMIT
             self.iterations += 1
 
@@ -613,11 +588,7 @@ class _Simplex:
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
-            if (
-                self.deadline is not None
-                and self.iterations % 128 == 0
-                and time.monotonic() > self.deadline
-            ):
+            if self.iterations % 128 == 0 and expired(self.deadline):
                 return TIME_LIMIT
 
             xB = self.xB
@@ -931,7 +902,7 @@ def _violation(cut: Constraint, x: np.ndarray) -> float:
 def solve_mip(
     model: LinearModel,
     on_candidate: CandidateCallback | None = None,
-    time_limit: float | None = None,
+    deadline: float | None = None,
     stop_above: float | None = None,
     warm: LpBasis | None = None,
 ) -> MipSolution:
@@ -955,9 +926,12 @@ def solve_mip(
     does not grow with the open list; the last node that branched keeps
     its inverse for whichever of its children is popped while it is the
     last.
+
+    deadline is an absolute ``time.monotonic()`` instant.  Once it passes,
+    no further node starts and the LP in progress stops at its next check;
+    the result is then "time_limit" with the best incumbent found, if any,
+    and the best bound among the open nodes.
     """
-    t0 = time.monotonic()
-    deadline = t0 + time_limit if time_limit is not None else None
     int_idx = np.flatnonzero(np.array(model.is_int, dtype=bool))
     cuts: list[Constraint] = []
     cuts_added = 0
@@ -984,7 +958,7 @@ def solve_mip(
             continue
         if branched is not None and warm is not None and warm.basic is branched.basic:
             warm = branched
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
+        if expired(deadline):
             timed_out = True
             abandoned_bound = -neg_bound
             break

@@ -14,7 +14,7 @@ from typing import Iterator
 from . import lp
 from .instance import Instance, ensure_valid, enumerate_paths, path_count
 from .lp import LE, LinearModel
-from .solution import OPTIMAL, DemandFlow, Diagnostics, EmptyFlow, Solution
+from .solution import NO_DISJOINT_ROUTING, OPTIMAL, DemandFlow, Diagnostics, EmptyFlow, Solution
 
 DEFAULT_BUDGET = 10**6
 
@@ -28,7 +28,7 @@ class PathAssignment:
     paths: tuple[tuple[str, ...], ...]  # one start->sink path per ship, in ship order
 
 
-def _node_mask(instance: Instance, path: tuple[str, ...], index: dict[str, int]) -> int:
+def _node_mask(path: tuple[str, ...], index: dict[str, int]) -> int:
     mask = 0
     for node in path[:-1]:  # sink shared by all ships
         mask |= 1 << index[node]
@@ -50,7 +50,7 @@ def enumerate_disjoint_paths(
             )
     index = {v.id: k for k, v in enumerate(instance.visits)}
     per_ship = [enumerate_paths(instance, s.start_visit) for s in instance.ships]
-    masks = [[_node_mask(instance, p, index) for p in paths] for paths in per_ship]
+    masks = [[_node_mask(p, index) for p in paths] for paths in per_ship]
 
     def rec(k: int, used: int, acc: list[tuple[str, ...]]) -> Iterator[PathAssignment]:
         if k == len(per_ship):
@@ -161,65 +161,34 @@ def _cargo_lp(instance: Instance, ship, path: tuple[str, ...]):
 def brute_force_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> Solution:
     """Exact optimum by exhaustive assignment enumeration; ties broken by
     enumeration order."""
-    ensure_valid(instance)
-    index = {v.id: k for k, v in enumerate(instance.visits)}
-    # cache per (ship, path) value so shared paths across assignments price once
-    per_ship_paths: list[list[tuple[str, ...]]] = []
-    per_ship_masks: list[list[int]] = []
-    product = 1
-    for s in instance.ships:
-        product *= max(path_count(instance, s.id), 1)
-        if product > budget:
-            raise OracleBudgetError(
-                f"path assignment space exceeds budget ({product} > {budget})"
-            )
-    for s in instance.ships:
-        paths = enumerate_paths(instance, s.start_visit)
-        per_ship_paths.append(paths)
-        per_ship_masks.append([_node_mask(instance, p, index) for p in paths])
+    # each (ship, path) value is priced once, however many assignments share it
+    cache: dict[tuple[int, tuple[str, ...]], tuple[float, list, list]] = {}
 
-    cache: dict[tuple[int, int], tuple[float, list, list]] = {}
-
-    def value(k: int, pi: int):
-        key = (k, pi)
+    def value(k: int, path: tuple[str, ...]):
+        key = (k, path)
         if key not in cache:
             ship = instance.ships[k]
-            path = per_ship_paths[k][pi]
             base = -instance.path_cost(ship, path)
             cargo, flows, empties = _cargo_lp(instance, ship, path)
             cache[key] = (base + cargo, flows, empties)
         return cache[key]
 
     best_total = -lp.INF
-    best_choice: tuple[int, ...] | None = None
-
-    n_ships = len(instance.ships)
-    choice = [0] * n_ships
-
-    def rec(k: int, used: int, acc: float) -> None:
-        nonlocal best_total, best_choice
-        if k == n_ships:
-            if acc > best_total + 1e-12:
-                best_total = acc
-                best_choice = tuple(choice)
-            return
-        for pi, mask in enumerate(per_ship_masks[k]):
-            if used & mask:
-                continue
-            choice[k] = pi
-            rec(k + 1, used | mask, acc + value(k, pi)[0])
-
-    rec(0, 0, 0.0)
+    best: PathAssignment | None = None
+    for assignment in enumerate_disjoint_paths(instance, budget):
+        total = 0.0
+        for k, path in enumerate(assignment.paths):
+            total += value(k, path)[0]
+        if total > best_total + 1e-12:
+            best_total, best = total, assignment
 
     diag = Diagnostics()
-    if best_choice is None:
-        from .solution import NO_DISJOINT_ROUTING
-
+    if best is None:
         return Solution(method="oracle", status=NO_DISJOINT_ROUTING, diagnostics=diag)
     sol = Solution(method="oracle", status=OPTIMAL, objective=best_total, bound=best_total, diagnostics=diag)
-    for k, s in enumerate(instance.ships):
-        v, flows, empties = value(k, best_choice[k])
-        sol.ship_paths[s.id] = per_ship_paths[k][best_choice[k]]
+    for k, (s, path) in enumerate(zip(instance.ships, best.paths)):
+        _, flows, empties = value(k, path)
+        sol.ship_paths[s.id] = path
         sol.demand_flows.extend(flows)
         sol.empty_flows.extend(empties)
     return sol

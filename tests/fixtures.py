@@ -7,6 +7,7 @@ Expected values marked below were computed with the brute-force oracle
 import random
 
 from lsfrp import lp
+from lsfrp.formulations import build_arcflow
 from lsfrp.instance import Demand, EmptyPoint, Instance, Ship, Visit, make_arc
 
 Z0 = {"T0": 0}
@@ -267,3 +268,12 @@ def record_warm_roots(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(lp, "solve_mip", solve_mip)
     monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
     return counts
+
+
+def relaxation_value(instance: Instance, method: str) -> float:
+    """Optimal value of the LP relaxation of the chosen arc-flow model."""
+    model, _ = build_arcflow(instance, method)
+    sol = lp.solve_lp(model)
+    if sol.status != lp.OPTIMAL:
+        raise RuntimeError(f"relaxation of {method} is {sol.status}")
+    return sol.objective

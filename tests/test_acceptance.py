@@ -19,8 +19,8 @@ import pytest
 
 from lsfrp import lp
 from lsfrp.cli import main
-from lsfrp.colgen import ArcFlowPricing, CgConfig, run_column_generation
-from lsfrp.formulations import relaxation_value, solve_arcflow
+from lsfrp.colgen import CgConfig, run_column_generation
+from lsfrp.formulations import build_ship_revised, solve_arcflow
 from lsfrp.instance import build_reach_index
 from lsfrp.io import GeneratorParams, generate_random, write_instance
 from lsfrp.lazy import build_compact_pricing, capacity_violations, run_colgen_lazy
@@ -33,6 +33,7 @@ from fixtures import (
     fig3_split,
     overload1,
     reefer_overload,
+    relaxation_value,
     t1,
 )
 
@@ -243,9 +244,8 @@ def test_criterion_8_model_size_ordering():
         n_aprime = sum(1 for a in ins.arcs if a.dst != ins.sink)
         assert n_aprime >= 100, f"seed {seed} too sparse: {n_aprime}"
         reach = build_reach_index(ins)
-        engine = ArcFlowPricing(ins, reach)
         for s in ins.ships:
-            arc_model, _, _ = engine._build(s, {}, frozenset())
+            arc_model, _ = build_ship_revised(ins, reach, s)
             compact = build_compact_pricing(ins, s.id, reach=reach).model
             ar, ac, az = arc_model.size_triple()
             cr, cc, cz = compact.size_triple()

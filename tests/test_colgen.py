@@ -14,7 +14,7 @@ from lsfrp.colgen import (
     run_column_generation,
     solve_rmp,
 )
-from lsfrp.formulations import solve_arcflow
+from lsfrp.formulations import build_ship_revised, solve_arcflow
 from lsfrp.instance import build_reach_index
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.oracle import brute_force_solve
@@ -315,10 +315,10 @@ def test_persistent_arcflow_engine_matches_fresh_models(monkeypatch, params):
     warm = record_warm_roots(monkeypatch)
     for ship_id, prices, excluded in pricing_calls(ins, params.seed, 15):
         ship = ins.ship_by_id[ship_id]
-        model, _, _ = ArcFlowPricing(ins, reach)._build(ship, prices, excluded)
+        built = build_ship_revised(ins, reach, ship, prices, excluded)
         expected = None
-        if model is not None:
-            mip = lp.solve_mip(model)
+        if built is not None:
+            mip = lp.solve_mip(built[0])
             if mip.status == lp.OPTIMAL:
                 expected = mip.objective - prices[ship.start_visit]
         col, value = engine.price(ship_id, prices, excluded)

@@ -6,7 +6,6 @@ from lsfrp.formulations import (
     build_reduced,
     build_revised,
     evaluate_objective,
-    relaxation_value,
     solve_arcflow,
 )
 from lsfrp.io import GeneratorParams, generate_random
@@ -18,6 +17,7 @@ from fixtures import (
     T1_OPT,
     empty_repos19,
     gap_2ship,
+    relaxation_value,
     shared_corridor,
     t1,
 )

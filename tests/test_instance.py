@@ -9,7 +9,6 @@ from lsfrp.instance import (
     build_reach_index,
     enumerate_paths,
     make_arc,
-    movable_demands,
     path_count,
     validate,
 )
@@ -157,10 +156,10 @@ def test_path_count_matches_enumeration():
 
 
 def test_movable_demands():
-    ins = t1()
-    assert movable_demands(ins, "s1") == frozenset({"m1"})
+    movable = build_reach_index(t1()).movable
+    assert movable["s1"] == frozenset({"m1"})
     with pytest.raises(KeyError):
-        movable_demands(ins, "ghost")
+        movable["ghost"]
 
 
 def test_movable_demands_unreachable_origin():
@@ -188,8 +187,9 @@ def test_movable_demands_unreachable_origin():
         ],
         [Demand("m1", "b", frozenset({"c"}), "dc", 5, 5)],
     )
-    assert movable_demands(two, "s2") == frozenset({"m1"})
-    assert movable_demands(two, "s1") == frozenset()
+    movable = build_reach_index(two).movable
+    assert movable["s2"] == frozenset({"m1"})
+    assert movable["s1"] == frozenset()
 
 
 def test_topological_order_agrees_with_arcs():

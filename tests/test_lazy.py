@@ -126,13 +126,12 @@ def test_compact_t1_optimum_no_cuts():
 
 
 def test_compact_model_smaller_than_arcflow():
-    from lsfrp.colgen import ArcFlowPricing
+    from lsfrp.formulations import build_ship_revised
 
     ins = generate_random(GeneratorParams(ships=2, visits=12, demands=10, seed=8))
     reach = build_reach_index(ins)
-    arc_engine = ArcFlowPricing(ins, reach)
     for s in ins.ships:
-        arc_model, _, _ = arc_engine._build(s, {}, frozenset())
+        arc_model, _ = build_ship_revised(ins, reach, s)
         compact = build_compact_pricing(ins, s.id, reach=reach).model
         ar, ac, az = arc_model.size_triple()
         cr, cc, cz = compact.size_triple()

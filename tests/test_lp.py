@@ -76,12 +76,39 @@ def test_model_validation():
     assert m.num_vars == 1 and m.rows[0].coeffs == {x: 1.0}
 
 
+def lp_text(model: LinearModel) -> str:
+    """Debug dump of a model in LP text format, for external verification."""
+
+    def term(j: int, c: float) -> str:
+        return f"{'+' if c >= 0 else '-'} {abs(c):.12g} {model.var_names[j]}"
+
+    lines = [f"\\ model {model.name or 'unnamed'}", "Maximize"]
+    objterms = " ".join(term(j, c) for j, c in enumerate(model.obj) if c != 0.0) or "0 x0"
+    lines.append(f" obj: {objterms}")
+    lines.append("Subject To")
+    for r in model.rows:
+        body = " ".join(term(j, r.coeffs[j]) for j in sorted(r.coeffs))
+        op = {LE: "<=", EQ: "=", GE: ">="}[r.sense]
+        lines.append(f" {r.name}: {body or '0 x0'} {op} {r.rhs:.12g}")
+    lines.append("Bounds")
+    for j in range(model.num_vars):
+        lo = "-inf" if model.lb[j] == -INF else f"{model.lb[j]:.12g}"
+        hi = "+inf" if model.ub[j] == INF else f"{model.ub[j]:.12g}"
+        lines.append(f" {lo} <= {model.var_names[j]} <= {hi}")
+    ints = [model.var_names[j] for j in range(model.num_vars) if model.is_int[j]]
+    if ints:
+        lines.append("Generals")
+        lines.append(" " + " ".join(ints))
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
 def test_lp_dump_round_trips_visually():
     m = LinearModel("demo")
     x = m.add_var(0, 2, obj=3.0, name="a")
     y = m.add_var(0, 1, obj=-1.0, integer=True, name="b")
     m.add_constr({x: 1.0, y: 2.0}, LE, 2.0, name="cap")
-    text = m.to_lp_text()
+    text = lp_text(m)
     assert "Maximize" in text and "cap:" in text and "Generals" in text
 
 
@@ -267,7 +294,7 @@ def _random_bounded_lp(rng):
 
 
 def _pricing_models():
-    from lsfrp.colgen import ArcFlowPricing
+    from lsfrp.formulations import build_ship_revised
     from lsfrp.instance import build_reach_index
     from lsfrp.io import GeneratorParams, generate_random
     from lsfrp.lazy import build_compact_pricing
@@ -279,9 +306,8 @@ def _pricing_models():
         reach = build_reach_index(ins)
         rng = random.Random(seed)
         prices = {v.id: rng.uniform(0.0, 40.0) for v in ins.visits}
-        engine = ArcFlowPricing(ins, reach)
         for ship in ins.ships:
-            yield engine._build(ship, prices, frozenset())[0]
+            yield build_ship_revised(ins, reach, ship, prices)[0]
             yield build_compact_pricing(ins, ship.id, prices, reach=reach).model
 
 

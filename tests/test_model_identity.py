@@ -12,8 +12,7 @@ import random
 
 import numpy as np
 
-from lsfrp.colgen import ArcFlowPricing
-from lsfrp.formulations import build_reduced, build_revised
+from lsfrp.formulations import build_reduced, build_revised, build_ship_revised
 from lsfrp.instance import build_reach_index
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import build_compact_pricing
@@ -99,10 +98,6 @@ def model_digest(model) -> str:
     return h.hexdigest()[:16]
 
 
-def _arcflow_pricing_model(instance, reach, ship, prices, excluded):
-    return ArcFlowPricing(instance, reach)._build(ship, prices, excluded)[0]
-
-
 def _pricing_options(instance, seed):
     """Per ship: no options, node prices, and node prices with two
     visits other than the ship's start excluded."""
@@ -127,8 +122,10 @@ def digests() -> dict[str, str]:
             out[f"{label}/revised"] = model_digest(build_revised(ins, reach)[0])
         for ship, variant, prices, excluded in _pricing_options(ins, params.seed):
             if not ins.empty_points:
-                model = _arcflow_pricing_model(ins, reach, ship, prices, excluded)
-                out[f"{label}/arcflow/{ship.id}/{variant}"] = model_digest(model)
+                built = build_ship_revised(ins, reach, ship, prices, excluded)
+                out[f"{label}/arcflow/{ship.id}/{variant}"] = model_digest(
+                    None if built is None else built[0]
+                )
             ctx = build_compact_pricing(ins, ship.id, prices, reach=reach, excluded=excluded)
             out[f"{label}/compact/{ship.id}/{variant}"] = model_digest(
                 None if ctx is None else ctx.model
