@@ -405,8 +405,10 @@ class _Simplex:
         self._sync_directions()
 
     def _sync_directions(self) -> None:
-        """Derive the pricing direction of every column from its state."""
+        """Derive the pricing direction of every column from its state; a
+        fixed column (lb == ub) has none, so it is never priced."""
         self.dirn = _DIRECTION[self.state]
+        self.dirn[self.lb == self.ub] = 0.0
         self.free = (self.state == _FREE).nonzero()[0]
 
     def _refactor(self) -> bool:
@@ -656,7 +658,10 @@ class _Simplex:
 
     def _set_nonbasic(self, j: int, at_upper: bool) -> None:
         self.state[j] = _AT_UPPER if at_upper else _AT_LOWER
-        self.dirn[j] = -1.0 if at_upper else 1.0
+        if self.lb[j] == self.ub[j]:
+            self.dirn[j] = 0.0
+        else:
+            self.dirn[j] = -1.0 if at_upper else 1.0
 
     def solve(self, warm: LpBasis | None = None) -> LpSolution:
         if self.trivially_infeasible:
@@ -734,6 +739,7 @@ class _Simplex:
                 return LpSolution(INFEASIBLE, iterations=self.iterations)
             # pin artificials at zero for phase 2
             self.ub[self.n_total - self.n_art :] = 0.0
+            self._sync_directions()
             self.bland = False
             self._degen_run = 0
 
@@ -837,6 +843,13 @@ class _Simplex:
         # itself becomes the exported inverse.
         basic = self.basis.copy()
         state = self.state[: n + m].copy()
+        # fixed columns are never priced, so their labels may not match
+        # their reduced costs: put each at the bound its reduced cost favours
+        fixed = ((state != _BASIC) & (self.lb[: n + m] == self.ub[: n + m])).nonzero()[0]
+        if fixed.size:
+            d = self.c_real[fixed] - y @ self.A[:, fixed]
+            state[fixed[d > _RC_TOL]] = _AT_UPPER
+            state[fixed[d < -_RC_TOL]] = _AT_LOWER
         inverse = self.Binv
         art = basic >= n + m
         if art.any():
