@@ -107,7 +107,8 @@ def add_ship_arcs(
         fee = 0.0 if a.dst == sink else instance.visit_by_id[a.dst].port_fee
         price = 0.0 if a.dst == sink else node_price.get(a.dst, 0.0)
         yvars[(a.src, a.dst)] = model.add_var(
-            0.0, 1.0, obj=-(cost + fee + price), integer=True, name=f"y[{ship.id},{a.src},{a.dst}]"
+            0.0, 1.0, obj=-(cost + fee + price), integer=True,
+            name=f"y[{ship.id},{a.src},{a.dst}]",
         )
     return yvars
 
@@ -124,7 +125,9 @@ def add_path_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]
     ships = [instance.ship_by_id[sid] for sid in yvars]
     for s in ships:
         ys = yvars[s.id]
-        coeffs = {ys[(a.src, a.dst)]: 1.0 for a in instance.out_arcs[s.start_visit] if (a.src, a.dst) in ys}
+        coeffs = {
+            ys[(a.src, a.dst)]: 1.0 for a in instance.out_arcs[s.start_visit] if (a.src, a.dst) in ys
+        }
         model.add_constr(coeffs, EQ, 1.0, f"start[{s.id}]")
     coeffs = {}
     for ys in yvars.values():
