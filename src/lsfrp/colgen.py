@@ -209,9 +209,7 @@ class PricingModel:
 
     Each round writes the node prices into the arc objectives, turns the
     excluded visits into zero bounds on their arcs, and warm-starts the
-    root LP from the previous round's root basis.  Rows appended between
-    rounds must follow the order in which solve_mip added them as cuts,
-    so that the stored basis covers a prefix of the model's rows.
+    root LP from the previous round's root basis.
 
     Before the first root basis exists, the root starts from the slack
     basis with the best start->sink path under the current arc objectives
@@ -333,11 +331,17 @@ class ArcFlowPricing:
 
     def fill_diagnostics(self, diag: Diagnostics) -> None:
         diag.pricing_bnb_nodes = self.bnb_nodes
-        if self.model_sizes:
-            sizes = list(self.model_sizes.values())
-            diag.model_rows = round(sum(s[0] for s in sizes) / len(sizes))
-            diag.model_cols = round(sum(s[1] for s in sizes) / len(sizes))
-            diag.model_nonzeros = round(sum(s[2] for s in sizes) / len(sizes))
+        fill_model_sizes(diag, self.model_sizes)
+
+
+def fill_model_sizes(diag: Diagnostics, model_sizes: dict[str, tuple[int, int, int]]) -> None:
+    """Rows, columns and nonzeros of the ships' pricing models as built,
+    each averaged over the ships and rounded."""
+    if model_sizes:
+        rows, cols, nonzeros = zip(*model_sizes.values())
+        diag.model_rows = round(sum(rows) / len(rows))
+        diag.model_cols = round(sum(cols) / len(cols))
+        diag.model_nonzeros = round(sum(nonzeros) / len(nonzeros))
 
 
 # -- heuristic initial columns -------------------------------------------------------

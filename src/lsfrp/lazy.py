@@ -20,10 +20,12 @@ the cargo rows below are the compact model's own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lp
-from .colgen import CgConfig, Column, PricingModel, _usable_pricing_result, run_column_generation
+from .colgen import (
+    CgConfig, Column, PricingModel, _usable_pricing_result, fill_model_sizes, run_column_generation,
+)
 from .formulations import _trace_path, add_path_rows, add_ship_arcs, evaluate_objective, leaves_start
 from .instance import Instance, ReachIndex, Ship, build_reach_index
 from .lp import LE, LinearModel
@@ -507,7 +509,6 @@ class CompactPricing:
         self.reach = reach
         self.splitting = splitting
         self.pools: dict[str, list[Cut]] = {s.id: [] for s in instance.ships}
-        self.pool_keys: dict[str, set[tuple[str, str]]] = {s.id: set() for s in instance.ships}
         # ship -> (compact model, its persistent solver), None without a start arc
         self.models: dict[str, tuple[CompactModel, PricingModel] | None] = {}
         self.model_sizes: dict[str, tuple[int, int, int]] = {}
@@ -536,26 +537,19 @@ class CompactPricing:
             return None, -math.inf
         ctx, priced = self.models[ship_id]
 
+        # the cuts of earlier rounds, already rows of the model, must bind
         pool = self.pools[ship_id]
-        pooled = len(pool)
-        pool_keys = frozenset(self.pool_keys[ship_id])
+        pool_keys = frozenset((c.node, c.scope) for c in pool)
 
         def on_candidate(x):
             new_cuts = separate_cuts(ctx, x, pool_keys)
-            rows = []
-            for cut in new_cuts:
-                pool.append(cut)
-                self.pool_keys[ship_id].add((cut.node, cut.scope))
-                rows.append(lp.Constraint(*_cut_row(ctx, cut)))
-            return rows
+            pool.extend(new_cuts)
+            return [lp.Constraint(*_cut_row(ctx, cut)) for cut in new_cuts]
 
         mip = priced.solve(
             node_price, excluded,
             on_candidate=on_candidate, stop_above=stop_above, deadline=deadline,
         )
-        # the new pool cuts become rows in the order solve_mip added them
-        for cut in pool[pooled:]:
-            ctx.model.add_constr(*_cut_row(ctx, cut))
         self.bnb_nodes += mip.nodes
         mip = _usable_pricing_result(mip, stop_above)
         if mip is None:
@@ -591,21 +585,13 @@ class CompactPricing:
             if rf:
                 diag.cuts_rf[sid] = rf
         diag.splits = sum(self.split_counts.values())
-        if self.model_sizes:
-            sizes = list(self.model_sizes.values())
-            diag.model_rows = round(sum(s[0] for s in sizes) / len(sizes))
-            diag.model_cols = round(sum(s[1] for s in sizes) / len(sizes))
-            diag.model_nonzeros = round(sum(s[2] for s in sizes) / len(sizes))
+        fill_model_sizes(diag, self.model_sizes)
 
 
 def run_colgen_lazy(instance: Instance, config: CgConfig | None = None) -> Solution:
-    """Column generation with the compact lazy-constraint pricing engine."""
-    config = config or CgConfig()
-    config.pricing = "compact"
-    reach = build_reach_index(instance)
-    engine = CompactPricing(instance, reach, splitting=config.splitting)
-    sol = run_column_generation(instance, config, engine=engine)
-    return sol
+    """Column generation with the compact lazy-constraint pricing engine;
+    the caller's config is left as it is."""
+    return run_column_generation(instance, replace(config or CgConfig(), pricing="compact"))
 
 
 def capacity_violations(instance: Instance, solution: Solution) -> list[str]:

@@ -8,6 +8,11 @@ model solves through this module; an external solver could be slotted in
 behind the same two entry points, but the embedded simplex is the default
 and the one the test suite exercises.
 
+A solve reads its rows from the model and nowhere else.  Lazy cuts are
+model rows too: ``solve_mip`` appends each cut its callback returns with
+``add_constr``, so the cuts hold at every later node and are still in the
+model when the search returns.
+
 An optimal solve returns its final basis.  Given that basis, a re-solve
 after bound changes or appended rows (a branch-and-bound child, or a node
 re-solved with new lazy cuts) skips phase 1: the appended rows' slacks
@@ -37,7 +42,8 @@ the last round's root basis (``MipSolution.root_basis``) back to
 feasible, so the dual phase has nothing to do and the primal loop goes on
 from the old vertex; bound changes and new rows take the dual path above.
 The dense rows of a model are cached on it until its next
-``add_var``/``add_constr``, so objective and bound edits cost no rebuild.
+``add_var``/``add_constr``, so objective and bound edits cost no rebuild
+and a batch of new cuts costs one.
 A pricing model's first root has no earlier basis; it starts from
 ``slack_basis`` with the best start-to-sink path at its upper bounds, a
 vertex every pricing row admits, so it skips phase 1 too.
@@ -235,9 +241,6 @@ class LpSolution:
     iterations: int = 0
     basis: LpBasis | None = None  # set on optimal solves with at least one row
 
-    def value(self, j: int) -> float:
-        return float(self.x[j])
-
 
 @dataclass
 class MipSolution:
@@ -248,7 +251,8 @@ class MipSolution:
     nodes: int = 0
     cuts_added: int = 0
     # last optimal basis of the root LP, after its own lazy-cut re-solves;
-    # its rows are the model's followed by the first cuts the search added
+    # its rows are a prefix of the model's: those it had when the search
+    # began, then the cuts added at the root
     root_basis: LpBasis | None = None
 
 
@@ -262,29 +266,25 @@ _FREE = 3
 _DIRECTION = np.array([0.0, 1.0, -1.0, 0.0])
 
 
-def _dense_rows(rows: Sequence[Constraint], n: int):
-    """Dense coefficients, right-hand sides and slack bounds of some rows;
-    each row's slack s makes it ``a.x + s = rhs``."""
-    A = np.zeros((len(rows), n))
-    for i, r in enumerate(rows):
-        for j, c in r.coeffs.items():
-            A[i, j] = c
-    b = np.array([r.rhs for r in rows], dtype=float)
-    slack_lb = np.array([-INF if r.sense == GE else 0.0 for r in rows], dtype=float)
-    slack_ub = np.array([INF if r.sense == LE else 0.0 for r in rows], dtype=float)
-    return A, b, slack_lb, slack_ub
-
-
 def _row_block(model: LinearModel):
-    """``[A | I]``, b and slack bounds of the model's own rows, cached on the
-    model until its next add_var/add_constr.  The arrays are read-only:
-    every solve of the model shares them."""
+    """``[A | I]``, b and slack bounds of the model's rows, cached on the
+    model until its next add_var/add_constr; each row's slack s makes it
+    ``a.x + s = rhs``.  The arrays are read-only: every solve of the model
+    shares them."""
     cache = model._block_cache
     if cache is not None and cache[0] == model._structure:
         return cache[1]
+    rows = model.rows
     n, m = model.num_vars, model.num_rows
-    A, b, slack_lb, slack_ub = _dense_rows(model.rows, n)
-    block = (np.hstack([A, np.eye(m)]) if m else A, b, slack_lb, slack_ub)
+    A = np.zeros((m, n + m))
+    for i, r in enumerate(rows):
+        for j, c in r.coeffs.items():
+            A[i, j] = c
+    A[:, n:] = np.eye(m)
+    b = np.array([r.rhs for r in rows], dtype=float)
+    slack_lb = np.array([-INF if r.sense == GE else 0.0 for r in rows], dtype=float)
+    slack_ub = np.array([INF if r.sense == LE else 0.0 for r in rows], dtype=float)
+    block = (A, b, slack_lb, slack_ub)
     for arr in block:
         arr.flags.writeable = False
     model._block_cache = (model._structure, block)
@@ -295,29 +295,14 @@ class _Simplex:
     def __init__(
         self,
         model: LinearModel,
-        extra_rows: Sequence[Constraint],
         overrides: dict[int, tuple[float, float]] | None,
         deadline: float | None = None,
     ):
         self.deadline = deadline
-        n = model.num_vars
-        m = model.num_rows + len(extra_rows)
+        n, m = model.num_vars, model.num_rows
         self.n_struct = n
         self.m = m
-
         A, b, slack_lb, slack_ub = _row_block(model)
-        if extra_rows:
-            # the extra rows' slacks follow the model's own in the identity
-            m0 = model.num_rows
-            A_extra, b_extra, extra_lb, extra_ub = _dense_rows(extra_rows, n)
-            A_full = np.zeros((m, n + m))
-            A_full[:m0, : n + m0] = A
-            A_full[m0:, :n] = A_extra
-            A_full[m0:, n + m0 :] = np.eye(len(extra_rows))
-            A = A_full
-            b = np.concatenate([b, b_extra])
-            slack_lb = np.concatenate([slack_lb, extra_lb])
-            slack_ub = np.concatenate([slack_ub, extra_ub])
 
         lb = np.array(model.lb, dtype=float)
         ub = np.array(model.ub, dtype=float)
@@ -866,18 +851,18 @@ class _Simplex:
 
 def solve_lp(
     model: LinearModel,
-    extra_rows: Sequence[Constraint] = (),
     bound_overrides: dict[int, tuple[float, float]] | None = None,
     deadline: float | None = None,
     warm: LpBasis | None = None,
 ) -> LpSolution:
-    """Solve the LP relaxation; duals come back aligned with the rows
-    (extra rows appended after the model's own).
+    """Solve the LP relaxation of the model; duals come back aligned with
+    its rows.
 
-    warm is the basis of an earlier optimal solve of the same model whose
-    rows are a prefix of this solve's rows; bounds may differ.
+    warm is the basis of an earlier optimal solve of the same model, taken
+    when the model's rows were a prefix of its rows now; bounds, objective
+    and appended columns may differ.
     """
-    return _Simplex(model, extra_rows, bound_overrides, deadline).solve(warm)
+    return _Simplex(model, bound_overrides, deadline).solve(warm)
 
 
 def slack_basis(model: LinearModel, at_upper: Sequence[int]) -> LpBasis:
@@ -922,9 +907,12 @@ def solve_mip(
     """Deterministic best-bound branch and bound.
 
     on_candidate is invoked on every integer-feasible node solution; if it
-    returns cuts they are added globally, the node is re-solved, and the
-    incumbent is only accepted once the callback returns none.  Returned
-    cuts must be violated by the candidate that produced them.
+    returns cuts they are appended to the caller's model as rows, in the
+    order returned, so they hold at every node from then on and stay in the
+    model after the search; the node is re-solved, and the incumbent is only
+    accepted once the callback returns none.  Every returned cut must be
+    violated by the candidate that produced it; otherwise CutSoundnessError
+    is raised before any of the batch is appended.
 
     stop_above halts the search as soon as an accepted incumbent exceeds
     the threshold (status "stopped"); useful when any sufficiently good
@@ -946,7 +934,6 @@ def solve_mip(
     and the best bound among the open nodes.
     """
     int_idx = np.flatnonzero(np.array(model.is_int, dtype=bool))
-    cuts: list[Constraint] = []
     cuts_added = 0
 
     best_x: np.ndarray | None = None
@@ -978,7 +965,7 @@ def solve_mip(
         nodes += 1
 
         while True:
-            sol = solve_lp(model, cuts, overrides, deadline, warm)
+            sol = solve_lp(model, overrides, deadline, warm)
             if sol.status == TIME_LIMIT:
                 timed_out = True
                 abandoned_bound = -neg_bound
@@ -1024,7 +1011,8 @@ def solve_mip(
                             raise CutSoundnessError(
                                 f"cut {cut.name!r} not violated by candidate (violation {v:.3g})"
                             )
-                    cuts.extend(new_cuts)
+                    for cut in new_cuts:
+                        model.add_constr(cut.coeffs, cut.sense, cut.rhs, cut.name)
                     cuts_added += len(new_cuts)
                     continue  # re-solve this node with the new cuts
             if sol.objective > best_obj:

@@ -425,11 +425,11 @@ def test_only_first_master_solves_start_cold(monkeypatch, method, case):
     fallbacks = []
     real_solve, real_warm, real_loop = lp.solve_lp, lp._Simplex._solve_warm, colgen._cg_loop
 
-    def solve_lp(model, extra_rows=(), bound_overrides=None, deadline=None, warm=None):
+    def solve_lp(model, bound_overrides=None, deadline=None, warm=None):
         solved.append(model.name)
         if warm is None:
             cold.append(model)
-        return real_solve(model, extra_rows, bound_overrides, deadline, warm)
+        return real_solve(model, bound_overrides, deadline, warm)
 
     def solve_warm(self, warm):
         result = real_warm(self, warm)

@@ -225,6 +225,13 @@ def test_lazy_t1():
     assert sol.diagnostics.total_cuts_rf == 0
 
 
+def test_lazy_leaves_the_callers_config_as_it_is():
+    config = CgConfig()
+    sol = run_colgen_lazy(t1(), config)
+    assert sol.method == "colgen-lazy" and sol.objective == pytest.approx(T1_OPT)
+    assert config == CgConfig()
+
+
 def test_lazy_overload_matches_oracle_with_cuts():
     sol = run_colgen_lazy(overload1())
     assert sol.objective == pytest.approx(OVERLOAD1_OPT)
@@ -310,6 +317,10 @@ def test_gamma_matches_final_pool_rows():
     assert sol.diagnostics.total_cuts_dc == len(
         [c for c in engine.pools["s1"] if c.scope == "dc"]
     )
+    # the pool's cuts are the pricing model's last rows, in pool order
+    ctx, _ = engine.models["s1"]
+    pool = engine.pools["s1"]
+    assert pool and ctx.model.rows[-len(pool):] == [lp.Constraint(*_cut_row(ctx, c)) for c in pool]
 
 
 # -- persistent pricing models --------------------------------------------------------

@@ -168,12 +168,15 @@ def test_callback_cut_rejects_candidate():
 def test_callback_unviolated_cut_is_hard_error():
     m = LinearModel()
     x = m.add_var(0, 1, obj=1.0, integer=True)
+    m.add_constr({x: 2.0}, LE, 3.0, "own")
 
     def cb(vals):
-        return [Constraint({x: 1.0}, LE, 5.0, "slack_cut")]
+        return [Constraint({x: 1.0}, LE, 0.5, "real_cut"), Constraint({x: 1.0}, LE, 5.0, "slack_cut")]
 
     with pytest.raises(CutSoundnessError):
         solve_mip(m, on_candidate=cb)
+    # the batch is checked whole before any of it becomes a row
+    assert m.rows == [Constraint({x: 2.0}, LE, 3.0, "own")]
 
 
 def test_valid_cut_never_increases_optimum():
@@ -311,12 +314,11 @@ def _pricing_models():
             yield build_compact_pricing(ins, ship.id, prices, reach=reach).model
 
 
-def _kkt_ok(model, extra, overrides, sol, tol=1e-6):
+def _kkt_ok(model, overrides, sol, tol=1e-6):
     """Complementary slackness of the duals, and sign of every reduced cost."""
-    rows = list(model.rows) + list(extra)
     x, y = sol.x, sol.duals
     d = np.array(model.obj, dtype=float)
-    for i, r in enumerate(rows):
+    for i, r in enumerate(model.rows):
         activity = sum(c * x[j] for j, c in r.coeffs.items())
         if r.sense == LE and y[i] < -tol or r.sense == GE and y[i] > tol:
             return False
@@ -331,18 +333,18 @@ def _kkt_ok(model, extra, overrides, sol, tol=1e-6):
     return True
 
 
-def _highs_objective(model, extra, overrides):
+def _highs_objective(model, overrides):
     """HiGHS optimum of the same LP, or None when it reports infeasible."""
-    res = _linprog(model, extra, overrides)
+    res = _linprog(model, overrides)
     assert res.status in (0, 2), res.message
     return -res.fun if res.status == 0 else None
 
 
-def _linprog(model, extra, overrides, **options):
+def _linprog(model, overrides, **options):
     """scipy's HiGHS result for the same LP (scipy negates the objective)."""
     from scipy.optimize import linprog
 
-    rows = list(model.rows) + list(extra)
+    rows = model.rows
     n = model.num_vars
 
     def dense(rs, sign):
@@ -371,9 +373,9 @@ def _linprog(model, extra, overrides, **options):
 
 
 def _warm_cases(model):
-    """(extra rows, bound overrides) re-solves of an optimal root: both
-    branches on the first fractional integer variable, and one appended
-    row that cuts the root point off."""
+    """(model, bound overrides) re-solves of an optimal root: both branches
+    on the first fractional integer variable, and a copy of the model with
+    one appended row that cuts the root point off."""
     root = solve_lp(model)
     if root.status != OPTIMAL:
         return root, []
@@ -381,13 +383,13 @@ def _warm_cases(model):
     frac = [j for j in range(model.num_vars) if model.is_int[j] and abs(root.x[j] - round(root.x[j])) > 1e-6]
     if frac:
         j = frac[0]
-        cases.append(((), {j: (model.lb[j], math.floor(root.x[j]))}))
-        cases.append(((), {j: (math.ceil(root.x[j]), model.ub[j])}))
+        cases.append((model, {j: (model.lb[j], math.floor(root.x[j]))}))
+        cases.append((model, {j: (math.ceil(root.x[j]), model.ub[j])}))
     support = [j for j in range(model.num_vars) if root.x[j] > model.lb[j] + 1e-6]
     if support:
         coeffs = {j: 1.0 for j in support}
         activity = sum(root.x[j] for j in support)
-        cases.append(([Constraint(coeffs, LE, activity - 0.5, "cut")], {}))
+        cases.append((_appended(model, [Constraint(coeffs, LE, activity - 0.5, "cut")]), {}))
     return root, cases
 
 
@@ -397,9 +399,9 @@ def test_warm_resolves_match_cold():
     compared = infeasible = warm_pivots = cold_pivots = 0
     for model in models:
         root, cases = _warm_cases(model)
-        for extra, overrides in cases:
-            warm = solve_lp(model, extra, overrides, warm=root.basis)
-            cold = solve_lp(model, extra, overrides)
+        for case, overrides in cases:
+            warm = solve_lp(case, overrides, warm=root.basis)
+            cold = solve_lp(case, overrides)
             assert warm.status == cold.status
             compared += 1
             warm_pivots += warm.iterations
@@ -408,7 +410,7 @@ def test_warm_resolves_match_cold():
                 infeasible += 1
                 continue
             assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
-            assert _kkt_ok(model, extra, overrides, warm)
+            assert _kkt_ok(case, overrides, warm)
     assert compared >= 300 and infeasible >= 10
     # a warm path that silently fell back to the cold one every time would
     # spend more pivots than the cold solves, not fewer
@@ -421,9 +423,9 @@ def test_warm_resolves_match_highs():
     models = [_random_bounded_lp(rng) for _ in range(60)] + list(itertools.islice(_pricing_models(), 8))
     for model in models:
         root, cases = _warm_cases(model)
-        for extra, overrides in cases:
-            warm = solve_lp(model, extra, overrides, warm=root.basis)
-            ref = _highs_objective(model, extra, overrides)
+        for case, overrides in cases:
+            warm = solve_lp(case, overrides, warm=root.basis)
+            ref = _highs_objective(case, overrides)
             if ref is None:
                 assert warm.status == INFEASIBLE
             else:
@@ -436,8 +438,8 @@ def test_warm_basis_is_read_only_and_shared():
     root = solve_lp(m)
     before = (root.basis.basic.copy(), root.basis.state.copy())
     for j in range(m.num_vars):
-        solve_lp(m, (), {j: (0.0, 0.0)}, warm=root.basis)
-        solve_lp(m, (), {j: (1.0, 1.0)}, warm=root.basis)
+        solve_lp(m, {j: (0.0, 0.0)}, warm=root.basis)
+        solve_lp(m, {j: (1.0, 1.0)}, warm=root.basis)
     assert np.array_equal(root.basis.basic, before[0])
     assert np.array_equal(root.basis.state, before[1])
     with pytest.raises(ValueError):
@@ -470,7 +472,7 @@ def test_unusable_warm_basis_falls_back_to_cold():
 def test_warm_resolve_honours_deadline():
     m = knap([10, 9, 8, 7], [5, 5, 4, 3], 9)
     root = solve_lp(m)
-    sol = solve_lp(m, (), {0: (0.0, 0.0)}, deadline=time.monotonic() - 1.0, warm=root.basis)
+    sol = solve_lp(m, {0: (0.0, 0.0)}, deadline=time.monotonic() - 1.0, warm=root.basis)
     assert sol.status == TIME_LIMIT
 
 
@@ -481,6 +483,15 @@ def _rebuilt(model):
         out.add_var(model.lb[j], model.ub[j], model.obj[j], model.is_int[j])
     for r in model.rows:
         out.add_constr(r.coeffs, r.sense, r.rhs)
+    return out
+
+
+def _appended(model, rows):
+    """A rebuilt copy of the model with the rows appended, so that a basis
+    of the model covers a prefix of the copy's rows."""
+    out = _rebuilt(model)
+    for r in rows:
+        out.add_constr(r.coeffs, r.sense, r.rhs, r.name)
     return out
 
 
@@ -536,16 +547,17 @@ def test_root_basis_covers_the_root_cuts():
     assert plain.root_basis.basic.size == m.num_rows
     assert plain.root_basis.state.size == m.num_vars + m.num_rows
 
-    # two variables may not both be taken; the cut is only found at a
-    # candidate, and every cut the root adds is in its basis
-    cut = Constraint({0: 1.0, 1: 1.0}, LE, 1.0, "pair")
+    # neither pair of neighbours may both be taken; the cuts are only found
+    # at a candidate, they become the model's rows in the order returned,
+    # and every cut the root adds is in its basis
+    cuts = [Constraint({0: 1.0, 1: 1.0}, LE, 1.0, "pair"), Constraint({1: 1.0, 2: 1.0}, LE, 1.0, "tail")]
     m = LinearModel()
     for c in (3.0, 2.0, 1.0):
         m.add_var(0, 1, obj=c, integer=True)
-    sol = solve_mip(m, on_candidate=lambda x: [cut] if x[0] + x[1] > 1.5 else [])
-    assert sol.cuts_added == 1 and sol.nodes == 1
-    assert sol.root_basis.basic.size == m.num_rows + 1
-    m.add_constr(cut.coeffs, cut.sense, cut.rhs)
+    sol = solve_mip(m, on_candidate=lambda x: cuts if x[0] + x[1] > 1.5 else [])
+    assert sol.cuts_added == 2 and sol.nodes == 1
+    assert m.rows == cuts
+    assert sol.root_basis.basic.size == m.num_rows
     again = solve_mip(m, warm=sol.root_basis)
     assert again.objective == pytest.approx(sol.objective)
     assert solve_mip(knap([1], [1], 0)).root_basis is not None
@@ -572,21 +584,20 @@ def test_unusable_warm_basis_falls_back_to_cold_in_mip():
 # -- appended columns and the carried basis inverse ------------------------------
 
 
-def _full_matrix(model, extra):
-    """``[A | I]`` over model and extra rows."""
-    rows = list(model.rows) + list(extra)
-    n, m = model.num_vars, len(rows)
+def _full_matrix(model):
+    """``[A | I]`` over the model's rows."""
+    n, m = model.num_vars, model.num_rows
     full = np.zeros((m, n + m))
-    for i, r in enumerate(rows):
+    for i, r in enumerate(model.rows):
         for j, c in r.coeffs.items():
             full[i, j] = c
         full[i, n + i] = 1.0
     return full
 
 
-def _basis_matrix(model, extra, basis):
-    """Columns of ``[A | I]`` that the basis names, over model and extra rows."""
-    return _full_matrix(model, extra)[:, basis.basic]
+def _basis_matrix(model, basis):
+    """Columns of ``[A | I]`` that the basis names."""
+    return _full_matrix(model)[:, basis.basic]
 
 
 def _add_random_columns(rng, model, count):
@@ -611,8 +622,9 @@ def test_column_appends_resolve_warm_like_cold():
             n = model.num_vars
             coeffs = {j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.6}
             extra.append(Constraint(coeffs, rng.choice([LE, GE]), rng.randint(-2, 8), "row"))
-        warm = solve_lp(model, extra, warm=root.basis)
-        cold = solve_lp(model, extra)
+        model = _appended(model, extra)
+        warm = solve_lp(model, warm=root.basis)
+        cold = solve_lp(model)
         assert warm.status == cold.status
         compared += 1
         warm_pivots += warm.iterations
@@ -620,8 +632,8 @@ def test_column_appends_resolve_warm_like_cold():
         if cold.status != OPTIMAL:
             continue
         assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
-        assert _kkt_ok(model, extra, None, warm)
-        B = _basis_matrix(model, extra, warm.basis)
+        assert _kkt_ok(model, None, warm)
+        B = _basis_matrix(model, warm.basis)
         assert np.allclose(warm.basis.inverse @ B, np.eye(B.shape[0]), atol=1e-8)
     assert compared >= 150
     assert warm_pivots < cold_pivots / 2
@@ -640,8 +652,9 @@ def test_column_appends_resolve_like_highs():
         if trial % 2:
             coeffs = {j: 1.0 for j in range(root.x.size) if root.x[j] > model.lb[j] + 1e-6}
             extra.append(Constraint(coeffs, LE, rng.randint(0, 6), "row"))
-        warm = solve_lp(model, extra, warm=root.basis)
-        ref = _highs_objective(model, extra, None)
+        model = _appended(model, extra)
+        warm = solve_lp(model, warm=root.basis)
+        ref = _highs_objective(model, None)
         if ref is None:
             assert warm.status == INFEASIBLE
         else:
@@ -675,7 +688,7 @@ def test_warm_chain_carries_the_inverse_across_refactors():
         cold = solve_lp(_rebuilt(model))
         assert warm.status == cold.status == OPTIMAL
         assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
-        assert _kkt_ok(model, (), None, warm)
+        assert _kkt_ok(model, None, warm)
         carried += warm.basis.age > warm.iterations
         pivots += warm.iterations
         ages.append(warm.basis.age)
@@ -686,7 +699,7 @@ def test_warm_chain_carries_the_inverse_across_refactors():
     assert carried >= 1  # ages add up across solves ...
     assert any(b < a for a, b in zip(ages, ages[1:]))  # ... until a refactor
     assert max(ages) <= _REFACTOR_EVERY
-    B = _basis_matrix(model, (), sol.basis)
+    B = _basis_matrix(model, sol.basis)
     assert np.allclose(sol.basis.inverse @ B, np.eye(B.shape[0]), atol=1e-8)
 
 
@@ -701,21 +714,21 @@ def test_basis_with_negative_artificial_seeds_warm_solve():
     y = model.add_var(0, 5, obj=1.0)
     model.add_constr({x: -1.0}, LE, -2.0)
     model.add_constr({x: 1.0, y: 1.0}, LE, 4.0)
-    simplex = lp_module._Simplex(model, (), None)
+    simplex = lp_module._Simplex(model, None)
     root = simplex.solve()
     assert root.status == OPTIMAL
     n, m = model.num_vars, model.num_rows
     basic_art = simplex.basis[simplex.basis >= n + m] - (n + m)
     assert basic_art.size == 1 and simplex.art_signs[basic_art[0]] == -1.0
-    assert np.allclose(root.basis.inverse @ _basis_matrix(model, (), root.basis), np.eye(m))
-    cut = Constraint({y: 1.0}, LE, 1.0)
-    for extra, overrides in (((), {x: (0.0, 1.0)}), ((), {x: (0.0, 3.0)}), ([cut], {})):
-        warm = solve_lp(model, extra, overrides, warm=root.basis)
-        cold = solve_lp(model, extra, overrides)
+    assert np.allclose(root.basis.inverse @ _basis_matrix(model, root.basis), np.eye(m))
+    cut = _appended(model, [Constraint({y: 1.0}, LE, 1.0)])
+    for case, overrides in ((model, {x: (0.0, 1.0)}), (model, {x: (0.0, 3.0)}), (cut, {})):
+        warm = solve_lp(case, overrides, warm=root.basis)
+        cold = solve_lp(case, overrides)
         assert warm.status == cold.status
         if cold.status == OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert _kkt_ok(model, extra, overrides, warm)
+            assert _kkt_ok(case, overrides, warm)
 
 
 def test_open_nodes_hold_no_inverse(monkeypatch):
@@ -776,18 +789,18 @@ def _differential_lp(rng, kind):
     return model
 
 
-def _highs_verdict(model, extra, overrides):
+def _highs_verdict(model, overrides):
     """(status, objective) of HiGHS's simplex on the same LP."""
-    res = _linprog(model, extra, overrides, presolve=False)
+    res = _linprog(model, overrides, presolve=False)
     status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status)
     assert status is not None, res.message
     return status, (-res.fun if status == OPTIMAL else None)
 
 
-def _assert_fresh_reduced_costs_optimal(model, extra, overrides, basis, tol=1e-7):
+def _assert_fresh_reduced_costs_optimal(model, overrides, basis, tol=1e-7):
     """Reduced costs recomputed from scratch at the basis have the sign
     each column's state needs for optimality."""
-    full = _full_matrix(model, extra)
+    full = _full_matrix(model)
     c = np.concatenate([np.array(model.obj, dtype=float), np.zeros(full.shape[0])])
     y = np.linalg.solve(full[:, basis.basic].T, c[basis.basic])
     d = c - y @ full
@@ -811,21 +824,21 @@ def test_kernel_matches_highs_on_degenerate_free_and_unbounded_lps(monkeypatch, 
     for trial in range(360):
         model = _differential_lp(rng, ("degenerate", "free", "unbounded")[trial % 3])
         cold = solve_lp(model)
-        solves = [((), None, cold)]
+        solves = [(None, cold)]
         bounded = [j for j in range(model.num_vars) if 1 <= model.ub[j] - model.lb[j] < INF]
         if cold.status == OPTIMAL and bounded:
             # a warm re-solve through the dual loop: one bounded column
             # fixed at the end of its range away from its optimal value
             j = bounded[trial % len(bounded)]
             end = model.lb[j] if cold.x[j] > model.lb[j] + 0.5 else model.ub[j]
-            solves.append(((), {j: (end, end)}, solve_lp(model, (), {j: (end, end)}, warm=cold.basis)))
-        for extra, overrides, sol in solves:
-            status, ref = _highs_verdict(model, extra, overrides)
+            solves.append(({j: (end, end)}, solve_lp(model, {j: (end, end)}, warm=cold.basis)))
+        for overrides, sol in solves:
+            status, ref = _highs_verdict(model, overrides)
             assert sol.status == status, (model.name, trial)
             seen[(model.name, status)] = seen.get((model.name, status), 0) + 1
             if status == OPTIMAL:
                 assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
-                _assert_fresh_reduced_costs_optimal(model, extra, overrides, sol.basis)
+                _assert_fresh_reduced_costs_optimal(model, overrides, sol.basis)
     assert seen.get(("degenerate", OPTIMAL), 0) >= 50
     assert seen.get(("degenerate", INFEASIBLE), 0) >= 10
     assert seen.get(("free", OPTIMAL), 0) >= 20
