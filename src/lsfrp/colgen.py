@@ -10,7 +10,10 @@ Each engine builds a ship's model once and re-prices it in place.
 
 One time limit covers a whole run: it becomes an absolute
 ``time.monotonic()`` deadline that the master loop checks and that every
-pricing solve receives.
+pricing solve receives.  Its one signal is ``ColgenTimeout``, raised by
+the loop or by a pricing solve that ran out of time without a usable
+column; ``run_column_generation`` turns it into a "time_limit" result
+carrying the counters and model sizes gathered so far.
 
 When the relaxed master ends fractional, branch-and-price branches on
 (visit, ship) usage: whether ship s calls at visit v.
@@ -104,19 +107,18 @@ def make_dummy(instance: Instance, ship_id: str) -> Column:
 
 
 class RestrictedMaster:
-    """The master of one branch-and-price node over a growing column list.
+    """The relaxed master of one branch-and-price node over a growing
+    column list.
 
     Rows: one convexity row per ship, one node-once row per visit (empty,
     with dual 0, until a column calls there), and one row per required
     (visit, ship) pair, kept feasible by an artificial until pricing covers
     it.  Columns enter with ``add_var(column=...)`` at zero, so the last
-    optimal basis stays primal feasible and each relaxed solve starts from
-    it.
+    optimal basis stays primal feasible and each solve starts from it.
     """
 
-    def __init__(self, instance: Instance, state: _BranchState, relax: bool = True):
+    def __init__(self, instance: Instance, state: _BranchState):
         self.state = state
-        self.relax = relax
         model = LinearModel("rmp")
         self.ship_rows = {s.id: model.add_constr({}, EQ, 1.0, f"conv[{s.id}]") for s in instance.ships}
         self.visit_rows = {v.id: model.add_constr({}, LE, 1.0, f"once[{v.id}]") for v in instance.visits}
@@ -135,56 +137,40 @@ class RestrictedMaster:
         # nonbasic at a bound of 1 could price positive under optimal duals
         banned = any((v, col.ship) in self.state.excluded for v in col.nodes)
         self.zvars.append(self.model.add_var(
-            0.0, 0.0 if banned else lp.INF, obj=col.profit, integer=not self.relax,
+            0.0, 0.0 if banned else lp.INF, obj=col.profit,
             name=f"z{len(self.zvars)}", column=dict.fromkeys(rows, 1.0),
         ))
 
-    def solve(self, columns: list[Column]):
-        """Append the columns not held yet (a suffix of ``columns``) and
-        solve; x comes back in column order, duals when relaxed."""
-        for col in columns[len(self.zvars):]:
-            self.add(col)
-        for sid, row in self.ship_rows.items():
-            if not self.model.rows[row].coeffs:
-                raise ValueError(f"ship {sid!r} has no column")
-        if not self.relax:
-            mip = lp.solve_mip(self.model)
-            if mip.x is not None:
-                mip.x = mip.x[self.zvars]
-            return mip, None
-        sol = lp.solve_lp(self.model, warm=self.basis)
-        if sol.status != lp.OPTIMAL:
-            raise RuntimeError(f"relaxed master is {sol.status}")
-        self.basis = sol.basis
-        y = sol.duals
-        duals = MasterDuals(
-            {sid: float(y[r]) for sid, r in self.ship_rows.items()},
-            {v: float(y[r]) for v, r in self.visit_rows.items()},
-            {key: float(y[r]) for key, r in self.req_rows.items()},
-        )
-        sol.x = sol.x[self.zvars]
-        return sol, duals
 
-
-def solve_rmp(
-    instance: Instance,
-    columns: list[Column],
-    relax: bool = True,
-    state: _BranchState | None = None,
-    master: RestrictedMaster | None = None,
-) -> tuple[lp.LpSolution | lp.MipSolution, MasterDuals | None]:
-    """Solve the master over the given columns; duals returned when relaxed.
-
-    Without a master, a one-shot master is built for the given branching
-    state; with one, the columns it does not hold yet are appended and the
-    solve starts from its last basis (relax and state are then its own).
-    """
-    if master is None:
-        master = RestrictedMaster(instance, state or _BranchState(), relax)
-    return master.solve(columns)
+def solve_rmp(master: RestrictedMaster, columns: list[Column]) -> tuple[lp.LpSolution, MasterDuals]:
+    """Append the columns the master does not hold yet (a suffix of
+    ``columns``) and solve it from its last basis; x comes back in column
+    order, with the master duals."""
+    for col in columns[len(master.zvars):]:
+        master.add(col)
+    for sid, row in master.ship_rows.items():
+        if not master.model.rows[row].coeffs:
+            raise ValueError(f"ship {sid!r} has no column")
+    sol = lp.solve_lp(master.model, warm=master.basis)
+    if sol.status != lp.OPTIMAL:
+        raise RuntimeError(f"relaxed master is {sol.status}")
+    master.basis = sol.basis
+    y = sol.duals
+    duals = MasterDuals(
+        {sid: float(y[r]) for sid, r in master.ship_rows.items()},
+        {v: float(y[r]) for v, r in master.visit_rows.items()},
+        {key: float(y[r]) for key, r in master.req_rows.items()},
+    )
+    sol.x = sol.x[master.zvars]
+    return sol, duals
 
 
 # -- pricing engines ----------------------------------------------------------------
+
+
+class ColgenTimeout(RuntimeError):
+    """The run's deadline passed: in the master loop, or in a pricing solve
+    without a usable column."""
 
 
 def _usable_pricing_result(mip: lp.MipSolution, stop_above: float | None):
@@ -200,7 +186,7 @@ def _usable_pricing_result(mip: lp.MipSolution, stop_above: float | None):
             and mip.objective > stop_above
         ):
             return mip
-        raise lp.SolveTimeLimit("pricing ran out of time")
+        raise ColgenTimeout("pricing ran out of time")
     return None
 
 
@@ -348,17 +334,11 @@ def fill_model_sizes(diag: Diagnostics, model_sizes: dict[str, tuple[int, int, i
 
 
 def initial_columns(
-    instance: Instance,
-    reach: ReachIndex | None = None,
-    engine=None,
-    deadline: float | None = None,
+    instance: Instance, engine, order: list, deadline: float | None = None
 ) -> list[Column]:
-    """Greedy start: ships in ascending path-count order, each priced with
-    zero duals on the graph minus nodes already claimed; dummy fallback."""
-    reach = reach or build_reach_index(instance)
-    if engine is None:
-        engine = ArcFlowPricing(instance, reach)
-    order = sorted(instance.ships, key=lambda s: (path_count(instance, s.id), _ship_index(instance, s.id)))
+    """Greedy start: the ships in the given order (ascending path count in
+    a run), each priced with zero duals on the graph minus nodes already
+    claimed; dummy fallback."""
     used: set[str] = set()
     out: list[Column] = []
     for ship in order:
@@ -371,13 +351,6 @@ def initial_columns(
             out.append(col)
             used |= col.nodes
     return out
-
-
-def _ship_index(instance: Instance, ship_id: str) -> int:
-    for k, s in enumerate(instance.ships):
-        if s.id == ship_id:
-            return k
-    raise KeyError(ship_id)
 
 
 def price_ship(
@@ -422,10 +395,6 @@ def price_ship(
 # -- main driver ----------------------------------------------------------------------
 
 
-class ColgenTimeout(RuntimeError):
-    pass
-
-
 def _log_progress(config, diag, sol, columns):
     if config.log is not None:
         config.log(
@@ -434,21 +403,17 @@ def _log_progress(config, diag, sol, columns):
         )
 
 
-def _cg_loop(instance, columns, engine, state, config, deadline, diag):
-    """Price-and-resolve until a full pass adds no column; returns the final
-    relaxed master solution and its duals.
+def _cg_loop(instance, columns, engine, state, config, deadline, diag, order):
+    """Price-and-resolve, over the ships in the given order, until a full
+    pass adds no column; returns the final relaxed master solution and its
+    duals.
 
     A ship is not priced again under the node prices, convexity dual and
     tolerance of its last call that found no column: the pricing problem
     is the same, so that call's answer still certifies it.
     """
-    order = sorted(
-        instance.ships,
-        key=lambda s: (path_count(instance, s.id), _ship_index(instance, s.id)),
-        reverse=True,
-    )
     master = RestrictedMaster(instance, state)
-    sol, duals = solve_rmp(instance, columns, master=master)
+    sol, duals = solve_rmp(master, columns)
     diag.rmp_iterations += 1
     _log_progress(config, diag, sol, columns)
     priced_out: dict[str, tuple] = {}  # ship -> inputs of its last call without a column
@@ -464,20 +429,17 @@ def _cg_loop(instance, columns, engine, state, config, deadline, diag):
             )
             if priced_out.get(ship.id) == inputs:
                 continue
-            try:
-                col = price_ship(
-                    instance, ship.id, duals, engine, state, rc_tol,
-                    exact=False, deadline=deadline,
-                )
-            except lp.SolveTimeLimit:
-                raise ColgenTimeout()
+            col = price_ship(
+                instance, ship.id, duals, engine, state, rc_tol,
+                exact=False, deadline=deadline,
+            )
             if col is None:
                 priced_out[ship.id] = inputs
             else:
                 columns.append(col)
                 diag.columns_generated += 1
                 improved = True
-                sol, duals = solve_rmp(instance, columns, master=master)
+                sol, duals = solve_rmp(master, columns)
                 diag.rmp_iterations += 1
                 _log_progress(config, diag, sol, columns)
         if not improved:
@@ -519,7 +481,7 @@ def _settled_columns(columns, z) -> list[Column]:
     return [columns[k] for k in sorted(pick.values())]
 
 
-def _assemble(instance, method, chosen, diag, config) -> Solution:
+def _assemble(method, chosen, diag) -> Solution:
     if any(c.is_dummy for c in chosen):
         return Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
     sol = Solution(method=method, status=OPTIMAL, diagnostics=diag)
@@ -534,110 +496,104 @@ def _assemble(instance, method, chosen, diag, config) -> Solution:
     return sol
 
 
-def run_column_generation(
-    instance: Instance,
-    config: CgConfig | None = None,
-    engine=None,
-) -> Solution:
+def _branch_and_price(instance, engine, method, config, deadline, diag) -> Solution:
+    """Heuristic start, the root pricing loop, and (visit, ship) branching
+    when the root master is fractional; raises ColgenTimeout at the
+    deadline."""
+    if not instance.ships:
+        return Solution(method=method, status=OPTIMAL, objective=0.0, bound=0.0, diagnostics=diag)
+    # ascending path count for the greedy start, descending for pricing;
+    # ties keep the instance's ship order, reversed when pricing
+    order = sorted(instance.ships, key=lambda s: path_count(instance, s.id))
+    columns = [make_dummy(instance, s.id) for s in instance.ships]
+    columns.extend(c for c in initial_columns(instance, engine, order, deadline) if not c.is_dummy)
+    diag.columns_generated = sum(1 for c in columns if not c.is_dummy)
+    order.reverse()
+
+    root_sol, _ = _cg_loop(instance, columns, engine, _BranchState(), config, deadline, diag, order)
+    z = [float(root_sol.x[k]) for k in range(len(columns))]
+    if _is_integral(z):
+        sol = _assemble(method, _settled_columns(columns, z), diag)
+        sol.meta["root_master_integral"] = True
+        return sol
+
+    # branch on fractional (visit, ship) usage; the root node branches
+    # from the master solution it already has, every other node runs
+    # its own pricing loop first
+    best: Solution | None = None
+    best_obj = -math.inf
+    counter = 0
+    heap: list[tuple[float, int, _BranchState, lp.LpSolution | None]] = [
+        (-root_sol.objective, 0, _BranchState(), root_sol)
+    ]
+    while heap:
+        neg_bound, _, state, node_sol = heapq.heappop(heap)
+        if -neg_bound <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
+            continue
+        if lp.expired(deadline):
+            raise ColgenTimeout()
+        diag.bnb_nodes += 1
+        if node_sol is None:
+            node_sol, _ = _cg_loop(instance, columns, engine, state, config, deadline, diag, order)
+        if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
+            continue
+        z = [float(node_sol.x[k]) for k in range(len(columns))]
+        pairs = _fractional_pairs(columns, z)
+        if not pairs:
+            cand = _assemble(method, _settled_columns(columns, z), diag)
+            if cand.status == OPTIMAL and cand.objective > best_obj:
+                if cand.objective < node_sol.objective - lp.TOL_GAP * (1 + abs(cand.objective)):
+                    raise RuntimeError("branching incomplete: settled node below its bound")
+                best, best_obj = cand, cand.objective
+            continue
+        _, (node, sid), _ = pairs[0]
+        off = _BranchState(
+            excluded=state.excluded | {(node, sid)}, required=state.required
+        )
+        # requiring (node, sid) shuts the node for every other ship
+        others = frozenset((node, s.id) for s in instance.ships if s.id != sid)
+        on = _BranchState(
+            excluded=state.excluded | others,
+            required=state.required + ((node, sid),),
+        )
+        counter += 1
+        heapq.heappush(heap, (-node_sol.objective, counter, off, None))
+        counter += 1
+        heapq.heappush(heap, (-node_sol.objective, counter, on, None))
+
+    if best is None:
+        return Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
+    best.meta["root_master_integral"] = False
+    return best
+
+
+def run_column_generation(instance: Instance, config: CgConfig | None = None) -> Solution:
     """Full column generation: heuristic start, pricing loop, integrality
-    check, and (visit, ship) branching when the master is fractional."""
+    check, and (visit, ship) branching when the master is fractional.
+
+    Every status leaves through one exit, which fills in the engine's
+    counters and model sizes and the wall time: a time limit reports what
+    was built and counted before it.
+    """
     config = config or CgConfig()
     t0 = time.monotonic()
     deadline = None if config.time_limit is None else t0 + config.time_limit
-    diag = Diagnostics()
     method = "colgen" if config.pricing == "arcflow" else "colgen-lazy"
+    reach = build_reach_index(instance)
+    if config.pricing == "arcflow":
+        engine = ArcFlowPricing(instance, reach)
+    elif config.pricing == "compact":
+        from .lazy import CompactPricing
 
-    if engine is not None:
-        reach = engine.reach
+        engine = CompactPricing(instance, reach, splitting=config.splitting)
     else:
-        reach = build_reach_index(instance)
-        if config.pricing == "arcflow":
-            engine = ArcFlowPricing(instance, reach)
-        elif config.pricing == "compact":
-            from .lazy import CompactPricing
+        raise ValueError(f"unknown pricing engine {config.pricing!r}")
 
-            engine = CompactPricing(instance, reach, splitting=config.splitting)
-        else:
-            raise ValueError(f"unknown pricing engine {config.pricing!r}")
-
-    if not instance.ships:
-        sol = Solution(method=method, status=OPTIMAL, objective=0.0, bound=0.0, diagnostics=diag)
-        return sol
-
-    columns = [make_dummy(instance, s.id) for s in instance.ships]
+    diag = Diagnostics()
     try:
-        start_cols = initial_columns(instance, reach, engine, deadline=deadline)
-    except lp.SolveTimeLimit:
-        diag.wall_time_sec = time.monotonic() - t0
-        return Solution(method=method, status=TIME_LIMIT, diagnostics=diag)
-    columns.extend(c for c in start_cols if not c.is_dummy)
-    diag.columns_generated = sum(1 for c in columns if not c.is_dummy)
-
-    try:
-        root_sol, _ = _cg_loop(
-            instance, columns, engine, _BranchState(), config, deadline, diag
-        )
-        z = [float(root_sol.x[k]) for k in range(len(columns))]
-        root_integral = _is_integral(z)
-        if root_integral:
-            engine.fill_diagnostics(diag)
-            diag.wall_time_sec = time.monotonic() - t0
-            sol = _assemble(instance, method, _settled_columns(columns, z), diag, config)
-            sol.meta["root_master_integral"] = True
-            return sol
-
-        # branch on fractional (visit, ship) usage; the root node branches
-        # from the master solution it already has, every other node runs
-        # its own pricing loop first
-        best: Solution | None = None
-        best_obj = -math.inf
-        counter = 0
-        heap: list[tuple[float, int, _BranchState, lp.LpSolution | None]] = [
-            (-root_sol.objective, 0, _BranchState(), root_sol)
-        ]
-        while heap:
-            neg_bound, _, state, node_sol = heapq.heappop(heap)
-            if -neg_bound <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
-                continue
-            if lp.expired(deadline):
-                raise ColgenTimeout()
-            diag.bnb_nodes += 1
-            if node_sol is None:
-                node_sol, _ = _cg_loop(instance, columns, engine, state, config, deadline, diag)
-            if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
-                continue
-            z = [float(node_sol.x[k]) for k in range(len(columns))]
-            pairs = _fractional_pairs(columns, z)
-            if not pairs:
-                cand = _assemble(instance, method, _settled_columns(columns, z), diag, config)
-                if cand.status == OPTIMAL and cand.objective > best_obj:
-                    if cand.objective < node_sol.objective - lp.TOL_GAP * (1 + abs(cand.objective)):
-                        raise RuntimeError("branching incomplete: settled node below its bound")
-                    best, best_obj = cand, cand.objective
-                continue
-            _, (node, sid), _ = pairs[0]
-            off = _BranchState(
-                excluded=state.excluded | {(node, sid)}, required=state.required
-            )
-            # requiring (node, sid) shuts the node for every other ship
-            others = frozenset((node, s.id) for s in instance.ships if s.id != sid)
-            on = _BranchState(
-                excluded=state.excluded | others,
-                required=state.required + ((node, sid),),
-            )
-            counter += 1
-            heapq.heappush(heap, (-node_sol.objective, counter, off, None))
-            counter += 1
-            heapq.heappush(heap, (-node_sol.objective, counter, on, None))
-
-        engine.fill_diagnostics(diag)
-        diag.wall_time_sec = time.monotonic() - t0
-        if best is None:
-            return Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
-        best.bound = best.objective
-        best.meta["root_master_integral"] = False
-        return best
+        sol = _branch_and_price(instance, engine, method, config, deadline, diag)
     except ColgenTimeout:
-        engine.fill_diagnostics(diag)
-        diag.wall_time_sec = time.monotonic() - t0
-        return Solution(method=method, status=TIME_LIMIT, diagnostics=diag)
+        sol = Solution(method=method, status=TIME_LIMIT, diagnostics=diag)
+    engine.fill_diagnostics(diag)
+    diag.wall_time_sec = time.monotonic() - t0
+    return sol

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from . import lp
-from .instance import Instance, ReachIndex, build_reach_index, ensure_valid
+from .instance import Instance, ReachIndex, build_reach_index
 from .lp import EQ, GE, LE, LinearModel
 from .solution import (
     INFEASIBLE,
@@ -282,9 +282,8 @@ def build_reduced(
 ) -> tuple[LinearModel, ArcFlowVars]:
     """Reduced MIP: binary ship-arc variables plus ship-aggregated cargo
     flows; tighten=True adds the per-arc availability rows."""
-    ensure_valid(instance)
+    reach = reach or build_reach_index(instance)  # validates the instance
     _reject_empties(instance)
-    reach = reach or build_reach_index(instance)
     model = LinearModel("reduced" + ("-tight" if tighten else ""))
     yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
 
@@ -359,9 +358,8 @@ def build_revised(
 ) -> tuple[LinearModel, ArcFlowVars]:
     """Revised MIP: node-once rows, then every ship's path rows and cargo
     block, with cargo variables disaggregated per ship."""
-    ensure_valid(instance)
+    reach = reach or build_reach_index(instance)  # validates the instance
     _reject_empties(instance)
-    reach = reach or build_reach_index(instance)
     model = LinearModel("revised")
     yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
     _add_node_once_rows(model, instance, yvars)

@@ -359,21 +359,14 @@ class ReachIndex:
         for m in instance.demands:
             self.demand_arcs[m.id] = self.arc_set(m.origin, m.destinations)
 
-        self.movable: dict[str, frozenset[str]] = {}
-        self.origin_visits: dict[tuple[str, str], frozenset[str]] = {}
-        for s in instance.ships:
-            mov = frozenset(
+        self.movable: dict[str, frozenset[str]] = {
+            s.id: frozenset(
                 m.id
                 for m in instance.demands
                 if self.can_reach(s.start_visit, m.origin) and self.demand_arcs[m.id]
             )
-            self.movable[s.id] = mov
-            for q in CARGO_TYPES:
-                self.origin_visits[(s.id, q)] = frozenset(
-                    instance.demand_by_id[mid].origin
-                    for mid in mov
-                    if instance.demand_by_id[mid].cargo_type == q
-                )
+            for s in instance.ships
+        }
 
     def can_reach(self, src: str, dst: str) -> bool:
         """True when dst is reachable from src by zero or more arcs."""
@@ -453,7 +446,7 @@ def path_count(instance: Instance, ship_id: str) -> int:
     return counts[ship.start_visit]
 
 
-def enumerate_paths(instance: Instance, start: str, limit: int | None = None) -> list[tuple[str, ...]]:
+def enumerate_paths(instance: Instance, start: str) -> list[tuple[str, ...]]:
     """All simple start->sink paths in deterministic (arc input) order."""
     sink = instance.sink
     paths: list[tuple[str, ...]] = []
@@ -464,8 +457,6 @@ def enumerate_paths(instance: Instance, start: str, limit: int | None = None) ->
         node, path = stack.pop()
         if node == sink:
             paths.append(path)
-            if limit is not None and len(paths) > limit:
-                raise OverflowError("path enumeration limit exceeded")
             continue
         for a in reversed(instance.out_arcs[node]):
             stack.append((a.dst, path + (a.dst,)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .instance import (
     CARGO_TYPES,
@@ -208,7 +208,6 @@ def _finite_or_none(value):
 
 
 def write_solution(solution: Solution) -> bytes:
-    d = solution.diagnostics
     payload = {
         "schema": SOLUTION_SCHEMA,
         "method": solution.method,
@@ -224,19 +223,7 @@ def write_solution(solution: Solution) -> bytes:
             {"cargo_type": f.cargo_type, "ship": f.ship, "from": f.src, "to": f.dst, "amount": f.amount}
             for f in solution.empty_flows
         ],
-        "diagnostics": {
-            "columns_generated": d.columns_generated,
-            "rmp_iterations": d.rmp_iterations,
-            "bnb_nodes": d.bnb_nodes,
-            "pricing_bnb_nodes": d.pricing_bnb_nodes,
-            "cuts_dc": dict(sorted(d.cuts_dc.items())),
-            "cuts_rf": dict(sorted(d.cuts_rf.items())),
-            "splits": d.splits,
-            "model_rows": d.model_rows,
-            "model_cols": d.model_cols,
-            "model_nonzeros": d.model_nonzeros,
-            "wall_time_sec": d.wall_time_sec,
-        },
+        "diagnostics": asdict(solution.diagnostics),
         "meta": solution.meta,
     }
     return _canonical(payload)
@@ -267,17 +254,7 @@ def parse_solution(data: bytes | str) -> Solution:
             for f in doc.get("empty_flows", [])
         ],
         diagnostics=Diagnostics(
-            columns_generated=diag.get("columns_generated", 0),
-            rmp_iterations=diag.get("rmp_iterations", 0),
-            bnb_nodes=diag.get("bnb_nodes", 0),
-            pricing_bnb_nodes=diag.get("pricing_bnb_nodes", 0),
-            cuts_dc=diag.get("cuts_dc", {}),
-            cuts_rf=diag.get("cuts_rf", {}),
-            splits=diag.get("splits", 0),
-            model_rows=diag.get("model_rows", 0),
-            model_cols=diag.get("model_cols", 0),
-            model_nonzeros=diag.get("model_nonzeros", 0),
-            wall_time_sec=diag.get("wall_time_sec", 0.0),
+            **{f.name: diag[f.name] for f in fields(Diagnostics) if f.name in diag}
         ),
         meta=doc.get("meta", {}),
     )

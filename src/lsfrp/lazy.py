@@ -412,8 +412,7 @@ def separate_cuts(ctx: CompactModel, x, pool_keys: frozenset = frozenset()) -> l
     aboard: dict[str, float] = {}
     aboard_e: dict[tuple[str, str, str], float] = {}
     cuts: list[Cut] = []
-    emitted: set[tuple[str, str]] = set()
-    for node in path[:-1]:
+    for node in path[:-1]:  # a path calls at each node once, so one cut per (node, scope)
         for key in list(aboard):
             if node in ctx.members[key].destinations:
                 del aboard[key]
@@ -429,42 +428,20 @@ def separate_cuts(ctx: CompactModel, x, pool_keys: frozenset = frozenset()) -> l
 
         total = sum(aboard.values()) + sum(aboard_e.values())
         rf = sum(v for k, v in aboard.items() if ctx.members[k].cargo_type == "rf")
-        if total > ship.capacity_dc + lp.TOL_FEAS and (node, "dc") not in emitted:
-            if (node, "dc") in pool_keys:
-                raise RuntimeError(f"carried cut at {node!r} failed to bind (dc scope)")
-            emitted.add((node, "dc"))
-            cuts.append(
-                Cut(
-                    ship=ship.id,
-                    node=node,
-                    scope="dc",
-                    demand_keys=tuple(
-                        k for k in sorted(ctx.members) if node in ctx.carry_nodes[k]
-                    ),
-                    empty_keys=tuple(
-                        e for e in sorted(ctx.empty_nodes) if node in ctx.empty_nodes[e]
-                    ),
-                    rhs=ship.capacity_dc,
-                )
+        for scope, load, cap in (("dc", total, ship.capacity_dc), ("rf", rf, ship.capacity_rf)):
+            if load <= cap + lp.TOL_FEAS:
+                continue
+            if (node, scope) in pool_keys:
+                raise RuntimeError(f"carried cut at {node!r} failed to bind ({scope} scope)")
+            # empties fill total capacity only; reefer plugs hold laden reefers
+            demand_keys = tuple(
+                k for k in sorted(ctx.members)
+                if node in ctx.carry_nodes[k] and (scope == "dc" or ctx.members[k].cargo_type == "rf")
             )
-        if rf > ship.capacity_rf + lp.TOL_FEAS and (node, "rf") not in emitted:
-            if (node, "rf") in pool_keys:
-                raise RuntimeError(f"carried cut at {node!r} failed to bind (rf scope)")
-            emitted.add((node, "rf"))
-            cuts.append(
-                Cut(
-                    ship=ship.id,
-                    node=node,
-                    scope="rf",
-                    demand_keys=tuple(
-                        k
-                        for k in sorted(ctx.members)
-                        if ctx.members[k].cargo_type == "rf" and node in ctx.carry_nodes[k]
-                    ),
-                    empty_keys=(),
-                    rhs=ship.capacity_rf,
-                )
+            empty_keys = tuple(
+                e for e in sorted(ctx.empty_nodes) if scope == "dc" and node in ctx.empty_nodes[e]
             )
+            cuts.append(Cut(ship.id, node, scope, demand_keys, empty_keys, cap))
     return cuts
 
 

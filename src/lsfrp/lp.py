@@ -101,10 +101,6 @@ class NumericalBreakdownError(RuntimeError):
     pass
 
 
-class SolveTimeLimit(RuntimeError):
-    """A pricing-level solve ran out of its time budget."""
-
-
 def expired(deadline: float | None) -> bool:
     """Whether an absolute ``time.monotonic()`` deadline has passed."""
     return deadline is not None and time.monotonic() > deadline

@@ -87,12 +87,10 @@ def _cargo_lp(instance: Instance, ship, path: tuple[str, ...]):
             coef = m.revenue - instance.visit_by_id[m.origin].move_cost - instance.visit_by_id[dest].move_cost
             v = model.add_var(0.0, min(m.amount, cap), obj=coef, name=f"z[{m.id},{dest}]")
             dvars.append((m.id, dest, o, p, v, m.cargo_type))
-        if len(stops) > 1:
+        if len(stops) > 1:  # a single variable's upper bound already caps availability
             model.add_constr(
                 {v: 1.0 for (_, _, _, _, v, _) in dvars[-len(stops):]}, LE, m.amount, f"a[{m.id}]"
             )
-        elif len(stops) == 1:
-            pass  # single variable; its upper bound already caps availability
 
     evars: list[tuple[str, str, str, int, int, int]] = []  # type, src, dst, load, drop, var
     surpluses = [p for p in instance.empty_points if p.amount > 0 and p.visit in pos]

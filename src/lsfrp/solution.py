@@ -64,7 +64,3 @@ class Solution:
     empty_flows: list[EmptyFlow] = field(default_factory=list)
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def solved(self) -> bool:
-        return self.status == OPTIMAL

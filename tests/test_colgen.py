@@ -15,10 +15,10 @@ from lsfrp.colgen import (
     solve_rmp,
 )
 from lsfrp.formulations import build_ship_revised, solve_arcflow
-from lsfrp.instance import build_reach_index
+from lsfrp.instance import build_reach_index, path_count
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.oracle import brute_force_solve
-from lsfrp.solution import NO_DISJOINT_ROUTING, OPTIMAL
+from lsfrp.solution import NO_DISJOINT_ROUTING, OPTIMAL, TIME_LIMIT
 
 from fixtures import (
     MIXED_OPT,
@@ -36,13 +36,24 @@ def _col(ship, path, nodes, profit):
     return Column(ship=ship, path=path, nodes=frozenset(nodes), profit=profit)
 
 
+def _solve_fresh(ins, cols, state=None):
+    """Solve a newly built root (or given node's) master over the columns."""
+    return solve_rmp(RestrictedMaster(ins, state or _BranchState()), cols)
+
+
+def _greedy(ins, engine=None):
+    """Greedy start columns in a run's ship order: ascending path count."""
+    engine = engine or ArcFlowPricing(ins, build_reach_index(ins))
+    return initial_columns(ins, engine, sorted(ins.ships, key=lambda s: path_count(ins, s.id)))
+
+
 def test_rmp_disjoint_columns_all_selected():
     ins = generate_random(GeneratorParams(ships=2, visits=8, demands=0, seed=2))
     cols = [
         _col("s0", ("o0", "tau"), {"o0"}, 5.0),
         _col("s1", ("o1", "tau"), {"o1"}, 7.0),
     ]
-    sol, duals = solve_rmp(ins, cols, relax=True)
+    sol, duals = _solve_fresh(ins, cols)
     assert sol.objective == pytest.approx(12.0)
     assert all(abs(v - 1.0) < 1e-9 for v in sol.x[:2])
     assert set(duals.pi) == {"s0", "s1"}
@@ -56,9 +67,10 @@ def test_rmp_shared_node_forces_dummy():
         _col("s1", ("a", "c", "tau"), {"a", "c"}, 10.0),
         _col("s2", ("b", "c", "tau"), {"b", "c"}, 8.0),
     ]
-    mip, _ = solve_rmp(ins, cols, relax=False)
-    assert mip.status == lp.OPTIMAL
-    chosen = [k for k in range(4) if mip.x[k] > 0.5]
+    # the relaxed master's optimum here is integral
+    sol, _ = _solve_fresh(ins, cols)
+    assert sol.status == lp.OPTIMAL
+    chosen = [k for k in range(4) if sol.x[k] > 0.5]
     # exactly one real column survives, the other ship rides its dummy
     assert len(chosen) == 2
     reals = [k for k in chosen if k >= 2]
@@ -68,7 +80,7 @@ def test_rmp_shared_node_forces_dummy():
 def test_rmp_requires_column_per_ship():
     ins = shared_corridor()
     with pytest.raises(ValueError):
-        solve_rmp(ins, [make_dummy(ins, "s1")])
+        _solve_fresh(ins, [make_dummy(ins, "s1")])
 
 
 def test_rmp_t1_picks_best_path_column():
@@ -77,28 +89,28 @@ def test_rmp_t1_picks_best_path_column():
         _col("s1", ("v0", "v1", "v2", "tau"), {"v0", "v1", "v2"}, 676.0),
         _col("s1", ("v0", "v2", "tau"), {"v0", "v2"}, -17.0),
     ]
-    sol, _ = solve_rmp(ins, cols, relax=True)
+    sol, _ = _solve_fresh(ins, cols)
     assert sol.objective == pytest.approx(T1_OPT)
     assert sol.x[0] == pytest.approx(1.0)
 
 
 def test_initial_columns_t1():
     ins = t1()
-    cols = initial_columns(ins)
+    cols = _greedy(ins)
     assert len(cols) == 1
     assert cols[0].profit == pytest.approx(T1_OPT)
     assert not cols[0].is_dummy
 
 
 def test_initial_columns_isolated_start():
-    cols = initial_columns(isolated_start())
+    cols = _greedy(isolated_start())
     assert len(cols) == 1
     assert cols[0].path == ("a", "tau")
     assert not cols[0].is_dummy
 
 
 def test_initial_columns_shared_corridor_second_ship_dummy():
-    cols = initial_columns(shared_corridor())
+    cols = _greedy(shared_corridor())
     assert len(cols) == 2
     dummies = [c for c in cols if c.is_dummy]
     assert len(dummies) == 1
@@ -166,10 +178,10 @@ def test_rmp_objective_nondecreasing_and_termination_certificate():
     reach = build_reach_index(ins)
     engine = ArcFlowPricing(ins, reach)
     columns = [make_dummy(ins, s.id) for s in ins.ships]
-    columns += [c for c in initial_columns(ins, reach, engine) if not c.is_dummy]
+    columns += [c for c in _greedy(ins, engine) if not c.is_dummy]
     objs = []
     while True:
-        sol, duals = solve_rmp(ins, columns, relax=True)
+        sol, duals = _solve_fresh(ins, columns)
         objs.append(sol.objective)
         rc_tol = lp.TOL_GAP * (1 + abs(sol.objective))
         new = []
@@ -182,7 +194,7 @@ def test_rmp_objective_nondecreasing_and_termination_certificate():
         columns.extend(new)
     assert all(objs[k + 1] >= objs[k] - 1e-9 for k in range(len(objs) - 1))
     # one extra pass proves LP optimality at termination
-    sol, duals = solve_rmp(ins, columns, relax=True)
+    sol, duals = _solve_fresh(ins, columns)
     for s in ins.ships:
         assert price_ship(ins, s.id, duals, engine) is None
 
@@ -201,7 +213,7 @@ def test_columns_are_simple_paths():
     ins = generate_random(GeneratorParams(ships=3, visits=12, demands=6, seed=91))
     reach = build_reach_index(ins)
     engine = ArcFlowPricing(ins, reach)
-    for col in initial_columns(ins, reach, engine):
+    for col in _greedy(ins, engine):
         if col.is_dummy:
             continue
         inner = col.path[:-1]
@@ -218,6 +230,18 @@ def test_solution_objective_matches_reevaluation():
     sol = run_column_generation(ins, CgConfig(pricing="arcflow"))
     assert sol.status == OPTIMAL
     assert evaluate_objective(ins, sol) == pytest.approx(sol.objective, abs=1e-6)
+
+
+@pytest.mark.parametrize("pricing", ["arcflow", "compact"])
+def test_time_limit_before_pricing_reports_model_sizes(pricing):
+    # the deadline has passed when the greedy start prices its first ship,
+    # whose pricing model is built by then
+    ins = generate_random(GeneratorParams(ships=3, visits=12, demands=8, seed=5))
+    sol = run_column_generation(ins, CgConfig(pricing=pricing, time_limit=0.0))
+    assert sol.status == TIME_LIMIT
+    diag = sol.diagnostics
+    assert diag.model_rows > 0 and diag.model_cols > 0 and diag.model_nonzeros > 0
+    assert diag.wall_time_sec > 0.0
 
 
 def test_progress_log_lines_machine_parsable():
@@ -377,8 +401,8 @@ def test_growing_master_matches_one_shot_master(monkeypatch, branched):
     banned = 0
     for col in sequence:
         columns.append(col)
-        sol, duals = solve_rmp(ins, columns, master=master)
-        cold, _ = solve_rmp(ins, columns, state=state)
+        sol, duals = solve_rmp(master, columns)
+        cold, _ = _solve_fresh(ins, columns, state)
         tol = 1e-9 * (1 + abs(cold.objective))
         assert abs(sol.objective - cold.objective) <= tol
         assert len(sol.x) == len(columns)

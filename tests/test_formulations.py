@@ -8,6 +8,7 @@ from lsfrp.formulations import (
     evaluate_objective,
     solve_arcflow,
 )
+from lsfrp.instance import EmptyPoint, Instance, InvalidInstanceError
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.solution import INFEASIBLE, OPTIMAL, DemandFlow, Solution
 
@@ -55,6 +56,15 @@ def test_empty_points_rejected_by_arcflow():
         build_reduced(empty_repos19())
     with pytest.raises(UnsupportedInstanceError):
         build_revised(empty_repos19())
+    # an invalid instance is reported as invalid before its empty points
+    ins = empty_repos19()
+    bad = Instance(
+        ins.ships, ins.visits, ins.sink, ins.arcs, ins.demands,
+        ins.empty_points + (EmptyPoint("nowhere", "dc", 5),), ins.empty_revenue,
+    )
+    for build in (build_reduced, build_revised):
+        with pytest.raises(InvalidInstanceError):
+            build(bad)
 
 
 def test_evaluate_objective_t1_optimum():

@@ -98,8 +98,6 @@ def test_reach_index_t1():
     reach = build_reach_index(ins)
     assert sorted(reach.demand_arcs["m1"]) == [("v1", "v2")]
     assert reach.movable["s1"] == frozenset({"m1"})
-    assert reach.origin_visits[("s1", "dc")] == frozenset({"v1"})
-    assert reach.origin_visits[("s1", "rf")] == frozenset()
 
 
 def test_reach_index_chain():

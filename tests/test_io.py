@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -13,7 +14,7 @@ from lsfrp.io import (
     write_solution,
 )
 from lsfrp.oracle import brute_force_solve
-from lsfrp.solution import OPTIMAL, DemandFlow, Solution
+from lsfrp.solution import OPTIMAL, DemandFlow, Diagnostics, Solution
 
 from fixtures import t1, T1_OPT
 
@@ -111,10 +112,19 @@ def test_generator_desk_scale_oracle_budget():
 
 def test_solution_round_trip_and_objective_field():
     sol = brute_force_solve(t1())
+    sol.diagnostics = Diagnostics(
+        columns_generated=3, rmp_iterations=4, bnb_nodes=5, pricing_bnb_nodes=6,
+        cuts_dc={"s2": 1, "s1": 2}, cuts_rf={"s1": 1}, splits=7,
+        model_rows=8, model_cols=9, model_nonzeros=10, wall_time_sec=0.25,
+    )
+    # every diagnostics field carries a value other than its default
+    default = Diagnostics()
+    assert all(getattr(sol.diagnostics, f.name) != getattr(default, f.name) for f in fields(Diagnostics))
     data = write_solution(sol)
     doc = json.loads(data.decode())
     assert doc["objective"] == T1_OPT
     again = parse_solution(data)
+    assert again.diagnostics == sol.diagnostics
     assert write_solution(again) == data
 
 

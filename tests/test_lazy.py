@@ -306,13 +306,20 @@ def test_empty_reefer_consumes_total_capacity_only():
     assert oracle.objective == pytest.approx(1500.0)
 
 
-def test_gamma_matches_final_pool_rows():
-    ins = overload1()
-    reach = build_reach_index(ins)
-    engine = CompactPricing(ins, reach)
-    from lsfrp.colgen import run_column_generation
+def test_gamma_matches_final_pool_rows(monkeypatch):
+    from lsfrp import lazy
 
-    sol = run_column_generation(ins, CgConfig(pricing="compact"), engine=engine)
+    ins = overload1()
+    engines = []
+
+    class Recorded(CompactPricing):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(lazy, "CompactPricing", Recorded)
+    sol = run_colgen_lazy(ins)
+    [engine] = engines
     assert sol.objective == pytest.approx(OVERLOAD1_OPT)
     assert sol.diagnostics.total_cuts_dc == len(
         [c for c in engine.pools["s1"] if c.scope == "dc"]
