@@ -2,11 +2,17 @@
 
 The restricted master problem selects one path column per ship subject to
 node-disjointness; pricing solves a per-ship profit maximization with the
-master duals priced into node entries.  Two pricing engines plug in behind
-the same interface: arc-flow pricing, whose model is the revised model of
-one ship (``formulations.build_ship_revised``, the revised MIP without its
-node-once rows), and the compact lazy-constraint model of lsfrp.lazy.
-Each engine builds a ship's model once and re-prices it in place.
+master duals priced into node entries.
+
+A ship is priced in one place, ``PricingModel.price``: it writes the node
+prices and exclusions into the ship's model, solves it from the last root
+basis, and reads the column and its profit.  A ``PricingEngine`` builds a
+ship's model on its first call, keeps it, and reports the pricing B&B
+nodes and model sizes.  An engine supplies only the model and a reader of
+its solution: arc-flow pricing the revised model of one ship
+(``formulations.build_ship_revised``, the revised MIP without its
+node-once rows), and lsfrp.lazy the compact model, with capacity cuts
+separated on each integer candidate.
 
 One time limit covers a whole run: it becomes an absolute
 ``time.monotonic()`` deadline that the master loop checks and that every
@@ -24,11 +30,12 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import lp
-from .formulations import ArcFlowVars, build_ship_revised, evaluate_objective, extract_solution
-from .instance import Instance, ReachIndex, build_reach_index, path_count
+from .formulations import build_ship_revised, evaluate_objective, extract_solution
+from .instance import Instance, ReachIndex, Ship, build_reach_index, path_count
 from .lp import EQ, GE, LE, LinearModel
 from .solution import (
     NO_DISJOINT_ROUTING,
@@ -173,29 +180,15 @@ class ColgenTimeout(RuntimeError):
     without a usable column."""
 
 
-def _usable_pricing_result(mip: lp.MipSolution, stop_above: float | None):
-    """A pricing solve is usable when exact, early-stopped, or timed out
-    with an incumbent that already clears the reduced-cost threshold;
-    anything else on timeout aborts the run (no certificate possible)."""
-    if mip.status in (lp.OPTIMAL, lp.STOPPED):
-        return mip
-    if mip.status == lp.TIME_LIMIT:
-        if (
-            mip.x is not None
-            and stop_above is not None
-            and mip.objective > stop_above
-        ):
-            return mip
-        raise ColgenTimeout("pricing ran out of time")
-    return None
-
-
 class PricingModel:
-    """One ship's pricing MIP, built once with no prices and no exclusions.
+    """One ship's pricing MIP, built once with no prices and no exclusions:
+    the one place where a ship is priced.
 
     Each round writes the node prices into the arc objectives, turns the
-    excluded visits into zero bounds on their arcs, and warm-starts the
-    root LP from the previous round's root basis.
+    excluded visits into zero bounds on their arcs, warm-starts the root LP
+    from the previous round's root basis, and reads the column with the
+    engine's ``read(x) -> (path, demand flows, empty flows)``.  It keeps
+    its size as built, before any cut row, and counts its B&B nodes.
 
     Before the first root basis exists, the root starts from the slack
     basis with the best start->sink path under the current arc objectives
@@ -206,18 +199,22 @@ class PricingModel:
     """
 
     def __init__(
-        self, model: LinearModel, yvars: dict[tuple[str, str], int], instance: Instance, start: str
+        self, model: LinearModel, yvars: dict[tuple[str, str], int], instance: Instance, ship: Ship,
+        read: Callable,
     ):
         self.model = model
         self.yvars = yvars
-        self.sink = instance.sink
-        self.start = start
+        self.instance = instance
+        self.ship = ship
+        self.read = read
         self.order = instance.topological_order()
         self.out: dict[str, list[tuple[str, int]]] = {}  # arc variables by tail
         for (i, j), k in yvars.items():
             self.out.setdefault(i, []).append((j, k))
         self.base = [model.obj[k] for k in yvars.values()]  # y costs before prices
         self.basis: lp.LpBasis | None = None
+        self.size = model.size_triple()
+        self.nodes = 0  # B&B nodes over every solve
 
     def _path_basis(self) -> lp.LpBasis | None:
         """Slack basis on the best start->sink path over arcs whose upper
@@ -225,8 +222,9 @@ class PricingModel:
         if self.order is None:
             return None
         obj, ub = self.model.obj, self.model.ub
+        start, sink = self.ship.start_visit, self.instance.sink
         # node -> (best value, last arc variable, that arc's tail)
-        best: dict[str, tuple[float, int, str]] = {self.start: (0.0, -1, "")}
+        best: dict[str, tuple[float, int, str]] = {start: (0.0, -1, "")}
         for node in self.order:
             if node not in best:
                 continue
@@ -234,100 +232,120 @@ class PricingModel:
             for dst, k in self.out.get(node, ()):
                 if ub[k] > 0.0 and (dst not in best or value + obj[k] > best[dst][0]):
                     best[dst] = (value + obj[k], k, node)
-        if self.sink not in best:
+        if sink not in best:
             return None
-        path, node = [], self.sink
-        while node != self.start:
+        path, node = [], sink
+        while node != start:
             _, k, node = best[node]
             path.append(k)
         return lp.slack_basis(self.model, path)
 
-    def solve(self, node_price: dict[str, float], excluded: frozenset[str], **mip_args):
-        model = self.model
+    def price(
+        self, node_price: dict[str, float], excluded: frozenset[str], stop_above: float | None,
+        deadline: float | None, on_candidate: lp.CandidateCallback | None = None,
+    ) -> tuple[Column | None, float]:
+        """Best column under the node prices and exclusions, with its model
+        value less the start's node price; (None, -inf) when no column
+        exists.  With stop_above set, the search may return any column
+        whose model value clears it.
+
+        A solve is usable when exact, early-stopped, or timed out with an
+        incumbent that already clears stop_above; any other timeout raises
+        ColgenTimeout, since nothing certifies that no column exists."""
+        model, ins, ship = self.model, self.instance, self.ship
         for ((i, j), k), base in zip(self.yvars.items(), self.base):
-            price = 0.0 if j == self.sink else node_price.get(j, 0.0)
+            price = 0.0 if j == ins.sink else node_price.get(j, 0.0)
             model.set_objective_coeff(k, base - price)
             model.set_bounds(k, 0.0, 0.0 if i in excluded or j in excluded else 1.0)
         warm = self.basis if self.basis is not None else self._path_basis()
-        mip = lp.solve_mip(model, warm=warm, **mip_args)
+        mip = lp.solve_mip(
+            model, on_candidate=on_candidate, deadline=deadline, stop_above=stop_above, warm=warm
+        )
         if mip.root_basis is not None:
             self.basis = mip.root_basis
-        return mip
+        self.nodes += mip.nodes
+        if mip.status == lp.TIME_LIMIT and (
+            mip.x is None or stop_above is None or mip.objective <= stop_above
+        ):
+            raise ColgenTimeout("pricing ran out of time")
+        if mip.status not in (lp.OPTIMAL, lp.STOPPED, lp.TIME_LIMIT):
+            return None, -math.inf
+        path, flows, empty_flows = self.read(mip.x)
+        sol = Solution("pricing", OPTIMAL, ship_paths={ship.id: path}, demand_flows=flows,
+                       empty_flows=empty_flows)
+        profit = evaluate_objective(ins, sol)
+        col = Column(ship.id, path, frozenset(path[:-1]), flows, empty_flows, profit)
+        return col, mip.objective - node_price.get(ship.start_visit, 0.0)
 
 
-class ArcFlowPricing:
+class PricingEngine:
+    """The ships' pricing models, each built by the engine's ``build`` on
+    its ship's first call whose exclusions leave the start open; None for a
+    ship without a start arc."""
+
+    def __init__(self, instance: Instance, reach: ReachIndex):
+        self.instance = instance
+        self.reach = reach
+        self.models: dict[str, PricingModel | None] = {}
+
+    def build(self, ship: Ship) -> PricingModel | None:
+        raise NotImplementedError
+
+    def model(self, ship_id: str, excluded: frozenset[str]) -> PricingModel | None:
+        """The ship's pricing model, or None when its start is excluded or
+        it has none."""
+        ship = self.instance.ship_by_id[ship_id]
+        if ship.start_visit in excluded:
+            return None
+        if ship_id not in self.models:
+            self.models[ship_id] = self.build(ship)
+        return self.models[ship_id]
+
+    def fill_diagnostics(self, diag: Diagnostics) -> None:
+        """Pricing B&B nodes, and the rows, columns and nonzeros of the
+        models built so far, each averaged over them and rounded."""
+        built = [m for m in self.models.values() if m is not None]
+        diag.pricing_bnb_nodes = sum(m.nodes for m in built)
+        if built:
+            diag.model_rows, diag.model_cols, diag.model_nonzeros = (
+                round(sum(column) / len(built)) for column in zip(*(m.size for m in built))
+            )
+
+
+class ArcFlowPricing(PricingEngine):
     """Single-ship pricing on the revised model of that one ship
     (formulations.build_ship_revised), with the node prices in its arc
     objectives."""
 
     def __init__(self, instance: Instance, reach: ReachIndex):
-        self.instance = instance
-        self.reach = reach
         if instance.empty_points:
-            raise ValueError(
-                "arc-flow pricing does not model empty equipment; use compact pricing"
-            )
-        # ship -> (persistent model, its variables), None without a start arc
-        self.models: dict[str, tuple[PricingModel, ArcFlowVars] | None] = {}
-        self.model_sizes: dict[str, tuple[int, int, int]] = {}
-        self.bnb_nodes = 0
+            raise ValueError("arc-flow pricing does not model empty equipment; use compact pricing")
+        super().__init__(instance, reach)
+
+    def build(self, ship: Ship) -> PricingModel | None:
+        built = build_ship_revised(self.instance, self.reach, ship)
+        if built is None:
+            return None
+        model, vars_ = built
+        # a reader closing over self would make a reference cycle (engine,
+        # model, reader) that only the cyclic garbage collector frees
+        ins = self.instance
+
+        def read(x):
+            sol = extract_solution(ins, vars_, x, "pricing")
+            return sol.ship_paths[ship.id], sol.demand_flows, sol.empty_flows
+
+        return PricingModel(model, vars_.y[ship.id], ins, ship, read)
 
     def price(
-        self,
-        ship_id: str,
-        node_price: dict[str, float],
-        excluded: frozenset[str],
-        stop_above: float | None = None,
-        deadline: float | None = None,
-    ):
-        """Best column for the ship under the given node prices, or None if
-        no start->sink path survives the exclusions.  With stop_above set,
-        the search may return any column whose model value clears it."""
-        ins = self.instance
-        ship = ins.ship_by_id[ship_id]
-        if ship.start_visit in excluded:
+        self, ship_id: str, node_price: dict[str, float], excluded: frozenset[str],
+        stop_above: float | None = None, deadline: float | None = None,
+    ) -> tuple[Column | None, float]:
+        """Best column for the ship, as PricingModel.price finds it."""
+        priced = self.model(ship_id, excluded)
+        if priced is None:
             return None, -math.inf
-        if ship_id not in self.models:
-            built = build_ship_revised(ins, self.reach, ship)
-            self.models[ship_id] = None
-            if built is not None:
-                model, vars_ = built
-                priced = PricingModel(model, vars_.y[ship_id], ins, ship.start_visit)
-                self.models[ship_id] = (priced, vars_)
-                self.model_sizes[ship_id] = model.size_triple()
-        if self.models[ship_id] is None:
-            return None, -math.inf
-        priced, vars_ = self.models[ship_id]
-        mip = priced.solve(node_price, excluded, stop_above=stop_above, deadline=deadline)
-        self.bnb_nodes += mip.nodes
-        mip = _usable_pricing_result(mip, stop_above)
-        if mip is None:
-            return None, -math.inf
-        value = mip.objective - node_price.get(ship.start_visit, 0.0)
-        sol = extract_solution(ins, vars_, mip.x, "pricing")
-        path = sol.ship_paths[ship_id]
-        col = Column(
-            ship=ship_id,
-            path=path,
-            nodes=frozenset(path[:-1]),
-            flows=sol.demand_flows,
-            profit=evaluate_objective(ins, sol),
-        )
-        return col, value
-
-    def fill_diagnostics(self, diag: Diagnostics) -> None:
-        diag.pricing_bnb_nodes = self.bnb_nodes
-        fill_model_sizes(diag, self.model_sizes)
-
-
-def fill_model_sizes(diag: Diagnostics, model_sizes: dict[str, tuple[int, int, int]]) -> None:
-    """Rows, columns and nonzeros of the ships' pricing models as built,
-    each averaged over the ships and rounded."""
-    if model_sizes:
-        rows, cols, nonzeros = zip(*model_sizes.values())
-        diag.model_rows = round(sum(rows) / len(rows))
-        diag.model_cols = round(sum(cols) / len(cols))
-        diag.model_nonzeros = round(sum(nonzeros) / len(nonzeros))
+        return priced.price(node_price, excluded, stop_above, deadline)
 
 
 # -- heuristic initial columns -------------------------------------------------------
@@ -360,34 +378,25 @@ def price_ship(
     engine,
     state: _BranchState | None = None,
     rc_tol: float = 1e-6,
-    exact: bool = True,
     deadline: float | None = None,
 ) -> Column | None:
     """One pricing round; a column comes back only when its reduced cost
     clears the tolerance.
 
-    With exact=False the pricing search may stop at the first column that
-    already clears the tolerance; returning None still requires the exact
-    optimum, so a clean pass remains a valid LP optimality certificate.
+    The pricing search may stop at the first column that already clears
+    the tolerance; returning None still requires the exact optimum, so a
+    clean pass remains a valid LP optimality certificate.
     """
     state = state or _BranchState()
     ship = instance.ship_by_id[ship_id]
     excluded = frozenset(n for (n, sid) in state.excluded if sid == ship_id)
     prices = {v.id: duals.node_price(v.id, ship_id) for v in instance.visits}
-    stop_above = None
-    if not exact:
-        stop_above = (
-            duals.pi.get(ship_id, 0.0)
-            + rc_tol
-            + prices.get(ship.start_visit, 0.0)
-        )
+    pi = duals.pi.get(ship_id, 0.0)
+    stop_above = pi + rc_tol + prices.get(ship.start_visit, 0.0)
     col, value = engine.price(
         ship_id, prices, excluded, stop_above=stop_above, deadline=deadline
     )
-    if col is None:
-        return None
-    reduced = value - duals.pi.get(ship_id, 0.0)
-    if reduced > rc_tol:
+    if col is not None and value - pi > rc_tol:
         return col
     return None
 
@@ -429,10 +438,7 @@ def _cg_loop(instance, columns, engine, state, config, deadline, diag, order):
             )
             if priced_out.get(ship.id) == inputs:
                 continue
-            col = price_ship(
-                instance, ship.id, duals, engine, state, rc_tol,
-                exact=False, deadline=deadline,
-            )
+            col = price_ship(instance, ship.id, duals, engine, state, rc_tol, deadline=deadline)
             if col is None:
                 priced_out[ship.id] = inputs
             else:

@@ -53,7 +53,6 @@ class ArcFlowVars:
 
     y: dict[str, dict[tuple[str, str], int]]
     x: dict[tuple, int]
-    per_ship: bool
 
 
 def delivery_coef(instance: Instance, demand_id: str, dest: str) -> float:
@@ -213,7 +212,7 @@ def add_revised_cargo(
             if coeffs:
                 model.add_constr(coeffs, LE, 0.0, f"avail[{sid},{mid}]")
 
-    _add_cargo_conservation(model, instance, xvars, per_ship=True)
+    _add_cargo_conservation(model, instance, xvars)
 
     # disaggregated link: no more cargo than available or loadable per ship
     for (sid, mid, i, j), v in xvars.items():
@@ -227,17 +226,13 @@ def add_revised_cargo(
     return xvars
 
 
-def _add_cargo_conservation(model, instance, xvars, per_ship: bool) -> None:
-    """Flow conservation at intermediate nodes; absorption at destinations."""
+def _add_cargo_conservation(model, instance, xvars) -> None:
+    """Flow conservation at intermediate nodes; absorption at destinations.
+    A commodity is a key less its arc: (demand,) or (ship, demand)."""
     by_commodity: dict[tuple, dict[str, tuple[list, list]]] = {}
     for key, var in xvars.items():
-        if per_ship:
-            sid, mid, i, j = key
-            ck = (sid, mid)
-        else:
-            mid, i, j = key
-            ck = (mid,)
-        nodes = by_commodity.setdefault(ck, {})
+        *ck, i, j = key
+        nodes = by_commodity.setdefault(tuple(ck), {})
         nodes.setdefault(i, ([], []))[1].append(var)  # outflow at i
         nodes.setdefault(j, ([], []))[0].append(var)  # inflow at j
     for ck, nodes in sorted(by_commodity.items()):
@@ -338,7 +333,7 @@ def build_reduced(
         if coeffs:
             model.add_constr(coeffs, LE, 0.0, f"avail[{m.id}]")
 
-    _add_cargo_conservation(model, instance, xvars, per_ship=False)
+    _add_cargo_conservation(model, instance, xvars)
 
     if tighten:
         for (mid, i, j), v in xvars.items():
@@ -350,7 +345,7 @@ def build_reduced(
                     coeffs[yj] = -amount
             model.add_constr(coeffs, LE, 0.0, f"tight[{mid},{i},{j}]")
 
-    return model, ArcFlowVars(yvars, xvars, per_ship=False)
+    return model, ArcFlowVars(yvars, xvars)
 
 
 def build_revised(
@@ -365,7 +360,7 @@ def build_revised(
     _add_node_once_rows(model, instance, yvars)
     add_path_rows(model, instance, yvars)
     xvars = add_revised_cargo(model, instance, reach, yvars)
-    return model, ArcFlowVars(yvars, xvars, per_ship=True)
+    return model, ArcFlowVars(yvars, xvars)
 
 
 def build_ship_revised(
@@ -383,7 +378,7 @@ def build_ship_revised(
         return None
     add_path_rows(model, instance, yvars)
     xvars = add_revised_cargo(model, instance, reach, yvars)
-    return model, ArcFlowVars(yvars, xvars, per_ship=True)
+    return model, ArcFlowVars(yvars, xvars)
 
 
 def build_arcflow(
@@ -440,11 +435,8 @@ def extract_solution(
         val = float(x[var])
         if abs(val) < 1e-5:
             continue
-        if vars_.per_ship:
-            sid, mid, i, j = key
-        else:
-            mid, i, j = key
-            sid = None
+        *ship, mid, i, j = key
+        sid = ship[0] if ship else None
         m = instance.demand_by_id[mid]
         if j in m.destinations:
             owner = sid or visit_owner.get(j)

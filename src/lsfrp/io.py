@@ -57,6 +57,30 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(obj: dict, key: str, where: str, kind=float):
+    """The field obj[key] converted by kind, or a ParseError naming it."""
+    try:
+        return kind(obj[key])
+    except KeyError:
+        raise ParseError(f"{where}: missing field {key!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}.{key}: {obj[key]!r} is not a number") from None
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object")
+    return value
+
+
+def _entries(doc: dict, key: str):
+    """(location, entry) for each object of the list doc[key]; absent is empty."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{key} must be a list")
+    return [(f"{key}[{i}]", _mapping(item, f"{key}[{i}]")) for i, item in enumerate(items)]
+
+
 # -- instance files -------------------------------------------------------------
 
 
@@ -125,32 +149,27 @@ def parse_instance(data: bytes | str) -> Instance:
     if doc.get("schema") != INSTANCE_SCHEMA:
         raise ParseError(f"unsupported schema {doc.get('schema')!r}, expected {INSTANCE_SCHEMA!r}")
 
-    visits = []
-    for i, v in enumerate(doc.get("visits", [])):
-        where = f"visits[{i}]"
-        visits.append(
-            Visit(
-                id=str(_need(v, "id", where)),
-                port_fee=float(_need(v, "port_fee", where)),
-                move_cost=float(_need(v, "move_cost", where)),
-                time_index=int(v.get("time_index", 0)),
-            )
+    visits = [
+        Visit(
+            id=str(_need(v, "id", where)),
+            port_fee=_number(v, "port_fee", where),
+            move_cost=_number(v, "move_cost", where),
+            time_index=_number(v, "time_index", where, int) if "time_index" in v else 0,
         )
-    ships = []
-    for i, s in enumerate(doc.get("ships", [])):
-        where = f"ships[{i}]"
-        ships.append(
-            Ship(
-                id=str(_need(s, "id", where)),
-                start_visit=str(_need(s, "start_visit", where)),
-                capacity_dc=float(_need(s, "capacity_dc", where)),
-                capacity_rf=float(_need(s, "capacity_rf", where)),
-                ship_type=str(s.get("ship_type", "T0")),
-            )
+        for where, v in _entries(doc, "visits")
+    ]
+    ships = [
+        Ship(
+            id=str(_need(s, "id", where)),
+            start_visit=str(_need(s, "start_visit", where)),
+            capacity_dc=_number(s, "capacity_dc", where),
+            capacity_rf=_number(s, "capacity_rf", where),
+            ship_type=str(s.get("ship_type", "T0")),
         )
+        for where, s in _entries(doc, "ships")
+    ]
     arcs = []
-    for i, a in enumerate(doc.get("arcs", [])):
-        where = f"arcs[{i}]"
+    for where, a in _entries(doc, "arcs"):
         cost = _need(a, "sail_cost", where)
         if not isinstance(cost, dict):
             raise ParseError(f"{where}: sail_cost must map ship type to cost")
@@ -158,12 +177,11 @@ def parse_instance(data: bytes | str) -> Instance:
             make_arc(
                 str(_need(a, "from", where)),
                 str(_need(a, "to", where)),
-                {str(t): float(c) for t, c in cost.items()},
+                {str(t): _number(cost, t, f"{where}.sail_cost") for t in cost},
             )
         )
     demands = []
-    for i, m in enumerate(doc.get("demands", [])):
-        where = f"demands[{i}]"
+    for where, m in _entries(doc, "demands"):
         dests = _need(m, "destinations", where)
         if not isinstance(dests, list):
             raise ParseError(f"{where}: destinations must be a list")
@@ -173,21 +191,20 @@ def parse_instance(data: bytes | str) -> Instance:
                 origin=str(_need(m, "origin", where)),
                 destinations=frozenset(str(d) for d in dests),
                 cargo_type=str(_need(m, "cargo_type", where)),
-                amount=float(_need(m, "amount", where)),
-                revenue=float(_need(m, "revenue_per_teu", where)),
+                amount=_number(m, "amount", where),
+                revenue=_number(m, "revenue_per_teu", where),
             )
         )
-    points = []
-    for i, p in enumerate(doc.get("empty_points", [])):
-        where = f"empty_points[{i}]"
-        points.append(
-            EmptyPoint(
-                visit=str(_need(p, "visit", where)),
-                cargo_type=str(_need(p, "cargo_type", where)),
-                amount=float(_need(p, "amount", where)),
-            )
+    points = [
+        EmptyPoint(
+            visit=str(_need(p, "visit", where)),
+            cargo_type=str(_need(p, "cargo_type", where)),
+            amount=_number(p, "amount", where),
         )
-    revenue = {str(q): float(r) for q, r in doc.get("empty_revenue", {}).items()}
+        for where, p in _entries(doc, "empty_points")
+    ]
+    revenue = _mapping(doc.get("empty_revenue", {}), "empty_revenue")
+    revenue = {str(q): _number(revenue, q, "empty_revenue") for q in revenue}
 
     instance = Instance(
         ships, visits, str(_need(doc, "sink", "instance")), arcs, demands, points, revenue
@@ -236,27 +253,38 @@ def parse_solution(data: bytes | str) -> Solution:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
     if doc.get("schema") != SOLUTION_SCHEMA:
         raise ParseError(f"unsupported schema {doc.get('schema')!r}, expected {SOLUTION_SCHEMA!r}")
-    diag = doc.get("diagnostics", {})
+    paths = _mapping(doc.get("ship_paths", {}), "ship_paths")
+    if not all(isinstance(p, list) for p in paths.values()):
+        raise ParseError("ship_paths must map each ship to a list of visits")
+    diag = _mapping(doc.get("diagnostics", {}), "diagnostics")
     return Solution(
         method=doc.get("method", ""),
         status=doc.get("status", ""),
         objective=doc.get("objective"),
         bound=doc.get("bound"),
-        ship_paths={s: tuple(p) for s, p in doc.get("ship_paths", {}).items()},
+        ship_paths={s: tuple(p) for s, p in paths.items()},
         demand_flows=[
-            DemandFlow(f["demand"], f["ship"], f["destination"], float(f["amount"]))
-            for f in doc.get("demand_flows", [])
+            DemandFlow(
+                _need(f, "demand", where), _need(f, "ship", where), _need(f, "destination", where),
+                _number(f, "amount", where),
+            )
+            for where, f in _entries(doc, "demand_flows")
         ],
         empty_flows=[
-            EmptyFlow(f["cargo_type"], f["ship"], f["from"], f["to"], float(f["amount"]))
-            for f in doc.get("empty_flows", [])
+            EmptyFlow(
+                _need(f, "cargo_type", where), _need(f, "ship", where), _need(f, "from", where),
+                _need(f, "to", where), _number(f, "amount", where),
+            )
+            for where, f in _entries(doc, "empty_flows")
         ],
         diagnostics=Diagnostics(
             **{f.name: diag[f.name] for f in fields(Diagnostics) if f.name in diag}
         ),
-        meta=doc.get("meta", {}),
+        meta=_mapping(doc.get("meta", {}), "meta"),
     )
 
 

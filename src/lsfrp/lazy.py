@@ -15,21 +15,25 @@ are split into per-destination variables sharing one availability cap.
 A ship's arc variables and path rows come from the shared per-ship
 builders of lsfrp.formulations, the same ones the arc-flow models use;
 the cargo rows below are the compact model's own.
+
+``CompactPricing`` supplies the pricing round of ``colgen.PricingModel``
+with the compact model, ``replay_column`` as its reader and the cut
+separation callback; the round itself (prices, solve, column, profit) is
+colgen's, shared with arc-flow pricing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import lp
-from .colgen import (
-    CgConfig, Column, PricingModel, _usable_pricing_result, fill_model_sizes, run_column_generation,
-)
-from .formulations import _trace_path, add_path_rows, add_ship_arcs, evaluate_objective, leaves_start
+from .colgen import CgConfig, Column, PricingEngine, PricingModel, run_column_generation
+from .formulations import _trace_path, add_path_rows, add_ship_arcs, leaves_start
 from .instance import Instance, ReachIndex, Ship, build_reach_index
 from .lp import LE, LinearModel
-from .solution import OPTIMAL, DemandFlow, Diagnostics, EmptyFlow, Solution
+from .solution import DemandFlow, Diagnostics, EmptyFlow, Solution
 
 
 @dataclass(frozen=True)
@@ -202,18 +206,38 @@ class CompactModel:
     split_parents: int = 0
 
 
+def _add_gates(
+    model: LinearModel, yvars, var: int, arcs, origin: str, destinations, name: str
+) -> None:
+    """Gate rows of one cargo variable, named after ``name`` ("stem[tag]"):
+    it moves only if the ship leaves origin, and enters one of the
+    destinations, along its arcs; the bound is the variable's own."""
+    stem, tag = name.split("[", 1)
+    bound = model.ub[var]
+    out_gate = {yvars[(i, j)]: -bound for (i, j) in arcs if i == origin}
+    out_gate[var] = 1.0
+    model.add_constr(out_gate, LE, 0.0, f"{stem}_o[{tag}")
+    in_gate = {yvars[(i, j)]: -bound for (i, j) in arcs if j in destinations}
+    in_gate[var] = 1.0
+    model.add_constr(in_gate, LE, 0.0, f"{stem}_d[{tag}")
+
+
 def build_compact_pricing(
     instance: Instance,
     ship_id: str,
     node_price: dict[str, float] | None = None,
-    reach: ReachIndex | None = None,
+    *,
+    reach: ReachIndex,
     splitting: bool = True,
     excluded: frozenset[str] = frozenset(),
 ) -> CompactModel | None:
     """Per-ship compact pricing model: path rows, load-node capacities,
     origin/destination gates, split caps and empty pairs.  Returns None when
-    the start visit is excluded or left without an outgoing arc."""
-    reach = reach or build_reach_index(instance)
+    the start visit is excluded or left without an outgoing arc.
+
+    The engine builds each model once without prices or exclusions and
+    re-prices it in place; node_price and excluded build a model already
+    priced, the reference that tests compare a re-priced model against."""
     ins = instance
     ship = ins.ship_by_id[ship_id]
     if ship.start_visit in excluded:
@@ -292,13 +316,7 @@ def build_compact_pricing(
     # deficit along arcs the pair can travel
     for key, var in sorted(evars.items()):
         q, src, dst = key
-        bound = model.ub[var]
-        out_gate = {yvars[(i, j)]: -bound for (i, j) in empty_gate_arcs[key] if i == src}
-        out_gate[var] = 1.0
-        model.add_constr(out_gate, LE, 0.0, f"egate_o[{q},{src},{dst}]")
-        in_gate = {yvars[(i, j)]: -bound for (i, j) in empty_gate_arcs[key] if j == dst}
-        in_gate[var] = 1.0
-        model.add_constr(in_gate, LE, 0.0, f"egate_d[{q},{src},{dst}]")
+        _add_gates(model, yvars, var, empty_gate_arcs[key], src, {dst}, f"egate[{q},{src},{dst}]")
 
     # load-node capacity rows: everything picked up at k departs aboard
     load_nodes: dict[str, tuple[list[str], list[tuple[str, str, str]]]] = {}
@@ -326,22 +344,10 @@ def build_compact_pricing(
 
     # origin / destination gates per member
     for mem in reachable_members:
-        cap = ship.capacity_rf if mem.cargo_type == "rf" else ship.capacity_dc
-        bound = min(mem.amount, cap)
-        out_gate = {
-            yvars[(i, j)]: -bound
-            for (i, j) in gate_arcs[mem.key]
-            if i == mem.origin
-        }
-        out_gate[xvars[mem.key]] = 1.0
-        model.add_constr(out_gate, LE, 0.0, f"gate_o[{mem.key}]")
-        in_gate = {
-            yvars[(i, j)]: -bound
-            for (i, j) in gate_arcs[mem.key]
-            if j in mem.destinations
-        }
-        in_gate[xvars[mem.key]] = 1.0
-        model.add_constr(in_gate, LE, 0.0, f"gate_d[{mem.key}]")
+        _add_gates(
+            model, yvars, xvars[mem.key], gate_arcs[mem.key], mem.origin, mem.destinations,
+            f"gate[{mem.key}]",
+        )
 
     # shared availability for split families
     by_parent: dict[str, list[str]] = {}
@@ -478,42 +484,34 @@ def replay_column(ctx: CompactModel, x) -> tuple[tuple[str, ...], list[DemandFlo
 # -- pricing engine -----------------------------------------------------------------
 
 
-class CompactPricing:
+class CompactPricing(PricingEngine):
     """Pricing engine with per-ship cut pools carried across rounds."""
 
     def __init__(self, instance: Instance, reach: ReachIndex, splitting: bool = True):
-        self.instance = instance
-        self.reach = reach
+        super().__init__(instance, reach)
         self.splitting = splitting
         self.pools: dict[str, list[Cut]] = {s.id: [] for s in instance.ships}
-        # ship -> (compact model, its persistent solver), None without a start arc
-        self.models: dict[str, tuple[CompactModel, PricingModel] | None] = {}
-        self.model_sizes: dict[str, tuple[int, int, int]] = {}
-        self.split_counts: dict[str, int] = {}
-        self.bnb_nodes = 0
+        self.contexts: dict[str, CompactModel] = {}  # ship -> its compact model, once built
+
+    def build(self, ship: Ship) -> PricingModel | None:
+        ctx = build_compact_pricing(
+            self.instance, ship.id, reach=self.reach, splitting=self.splitting
+        )
+        if ctx is None:
+            return None
+        self.contexts[ship.id] = ctx
+        return PricingModel(ctx.model, ctx.yvars, self.instance, ship, partial(replay_column, ctx))
 
     def price(
-        self,
-        ship_id: str,
-        node_price: dict[str, float],
-        excluded: frozenset[str],
-        stop_above: float | None = None,
-        deadline: float | None = None,
-    ):
-        ins = self.instance
-        if ins.ship_by_id[ship_id].start_visit in excluded:
+        self, ship_id: str, node_price: dict[str, float], excluded: frozenset[str],
+        stop_above: float | None = None, deadline: float | None = None,
+    ) -> tuple[Column | None, float]:
+        """Best column for the ship (see PricingModel.price), with every
+        integer candidate replayed and cut off while it overloads the ship."""
+        priced = self.model(ship_id, excluded)
+        if priced is None:
             return None, -math.inf
-        if ship_id not in self.models:
-            ctx = build_compact_pricing(ins, ship_id, reach=self.reach, splitting=self.splitting)
-            self.models[ship_id] = None
-            if ctx is not None:
-                self.models[ship_id] = (ctx, PricingModel(ctx.model, ctx.yvars, ins, ctx.ship.start_visit))
-                self.model_sizes[ship_id] = ctx.model.size_triple()
-                self.split_counts[ship_id] = ctx.split_parents
-        if self.models[ship_id] is None:
-            return None, -math.inf
-        ctx, priced = self.models[ship_id]
-
+        ctx = self.contexts[ship_id]
         # the cuts of earlier rounds, already rows of the model, must bind
         pool = self.pools[ship_id]
         pool_keys = frozenset((c.node, c.scope) for c in pool)
@@ -523,46 +521,15 @@ class CompactPricing:
             pool.extend(new_cuts)
             return [lp.Constraint(*_cut_row(ctx, cut)) for cut in new_cuts]
 
-        mip = priced.solve(
-            node_price, excluded,
-            on_candidate=on_candidate, stop_above=stop_above, deadline=deadline,
-        )
-        self.bnb_nodes += mip.nodes
-        mip = _usable_pricing_result(mip, stop_above)
-        if mip is None:
-            return None, -math.inf
-        start = ins.ship_by_id[ship_id].start_visit
-        value = mip.objective - node_price.get(start, 0.0)
-        path, flows, empty_flows = replay_column(ctx, mip.x)
-        col = Column(
-            ship=ship_id,
-            path=path,
-            nodes=frozenset(path[:-1]),
-            flows=flows,
-            empty_flows=empty_flows,
-        )
-        col.profit = evaluate_objective(
-            ins,
-            Solution(
-                "pricing", OPTIMAL,
-                ship_paths={ship_id: path},
-                demand_flows=flows,
-                empty_flows=empty_flows,
-            ),
-        )
-        return col, value
+        return priced.price(node_price, excluded, stop_above, deadline, on_candidate)
 
     def fill_diagnostics(self, diag: Diagnostics) -> None:
-        diag.pricing_bnb_nodes = self.bnb_nodes
+        super().fill_diagnostics(diag)
         for sid, pool in self.pools.items():
-            dc = sum(1 for c in pool if c.scope == "dc")
-            rf = sum(1 for c in pool if c.scope == "rf")
-            if dc:
-                diag.cuts_dc[sid] = dc
-            if rf:
-                diag.cuts_rf[sid] = rf
-        diag.splits = sum(self.split_counts.values())
-        fill_model_sizes(diag, self.model_sizes)
+            for scope, counts in (("dc", diag.cuts_dc), ("rf", diag.cuts_rf)):
+                if n := sum(1 for c in pool if c.scope == scope):
+                    counts[sid] = n
+        diag.splits = sum(ctx.split_parents for ctx in self.contexts.values())
 
 
 def run_colgen_lazy(instance: Instance, config: CgConfig | None = None) -> Solution:

@@ -49,6 +49,24 @@ def test_solve_missing_file_is_usage_error(tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: {"schema": doc["schema"], "sink": "t", "visits": [1]}, "visits[0]"),
+        (lambda doc: {**doc, "arcs": [{**doc["arcs"][0], "sail_cost": {"T0": "x"}}]},
+         "arcs[0].sail_cost"),
+    ],
+    ids=["visit-entry", "sail-cost"],
+)
+def test_solve_malformed_instance_entry_is_usage_error(t1_path, tmp_path, capsys, edit, where):
+    with open(t1_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(edit(doc)))
+    assert main(["solve", "--instance", str(p), "--method", "colgen"]) == 64
+    assert where in capsys.readouterr().err
+
+
 def test_oracle_budget_refusal_exit(t1_path):
     code = main(["solve", "--instance", t1_path, "--method", "oracle", "--oracle-budget", "1"])
     assert code == 3

@@ -282,6 +282,48 @@ def test_pricing_bnb_nodes_reported(monkeypatch):
         assert back.diagnostics.pricing_bnb_nodes == sol.diagnostics.pricing_bnb_nodes
 
 
+@pytest.mark.parametrize("pricing", ["arcflow", "compact"])
+def test_pricing_diagnostics_match_the_built_models(monkeypatch, pricing):
+    from lsfrp import colgen, lazy
+
+    ins = generate_random(GeneratorParams(ships=3, visits=12, demands=10, capacity_dc_range=(25, 60),
+                                          amount_range=(10, 45), seed=63))
+    nodes, sizes, splits = [], [], []  # per pricing solve; per model as built
+    real_mip = lp.solve_mip
+
+    def solve_mip(*args, **kwargs):
+        mip = real_mip(*args, **kwargs)
+        nodes.append(mip.nodes)
+        return mip
+
+    module, name = (colgen, "build_ship_revised")
+    if pricing == "compact":
+        module, name = (lazy, "build_compact_pricing")
+    real_build = getattr(module, name)
+
+    def build(*args, **kwargs):
+        built = real_build(*args, **kwargs)
+        if built is not None:
+            model = built[0] if pricing == "arcflow" else built.model
+            sizes.append(model.size_triple())
+            splits.append(getattr(built, "split_parents", 0))
+        return built
+
+    monkeypatch.setattr(lp, "solve_mip", solve_mip)
+    monkeypatch.setattr(module, name, build)
+    sol = run_column_generation(ins, CgConfig(pricing=pricing))
+    assert sol.status == OPTIMAL
+    diag = sol.diagnostics
+    # the master solves LPs only, so every MIP is a pricing solve
+    assert diag.pricing_bnb_nodes == sum(nodes) > len(ins.ships)
+    assert len(sizes) == len(ins.ships)
+    assert (diag.model_rows, diag.model_cols, diag.model_nonzeros) == tuple(
+        round(sum(column) / len(sizes)) for column in zip(*sizes)
+    )
+    assert diag.splits == sum(splits)
+    assert (diag.splits > 0) == (pricing == "compact")
+
+
 # Each instance reaches a branch-and-price node whose master is fractional
 # while every (visit, ship type) usage is integral.  Branching on that
 # usage could not split such a node: the first instance raised "branching

@@ -43,6 +43,51 @@ def test_parse_rejects_wrong_schema():
         parse_instance(json.dumps({"schema": "other-v9"}))
 
 
+@pytest.mark.parametrize(
+    "key, index, name, value, where",
+    [
+        ("visits", None, None, [1], "visits[0]"),
+        ("visits", None, None, 7, "visits"),
+        ("ships", 0, "capacity_dc", None, "ships[0].capacity_dc"),
+        ("arcs", 0, "sail_cost", {"T0": "x"}, "arcs[0].sail_cost.T0"),
+        ("demands", 0, "amount", "many", "demands[0].amount"),
+        ("visits", 1, "time_index", "late", "visits[1].time_index"),
+        ("empty_revenue", None, None, [1, 2], "empty_revenue"),
+    ],
+    ids=["visit-entry", "visit-list", "capacity", "sail-cost", "amount", "time-index", "empty-revenue"],
+)
+def test_parse_names_the_malformed_instance_entry(key, index, name, value, where):
+    doc = json.loads(write_instance(t1()).decode())
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index][name] = value
+    with pytest.raises(ParseError) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value).startswith(where)
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: [doc], "top level"),
+        (lambda doc: {**doc, "demand_flows": [{"demand": "m1", "ship": "s1", "amount": 1}]},
+         "demand_flows[0]: missing field 'destination'"),
+        (lambda doc: {**doc, "demand_flows": ["m1"]}, "demand_flows[0]"),
+        (lambda doc: {**doc, "empty_flows": [{"cargo_type": "dc", "ship": "s1", "from": "a", "to": "b",
+                                              "amount": "x"}]}, "empty_flows[0].amount"),
+        (lambda doc: {**doc, "ship_paths": {"s1": 3}}, "ship_paths"),
+        (lambda doc: {**doc, "diagnostics": []}, "diagnostics"),
+    ],
+    ids=["top-level", "flow-field", "flow-entry", "empty-flow-amount", "ship-path", "diagnostics"],
+)
+def test_parse_solution_names_the_malformed_entry(edit, where):
+    doc = json.loads(write_solution(brute_force_solve(t1())).decode())
+    with pytest.raises(ParseError) as exc:
+        parse_solution(json.dumps(edit(doc)))
+    assert str(exc.value).startswith(where)
+
+
 def test_empty_demand_list_is_valid():
     doc = json.loads(write_instance(t1()).decode())
     doc["demands"] = []

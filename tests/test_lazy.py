@@ -108,7 +108,8 @@ def test_builder_splits_without_criterion_three():
         ],
     )
     assert split_demand_triples(ins, "s1")["mA"] == [frozenset({"a1", "a2"})]
-    assert set(build_compact_pricing(ins, "s1").xvars) == {"mA@a1", "mA@a2", "mB"}
+    reach = build_reach_index(ins)
+    assert set(build_compact_pricing(ins, "s1", reach=reach).xvars) == {"mA@a1", "mA@a2", "mB"}
 
 
 # -- compact model ------------------------------------------------------------------
@@ -158,9 +159,10 @@ def test_unequal_unload_costs_without_splitting_is_error():
         ],
         [Demand("m", "o", frozenset({"d1", "d2"}), "dc", 10, 50)],
     )
+    reach = build_reach_index(ins)
     with pytest.raises(SplitRequiredError):
-        build_compact_pricing(ins, "s1", splitting=False)
-    ctx = build_compact_pricing(ins, "s1", splitting=True)
+        build_compact_pricing(ins, "s1", reach=reach, splitting=False)
+    ctx = build_compact_pricing(ins, "s1", reach=reach, splitting=True)
     assert set(ctx.xvars) == {"m@d1", "m@d2"}
 
 
@@ -325,7 +327,7 @@ def test_gamma_matches_final_pool_rows(monkeypatch):
         [c for c in engine.pools["s1"] if c.scope == "dc"]
     )
     # the pool's cuts are the pricing model's last rows, in pool order
-    ctx, _ = engine.models["s1"]
+    ctx = engine.contexts["s1"]
     pool = engine.pools["s1"]
     assert pool and ctx.model.rows[-len(pool):] == [lp.Constraint(*_cut_row(ctx, c)) for c in pool]
 
