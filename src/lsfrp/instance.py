@@ -299,7 +299,7 @@ def validate(instance: Instance) -> ValidationReport:
 
     # connectivity checks only make sense on a well-formed DAG
     if rep.ok:
-        fwd = _reach_masks(instance, forward=True)
+        fwd = _reach_masks(instance)
         idx = {n: i for i, n in enumerate(instance.node_ids)}
         sink_bit = 1 << idx[instance.sink]
         from_starts = 0
@@ -321,21 +321,16 @@ def ensure_valid(instance: Instance) -> None:
 # -- reachability -------------------------------------------------------------
 
 
-def _reach_masks(instance: Instance, forward: bool) -> dict[str, int]:
-    """Per-node bitmask of reachable nodes (inclusive of the node itself)."""
+def _reach_masks(instance: Instance) -> dict[str, int]:
+    """Per-node bitmask of the nodes it reaches (inclusive of the node itself)."""
     order = instance.topological_order()
     if order is None:
         raise InvalidInstanceError(ValidationReport(["graph has a cycle"]))
     idx = {n: i for i, n in enumerate(instance.node_ids)}
     masks = {n: 1 << idx[n] for n in instance.node_ids}
-    if forward:
-        for n in reversed(order):
-            for a in instance.out_arcs[n]:
-                masks[n] |= masks[a.dst]
-    else:
-        for n in order:
-            for a in instance.in_arcs[n]:
-                masks[n] |= masks[a.src]
+    for n in reversed(order):
+        for a in instance.out_arcs[n]:
+            masks[n] |= masks[a.dst]
     return masks
 
 
@@ -352,8 +347,7 @@ class ReachIndex:
         ensure_valid(instance)
         self.instance = instance
         self._idx = {n: i for i, n in enumerate(instance.node_ids)}
-        self.fwd = _reach_masks(instance, forward=True)
-        self.bwd = _reach_masks(instance, forward=False)
+        self.fwd = _reach_masks(instance)
 
         self.demand_arcs: dict[str, frozenset[tuple[str, str]]] = {}
         for m in instance.demands:

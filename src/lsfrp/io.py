@@ -67,6 +67,16 @@ def _number(obj: dict, key: str, where: str, kind=float):
         raise ParseError(f"{where}.{key}: {obj[key]!r} is not a number") from None
 
 
+def _typed(value, kind, where: str):
+    """value when it is a kind (an int counts as a float, a bool as
+    neither), or a ParseError naming where; the value is kept as it is."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        noun = {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise ParseError(f"{where}: {value!r} is not {noun}")
+    return value
+
+
 def _mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{where} must be an object")
@@ -246,6 +256,21 @@ def write_solution(solution: Solution) -> bytes:
     return _canonical(payload)
 
 
+def _diagnostics(value) -> Diagnostics:
+    """Diagnostics from its object; each field must have its default's type."""
+    diag = _mapping(value, "diagnostics")
+    checked = {}
+    for f in fields(Diagnostics):
+        if f.name in diag:
+            where = f"diagnostics.{f.name}"
+            if f.default_factory is dict:  # per-ship cut counts
+                counts = _mapping(diag[f.name], where)
+                checked[f.name] = {k: _typed(n, int, f"{where}.{k}") for k, n in counts.items()}
+            else:
+                checked[f.name] = _typed(diag[f.name], type(f.default), where)
+    return Diagnostics(**checked)
+
+
 def parse_solution(data: bytes | str) -> Solution:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -258,14 +283,20 @@ def parse_solution(data: bytes | str) -> Solution:
     if doc.get("schema") != SOLUTION_SCHEMA:
         raise ParseError(f"unsupported schema {doc.get('schema')!r}, expected {SOLUTION_SCHEMA!r}")
     paths = _mapping(doc.get("ship_paths", {}), "ship_paths")
-    if not all(isinstance(p, list) for p in paths.values()):
-        raise ParseError("ship_paths must map each ship to a list of visits")
-    diag = _mapping(doc.get("diagnostics", {}), "diagnostics")
+    for s, p in paths.items():
+        if not isinstance(p, list):
+            raise ParseError(f"ship_paths.{s} must be a list of visits")
+        for i, v in enumerate(p):
+            _typed(v, str, f"ship_paths.{s}[{i}]")
+    scalars = {k: doc.get(k) for k in ("objective", "bound")}
+    for k, v in scalars.items():
+        if v is not None:
+            _typed(v, float, k)
     return Solution(
         method=doc.get("method", ""),
         status=doc.get("status", ""),
-        objective=doc.get("objective"),
-        bound=doc.get("bound"),
+        objective=scalars["objective"],
+        bound=scalars["bound"],
         ship_paths={s: tuple(p) for s, p in paths.items()},
         demand_flows=[
             DemandFlow(
@@ -281,9 +312,7 @@ def parse_solution(data: bytes | str) -> Solution:
             )
             for where, f in _entries(doc, "empty_flows")
         ],
-        diagnostics=Diagnostics(
-            **{f.name: diag[f.name] for f in fields(Diagnostics) if f.name in diag}
-        ),
+        diagnostics=_diagnostics(doc.get("diagnostics", {})),
         meta=_mapping(doc.get("meta", {}), "meta"),
     )
 

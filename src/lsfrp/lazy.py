@@ -6,8 +6,10 @@ node.  Joint capacity along the path is enforced lazily: every integer
 candidate is replayed from the start visit (cargo loads at its origin and
 unloads at the first visited destination), and wherever the onboard total
 exceeds a capacity a cut over every demand that can be aboard there is
-added.  Cuts persist across pricing rounds, in a per-ship pool and as rows
-of the ship's pricing model, which is built once and re-priced each round.
+added.  A cut is its (node, scope) key, and ``capacity_cut`` builds its row
+from the key.  Cuts persist across pricing rounds as rows of the ship's
+pricing model, which is built once and re-priced each round; the model
+lists their keys in ``CompactModel.cuts``, in row order.
 
 Multi-destination demands whose variables a cut could wrongly tie together
 are split into per-destination variables sharing one availability cap.
@@ -17,15 +19,15 @@ builders of lsfrp.formulations, the same ones the arc-flow models use;
 the cargo rows below are the compact model's own.
 
 ``CompactPricing`` supplies the pricing round of ``colgen.PricingModel``
-with the compact model, ``replay_column`` as its reader and the cut
-separation callback; the round itself (prices, solve, column, profit) is
-colgen's, shared with arc-flow pricing.
+with the compact model, ``replay_column`` as its reader and
+``add_violated_cuts`` as its separation callback; the round itself
+(prices, solve, column, profit) is colgen's, shared with arc-flow pricing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import lp
@@ -48,19 +50,6 @@ class Member:
     amount: float  # parent availability
     revenue: float
     unload_cost: float
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Capacity cut at a node: every member/empty pair that can be aboard
-    when leaving the node, against one capacity scope."""
-
-    ship: str
-    node: str
-    scope: str  # "dc" (total, incl. empties) or "rf" (laden reefer only)
-    demand_keys: tuple[str, ...]
-    empty_keys: tuple[tuple[str, str, str], ...]
-    rhs: float
 
 
 class SplitRequiredError(ValueError):
@@ -196,7 +185,7 @@ def _members_for_ship(
 class CompactModel:
     model: LinearModel
     ship: Ship
-    sink: str
+    instance: Instance
     yvars: dict[tuple[str, str], int]
     xvars: dict[str, int]
     evars: dict[tuple[str, str, str], int]
@@ -204,6 +193,8 @@ class CompactModel:
     carry_nodes: dict[str, frozenset[str]]  # member key -> nodes it can depart loaded
     empty_nodes: dict[tuple[str, str, str], frozenset[str]]
     split_parents: int = 0
+    # (node, scope) of each capacity cut, in the order its row was appended
+    cuts: list[tuple[str, str]] = field(default_factory=list)
 
 
 def _add_gates(
@@ -380,7 +371,7 @@ def build_compact_pricing(
     return CompactModel(
         model=model,
         ship=ship,
-        sink=instance.sink,
+        instance=instance,
         yvars=yvars,
         xvars=xvars,
         evars=evars,
@@ -391,70 +382,66 @@ def build_compact_pricing(
     )
 
 
-def _cut_row(ctx: CompactModel, cut: Cut):
-    coeffs = {ctx.xvars[k]: 1.0 for k in cut.demand_keys if k in ctx.xvars}
-    for e in cut.empty_keys:
-        if e in ctx.evars:
-            coeffs[ctx.evars[e]] = 1.0
-    return coeffs, LE, cut.rhs, f"lazy[{cut.scope},{cut.node}]"
+def capacity_cut(ctx: CompactModel, node: str, scope: str) -> lp.Constraint:
+    """The capacity cut at node for one scope ("dc": total, empties
+    included; "rf": laden reefer only) over every member and empty pair
+    that can be aboard when the ship leaves node."""
+    coeffs = {
+        var: 1.0 for key, var in sorted(ctx.xvars.items())
+        if node in ctx.carry_nodes[key] and (scope == "dc" or ctx.members[key].cargo_type == "rf")
+    }
+    if scope == "dc":  # empties fill total capacity only; reefer plugs hold laden reefers
+        coeffs.update({v: 1.0 for e, v in sorted(ctx.evars.items()) if node in ctx.empty_nodes[e]})
+    cap = ctx.ship.capacity_dc if scope == "dc" else ctx.ship.capacity_rf
+    return lp.Constraint(coeffs, LE, cap, f"lazy[{scope},{node}]")
 
 
-def separate_cuts(ctx: CompactModel, x, pool_keys: frozenset = frozenset()) -> list[Cut]:
-    """Replay the candidate path tracking onboard load per scope; emit one
-    cut per (node, scope) where a capacity is exceeded."""
-    ship = ctx.ship
-    path = _trace_path(ctx.yvars, x, ctx.ship.start_visit, ctx.sink)
-    loads: dict[str, float] = {}
-    for key, var in ctx.xvars.items():
-        val = float(x[var])
-        if val > FLOW_EPS:
-            loads[key] = val
-    eloads: dict[tuple[str, str, str], float] = {}
-    for key, var in ctx.evars.items():
-        val = float(x[var])
-        if val > FLOW_EPS:
-            eloads[key] = val
+def leg_loads(instance: Instance, path, flows, empty_flows) -> list[tuple[float, float]]:
+    """(total, laden reefer) load on each leg of path: a flow is aboard from
+    its origin's visit up to its destination's."""
+    pos = {node: k for k, node in enumerate(path)}
+    total = [0.0] * max(len(path) - 1, 0)
+    rf = [0.0] * len(total)
+    for f in flows:
+        m = instance.demand_by_id[f.demand]
+        for leg in range(pos[m.origin], pos[f.destination]):
+            total[leg] += f.amount
+            if m.cargo_type == "rf":
+                rf[leg] += f.amount
+    for f in empty_flows:
+        for leg in range(pos[f.src], pos[f.dst]):
+            total[leg] += f.amount  # empties never use reefer plugs
+    return list(zip(total, rf))
 
-    aboard: dict[str, float] = {}
-    aboard_e: dict[tuple[str, str, str], float] = {}
-    cuts: list[Cut] = []
-    for node in path[:-1]:  # a path calls at each node once, so one cut per (node, scope)
-        for key in list(aboard):
-            if node in ctx.members[key].destinations:
-                del aboard[key]
-        for key in list(aboard_e):
-            if key[2] == node:
-                del aboard_e[key]
-        for key, val in loads.items():
-            if ctx.members[key].origin == node:
-                aboard[key] = val
-        for key, val in eloads.items():
-            if key[1] == node:
-                aboard_e[key] = val
 
-        total = sum(aboard.values()) + sum(aboard_e.values())
-        rf = sum(v for k, v in aboard.items() if ctx.members[k].cargo_type == "rf")
-        for scope, load, cap in (("dc", total, ship.capacity_dc), ("rf", rf, ship.capacity_rf)):
-            if load <= cap + lp.TOL_FEAS:
-                continue
-            if (node, scope) in pool_keys:
-                raise RuntimeError(f"carried cut at {node!r} failed to bind ({scope} scope)")
-            # empties fill total capacity only; reefer plugs hold laden reefers
-            demand_keys = tuple(
-                k for k in sorted(ctx.members)
-                if node in ctx.carry_nodes[k] and (scope == "dc" or ctx.members[k].cargo_type == "rf")
-            )
-            empty_keys = tuple(
-                e for e in sorted(ctx.empty_nodes) if scope == "dc" and node in ctx.empty_nodes[e]
-            )
-            cuts.append(Cut(ship.id, node, scope, demand_keys, empty_keys, cap))
-    return cuts
+def separate_cuts(ctx: CompactModel, x) -> list[tuple[str, str]]:
+    """Replay the candidate's cargo along its path; the (node, scope) key of
+    every leg where a capacity is exceeded, one per key since a path calls
+    at each node once."""
+    path, flows, empty_flows = replay_column(ctx, x)
+    caps = (ctx.ship.capacity_dc, ctx.ship.capacity_rf)
+    keys = []
+    for node, loads in zip(path, leg_loads(ctx.instance, path, flows, empty_flows)):
+        for scope, load, cap in zip(("dc", "rf"), loads, caps):
+            if load > cap + lp.TOL_FEAS:
+                if (node, scope) in ctx.cuts:  # a row of the model already, so it must bind
+                    raise RuntimeError(f"carried cut at {node!r} failed to bind ({scope} scope)")
+                keys.append((node, scope))
+    return keys
+
+
+def add_violated_cuts(ctx: CompactModel, x) -> list[lp.Constraint]:
+    """Separation callback of solve_mip: the rows of the cuts the candidate
+    violates, whose keys join ctx.cuts as solve_mip appends the rows."""
+    keys = separate_cuts(ctx, x)
+    ctx.cuts.extend(keys)
+    return [capacity_cut(ctx, node, scope) for node, scope in keys]
 
 
 def replay_column(ctx: CompactModel, x) -> tuple[tuple[str, ...], list[DemandFlow], list[EmptyFlow]]:
     """Path plus realized flows: members unload at the first visited member
     destination after their origin."""
-    path = _trace_path(ctx.yvars, x, ctx.ship.start_visit, ctx.sink)
+    path = _trace_path(ctx.yvars, x, ctx.ship.start_visit, ctx.instance.sink)
     pos = {node: k for k, node in enumerate(path)}
     flows: dict[tuple[str, str], float] = {}
     for key, var in ctx.xvars.items():
@@ -485,12 +472,11 @@ def replay_column(ctx: CompactModel, x) -> tuple[tuple[str, ...], list[DemandFlo
 
 
 class CompactPricing(PricingEngine):
-    """Pricing engine with per-ship cut pools carried across rounds."""
+    """Pricing engine whose ship models keep their cuts across rounds."""
 
     def __init__(self, instance: Instance, reach: ReachIndex, splitting: bool = True):
         super().__init__(instance, reach)
         self.splitting = splitting
-        self.pools: dict[str, list[Cut]] = {s.id: [] for s in instance.ships}
         self.contexts: dict[str, CompactModel] = {}  # ship -> its compact model, once built
 
     def build(self, ship: Ship) -> PricingModel | None:
@@ -511,23 +497,14 @@ class CompactPricing(PricingEngine):
         priced = self.model(ship_id, excluded)
         if priced is None:
             return None, -math.inf
-        ctx = self.contexts[ship_id]
-        # the cuts of earlier rounds, already rows of the model, must bind
-        pool = self.pools[ship_id]
-        pool_keys = frozenset((c.node, c.scope) for c in pool)
-
-        def on_candidate(x):
-            new_cuts = separate_cuts(ctx, x, pool_keys)
-            pool.extend(new_cuts)
-            return [lp.Constraint(*_cut_row(ctx, cut)) for cut in new_cuts]
-
+        on_candidate = partial(add_violated_cuts, self.contexts[ship_id])
         return priced.price(node_price, excluded, stop_above, deadline, on_candidate)
 
     def fill_diagnostics(self, diag: Diagnostics) -> None:
         super().fill_diagnostics(diag)
-        for sid, pool in self.pools.items():
+        for sid, ctx in self.contexts.items():
             for scope, counts in (("dc", diag.cuts_dc), ("rf", diag.cuts_rf)):
-                if n := sum(1 for c in pool if c.scope == scope):
+                if n := sum(1 for _, s in ctx.cuts if s == scope):
                     counts[sid] = n
         diag.splits = sum(ctx.split_parents for ctx in self.contexts.values())
 
@@ -544,31 +521,12 @@ def capacity_violations(instance: Instance, solution: Solution) -> list[str]:
     out: list[str] = []
     for sid, path in solution.ship_paths.items():
         ship = instance.ship_by_id[sid]
-        pos = {node: k for k, node in enumerate(path)}
-        legs_total = [0.0] * max(len(path) - 1, 0)
-        legs_rf = [0.0] * max(len(path) - 1, 0)
-        for f in solution.demand_flows:
-            if f.ship != sid:
-                continue
-            m = instance.demand_by_id[f.demand]
-            for leg in range(pos[m.origin], pos[f.destination]):
-                legs_total[leg] += f.amount
-                if m.cargo_type == "rf":
-                    legs_rf[leg] += f.amount
-        for f in solution.empty_flows:
-            if f.ship != sid:
-                continue
-            for leg in range(pos[f.src], pos[f.dst]):
-                legs_total[leg] += f.amount  # empties never use reefer plugs
-        for leg in range(len(path) - 1):
-            if legs_total[leg] > ship.capacity_dc + lp.TOL_FEAS:
-                out.append(
-                    f"{sid}: total load {legs_total[leg]:.3f} > {ship.capacity_dc} "
-                    f"on {path[leg]}->{path[leg + 1]}"
-                )
-            if legs_rf[leg] > ship.capacity_rf + lp.TOL_FEAS:
-                out.append(
-                    f"{sid}: reefer load {legs_rf[leg]:.3f} > {ship.capacity_rf} "
-                    f"on {path[leg]}->{path[leg + 1]}"
-                )
+        caps = (ship.capacity_dc, ship.capacity_rf)
+        flows = [f for f in solution.demand_flows if f.ship == sid]
+        empty_flows = [f for f in solution.empty_flows if f.ship == sid]
+        for leg, loads in enumerate(leg_loads(instance, path, flows, empty_flows)):
+            for kind, load, cap in zip(("total", "reefer"), loads, caps):
+                if load > cap + lp.TOL_FEAS:
+                    hop = f"{path[leg]}->{path[leg + 1]}"
+                    out.append(f"{sid}: {kind} load {load:.3f} > {cap} on {hop}")
     return out

@@ -8,7 +8,6 @@ Desk-scale only: refuses when the path-count product exceeds the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import lp
@@ -23,11 +22,6 @@ class OracleBudgetError(RuntimeError):
     """Assignment space too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class PathAssignment:
-    paths: tuple[tuple[str, ...], ...]  # one start->sink path per ship, in ship order
-
-
 def _node_mask(path: tuple[str, ...], index: dict[str, int]) -> int:
     mask = 0
     for node in path[:-1]:  # sink shared by all ships
@@ -37,9 +31,10 @@ def _node_mask(path: tuple[str, ...], index: dict[str, int]) -> int:
 
 def enumerate_disjoint_paths(
     instance: Instance, budget: int = DEFAULT_BUDGET
-) -> Iterator[PathAssignment]:
-    """Yield every pairwise node-disjoint path assignment, lexicographic by
-    ship index then path enumeration order."""
+) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """Yield every pairwise node-disjoint path assignment, one start->sink
+    path per ship in ship order, lexicographic by ship index then path
+    enumeration order."""
     ensure_valid(instance)
     product = 1
     for s in instance.ships:
@@ -52,9 +47,9 @@ def enumerate_disjoint_paths(
     per_ship = [enumerate_paths(instance, s.start_visit) for s in instance.ships]
     masks = [[_node_mask(p, index) for p in paths] for paths in per_ship]
 
-    def rec(k: int, used: int, acc: list[tuple[str, ...]]) -> Iterator[PathAssignment]:
+    def rec(k: int, used: int, acc: list[tuple[str, ...]]):
         if k == len(per_ship):
-            yield PathAssignment(tuple(acc))
+            yield tuple(acc)
             return
         for p, m in zip(per_ship[k], masks[k]):
             if used & m:
@@ -172,10 +167,10 @@ def brute_force_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> Solut
         return cache[key]
 
     best_total = -lp.INF
-    best: PathAssignment | None = None
+    best: tuple[tuple[str, ...], ...] | None = None
     for assignment in enumerate_disjoint_paths(instance, budget):
         total = 0.0
-        for k, path in enumerate(assignment.paths):
+        for k, path in enumerate(assignment):
             total += value(k, path)[0]
         if total > best_total + 1e-12:
             best_total, best = total, assignment
@@ -184,7 +179,7 @@ def brute_force_solve(instance: Instance, budget: int = DEFAULT_BUDGET) -> Solut
     if best is None:
         return Solution(method="oracle", status=NO_DISJOINT_ROUTING, diagnostics=diag)
     sol = Solution(method="oracle", status=OPTIMAL, objective=best_total, bound=best_total, diagnostics=diag)
-    for k, (s, path) in enumerate(zip(instance.ships, best.paths)):
+    for k, (s, path) in enumerate(zip(instance.ships, best)):
         _, flows, empties = value(k, path)
         sol.ship_paths[s.id] = path
         sol.demand_flows.extend(flows)

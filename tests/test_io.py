@@ -78,8 +78,16 @@ def test_parse_names_the_malformed_instance_entry(key, index, name, value, where
                                               "amount": "x"}]}, "empty_flows[0].amount"),
         (lambda doc: {**doc, "ship_paths": {"s1": 3}}, "ship_paths"),
         (lambda doc: {**doc, "diagnostics": []}, "diagnostics"),
+        (lambda doc: {**doc, "objective": "high"}, "objective: 'high' is not a number"),
+        (lambda doc: {**doc, "bound": [1]}, "bound: [1] is not a number"),
+        (lambda doc: {**doc, "diagnostics": {"model_rows": "x"}},
+         "diagnostics.model_rows: 'x' is not an integer"),
+        (lambda doc: {**doc, "diagnostics": {"cuts_dc": [1]}}, "diagnostics.cuts_dc must be an object"),
+        (lambda doc: {**doc, "ship_paths": {"s1": ["v0", 1, "tau"]}},
+         "ship_paths.s1[1]: 1 is not a string"),
     ],
-    ids=["top-level", "flow-field", "flow-entry", "empty-flow-amount", "ship-path", "diagnostics"],
+    ids=["top-level", "flow-field", "flow-entry", "empty-flow-amount", "ship-path", "diagnostics",
+         "objective", "bound", "diagnostics-field", "cut-counts", "ship-path-entry"],
 )
 def test_parse_solution_names_the_malformed_entry(edit, where):
     doc = json.loads(write_solution(brute_force_solve(t1())).decode())

@@ -1,3 +1,6 @@
+from functools import partial
+
+import numpy as np
 import pytest
 
 from lsfrp.colgen import CgConfig
@@ -9,21 +12,23 @@ from lsfrp.instance import (
     Ship,
     Visit,
     build_reach_index,
+    enumerate_paths,
     make_arc,
 )
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import (
     CompactPricing,
     SplitRequiredError,
-    _cut_row,
+    add_violated_cuts,
     build_compact_pricing,
+    capacity_cut,
     capacity_violations,
     run_colgen_lazy,
     separate_cuts,
     split_demand_triples,
 )
 from lsfrp import lp
-from lsfrp.oracle import brute_force_solve
+from lsfrp.oracle import _cargo_lp, brute_force_solve
 from lsfrp.solution import OPTIMAL
 
 from fixtures import (
@@ -32,12 +37,17 @@ from fixtures import (
     OVERLOAD1_OPT,
     REEFER_OPT,
     T1_OPT,
+    chain4,
     empty_repos19,
     fig3_split,
+    gap_2ship,
+    isolated_start,
+    mixed_type_fractional,
     overload1,
     pricing_calls,
     record_warm_roots,
     reefer_overload,
+    shared_corridor,
     t1,
 )
 
@@ -172,34 +182,28 @@ def test_unequal_unload_costs_without_splitting_is_error():
 def _solve_compact(ins, ship_id):
     reach = build_reach_index(ins)
     ctx = build_compact_pricing(ins, ship_id, reach=reach)
-    collected = []
-
-    def cb(x):
-        cuts = separate_cuts(ctx, x, frozenset((c.node, c.scope) for c in collected))
-        collected.extend(cuts)
-        return [lp.Constraint(*_cut_row(ctx, c)) for c in cuts]
-
-    mip = lp.solve_mip(ctx.model, on_candidate=cb)
-    return ctx, mip, collected
+    mip = lp.solve_mip(ctx.model, on_candidate=partial(add_violated_cuts, ctx))
+    return ctx, mip
 
 
 def test_overload_emits_dc_cut_at_second_origin():
     ins = overload1()
-    ctx, mip, cuts = _solve_compact(ins, "s1")
+    ctx, mip = _solve_compact(ins, "s1")
     assert mip.objective == pytest.approx(OVERLOAD1_OPT)
-    assert len(cuts) == 1
-    cut = cuts[0]
-    assert cut.node == "oB" and cut.scope == "dc" and cut.rhs == 50
-    assert set(cut.demand_keys) == {"mA", "mB"}
+    assert ctx.cuts == [("oB", "dc")]
+    cut = capacity_cut(ctx, "oB", "dc")
+    assert cut.name == "lazy[dc,oB]" and cut.rhs == 50
+    assert cut.coeffs == {ctx.xvars["mA"]: 1.0, ctx.xvars["mB"]: 1.0}
+    assert ctx.model.rows[-1] == cut
 
 
 def test_reefer_overload_emits_rf_cut_only():
     ins = reefer_overload()
-    ctx, mip, cuts = _solve_compact(ins, "s1")
+    ctx, mip = _solve_compact(ins, "s1")
     assert mip.objective == pytest.approx(REEFER_OPT)
-    scopes = {c.scope for c in cuts}
+    scopes = {scope for _, scope in ctx.cuts}
     assert scopes == {"rf"}
-    assert cuts[0].rhs == 5
+    assert capacity_cut(ctx, *ctx.cuts[0]).rhs == 5
 
 
 def test_candidate_skipping_origins_yields_no_cuts():
@@ -323,13 +327,10 @@ def test_gamma_matches_final_pool_rows(monkeypatch):
     sol = run_colgen_lazy(ins)
     [engine] = engines
     assert sol.objective == pytest.approx(OVERLOAD1_OPT)
-    assert sol.diagnostics.total_cuts_dc == len(
-        [c for c in engine.pools["s1"] if c.scope == "dc"]
-    )
-    # the pool's cuts are the pricing model's last rows, in pool order
     ctx = engine.contexts["s1"]
-    pool = engine.pools["s1"]
-    assert pool and ctx.model.rows[-len(pool):] == [lp.Constraint(*_cut_row(ctx, c)) for c in pool]
+    assert sol.diagnostics.total_cuts_dc == sum(1 for _, scope in ctx.cuts if scope == "dc")
+    # the model's cut keys restate its last rows, in row order
+    assert ctx.cuts and ctx.model.rows[-len(ctx.cuts):] == [capacity_cut(ctx, *k) for k in ctx.cuts]
 
 
 # -- persistent pricing models --------------------------------------------------------
@@ -337,20 +338,17 @@ def test_gamma_matches_final_pool_rows(monkeypatch):
 TIGHT = dict(capacity_dc_range=(25, 60), amount_range=(10, 45))
 
 
-def _fresh_compact_value(ins, reach, ship_id, prices, excluded, pool):
-    """Value of a freshly built model carrying the pool's cuts, solved cold
-    with the same separation callback; None when no column exists."""
+def _fresh_compact_value(ins, reach, ship_id, prices, excluded, cuts):
+    """Value of a freshly built model carrying the given cut keys, solved
+    cold with the same separation callback; None when no column exists."""
     ctx = build_compact_pricing(ins, ship_id, prices, reach=reach, excluded=excluded)
     if ctx is None:
         return None
-    for cut in pool:
-        ctx.model.add_constr(*_cut_row(ctx, cut))
-    keys = frozenset((c.node, c.scope) for c in pool)
-
-    def cb(x):
-        return [lp.Constraint(*_cut_row(ctx, c)) for c in separate_cuts(ctx, x, keys)]
-
-    mip = lp.solve_mip(ctx.model, on_candidate=cb)
+    for key in cuts:  # the fresh model numbers its variables differently
+        cut = capacity_cut(ctx, *key)
+        ctx.model.add_constr(cut.coeffs, cut.sense, cut.rhs, cut.name)
+    ctx.cuts.extend(cuts)
+    mip = lp.solve_mip(ctx.model, on_candidate=partial(add_violated_cuts, ctx))
     if mip.status != lp.OPTIMAL:
         return None
     return mip.objective - prices[ins.ship_by_id[ship_id].start_visit]
@@ -371,8 +369,9 @@ def test_persistent_compact_engine_matches_fresh_models(monkeypatch, params):
     engine = CompactPricing(ins, reach)
     warm = record_warm_roots(monkeypatch)
     for ship_id, prices, excluded in pricing_calls(ins, params.seed, 15):
+        built = engine.contexts.get(ship_id)
         expected = _fresh_compact_value(
-            ins, reach, ship_id, prices, excluded, list(engine.pools[ship_id])
+            ins, reach, ship_id, prices, excluded, built.cuts if built else []
         )
         col, value = engine.price(ship_id, prices, excluded)
         assert (col is None) == (expected is None)
@@ -381,3 +380,53 @@ def test_persistent_compact_engine_matches_fresh_models(monkeypatch, params):
     # one model per ship, and a fallback firing every time would leave 0
     assert set(engine.models) == {s.id for s in ins.ships}
     assert warm["warm"] >= 1
+
+
+# -- cut validity -------------------------------------------------------------------
+
+
+def _cut_checks(ins, splitting=True):
+    """(name, left-hand side, rhs) of every capacity cut, at every node a
+    member or empty pair can depart loaded and in both scopes, evaluated at
+    the oracle's cargo plan on each start->sink path of each ship."""
+    reach = build_reach_index(ins)
+    for ship in ins.ships:
+        ctx = build_compact_pricing(ins, ship.id, reach=reach, splitting=splitting)
+        if ctx is None:
+            continue
+        nodes = sorted(set().union(*ctx.carry_nodes.values(), *ctx.empty_nodes.values()))
+        cuts = [capacity_cut(ctx, node, scope) for node in nodes for scope in ("dc", "rf")]
+        for path in enumerate_paths(ins, ship.start_visit):
+            _, flows, empties = _cargo_lp(ins, ship, path)
+            x = np.zeros(ctx.model.num_vars)
+            for f in flows:  # a split demand's plan lands on its per-destination member
+                key = f.demand if f.demand in ctx.xvars else f"{f.demand}@{f.destination}"
+                x[ctx.xvars[key]] += f.amount
+            for f in empties:
+                x[ctx.evars[(f.cargo_type, f.src, f.dst)]] += f.amount
+            for cut in cuts:
+                yield cut.name, sum(c * x[j] for j, c in cut.coeffs.items()), cut.rhs
+
+
+def test_every_capacity_cut_holds_on_every_enumerated_path():
+    instances = [
+        t1(), chain4(), overload1(), reefer_overload(), fig3_split(), gap_2ship(),
+        mixed_type_fractional(), empty_repos19(), shared_corridor(), isolated_start(),
+    ]
+    instances += [
+        generate_random(GeneratorParams(
+            ships=1 + k % 2, visits=7 + k % 5, demands=4 + k % 6, empty_points=2 * (k % 3),
+            seed=300 + k, **TIGHT,
+        ))
+        for k in range(40)
+    ]
+    checks = 0
+    for ins in instances:
+        for name, lhs, rhs in _cut_checks(ins):
+            assert lhs <= rhs + 1e-7, name
+            checks += 1
+    assert checks > 1000
+    # control: unsplit, A's cargo dropped at dA1 still counts in the cut at oB
+    violated = {(name, lhs, rhs) for name, lhs, rhs in _cut_checks(fig3_split(), splitting=False)
+                if lhs > rhs + 1e-7}
+    assert violated == {("lazy[dc,oB]", 60.0, 40)}

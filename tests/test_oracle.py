@@ -24,7 +24,7 @@ Z0 = {"T0": 0}
 def test_t1_assignments():
     asg = list(enumerate_disjoint_paths(t1()))
     assert len(asg) == 3
-    assert asg[0].paths == (("v0", "v1", "v2", "tau"),)
+    assert asg[0] == (("v0", "v1", "v2", "tau"),)
 
 
 def test_t1_optimum():
@@ -49,7 +49,7 @@ def test_shared_node_assignments_excluded():
     )
     asg = list(enumerate_disjoint_paths(ins))
     for a in asg:
-        nodes = [n for p in a.paths for n in p[:-1]]
+        nodes = [n for p in a for n in p[:-1]]
         assert len(nodes) == len(set(nodes))
     # 3 options for s1 x 2 for s2 minus the one clashing combination
     assert len(asg) == 3
