@@ -13,7 +13,7 @@ import csv
 import io as _io
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .colgen import CgConfig, run_column_generation
 from .formulations import UnsupportedInstanceError, solve_arcflow
@@ -148,10 +148,7 @@ class ReportRow:
     mismatch: bool = False
 
 
-CSV_COLUMNS = [
-    "label", "method", "status", "objective", "wall_time_sec", "columns",
-    "bnb_nodes", "cuts_dc", "cuts_rf", "rows", "cols", "nonzeros", "mismatch",
-]
+CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def _report_row(label: str, method: str, sol: Solution, elapsed: float) -> ReportRow:

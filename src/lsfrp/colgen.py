@@ -195,7 +195,8 @@ class PricingModel:
     at its upper bounds and every other column at its lower bound.  Every
     row of both engines holds there (the path's arcs balance the routing
     rows, and cargo at zero fits every capacity, gate and link row), so
-    the root LP skips phase 1.
+    the root LP starts primal feasible and its dual loop has nothing to
+    do.
     """
 
     def __init__(

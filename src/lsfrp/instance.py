@@ -388,30 +388,24 @@ class ReachIndex:
         """Arcs a demand with this origin/destination set can travel across:
         the tail must be reachable from the origin and some destination must
         be reachable from the head (endpoints i=origin and j in d included)."""
-        dests = set(destinations)
-        arcs = set()
-        for i in self.instance.node_ids:
-            if i == self.instance.sink or not self.can_reach(origin, i):
-                continue
-            for a in self.instance.out_arcs[i]:
-                if a.dst == self.instance.sink:
-                    continue
-                if a.dst in dests or any(self.can_reach(a.dst, d) for d in dests):
-                    arcs.add((i, a.dst))
-        return frozenset(arcs)
+        sink = self.instance.sink
+        tails = (i for i in self.instance.node_ids if i != sink and self.can_reach(origin, i))
+        return self._arcs_toward(tails, set(destinations))
 
     def carry_arc_set(self, origin: str, destinations: Iterable[str]) -> frozenset[tuple[str, str]]:
         """Arcs the demand can be aboard a ship on when it unloads at the
         first visited destination: walks from the origin stop at destination
         nodes, so arcs departing a destination are excluded."""
         dests = set(destinations)
-        carry = self.reach_avoiding(origin, dests)
+        return self._arcs_toward(self.reach_avoiding(origin, dests) - dests, dests)
+
+    def _arcs_toward(self, tails: Iterable[str], dests: set[str]) -> frozenset[tuple[str, str]]:
+        """Arcs out of the tails, other than into the sink, from whose head
+        some destination is reachable."""
         arcs = set()
-        for i in carry - dests:
+        for i in tails:
             for a in self.instance.out_arcs[i]:
-                if a.dst == self.instance.sink:
-                    continue
-                if a.dst in dests or any(self.can_reach(a.dst, d) for d in dests):
+                if a.dst != self.instance.sink and any(self.can_reach(a.dst, d) for d in dests):
                     arcs.add((i, a.dst))
         return frozenset(arcs)
 

@@ -398,18 +398,25 @@ def capacity_cut(ctx: CompactModel, node: str, scope: str) -> lp.Constraint:
 
 def leg_loads(instance: Instance, path, flows, empty_flows) -> list[tuple[float, float]]:
     """(total, laden reefer) load on each leg of path: a flow is aboard from
-    its origin's visit up to its destination's."""
+    its origin's visit up to its destination's.  A flow whose origin or
+    destination is off the path, or out of order on it, is a ValueError."""
     pos = {node: k for k, node in enumerate(path)}
+
+    def legs(flow: str, src: str, dst: str) -> range:
+        if src not in pos or dst not in pos or pos[src] >= pos[dst]:
+            raise ValueError(f"{flow} does not travel {src}->{dst} along {'-'.join(path)}")
+        return range(pos[src], pos[dst])
+
     total = [0.0] * max(len(path) - 1, 0)
     rf = [0.0] * len(total)
     for f in flows:
         m = instance.demand_by_id[f.demand]
-        for leg in range(pos[m.origin], pos[f.destination]):
+        for leg in legs(f"flow for demand {f.demand}", m.origin, f.destination):
             total[leg] += f.amount
             if m.cargo_type == "rf":
                 rf[leg] += f.amount
     for f in empty_flows:
-        for leg in range(pos[f.src], pos[f.dst]):
+        for leg in legs("empty flow", f.src, f.dst):
             total[leg] += f.amount  # empties never use reefer plugs
     return list(zip(total, rf))
 

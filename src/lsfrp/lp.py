@@ -1,28 +1,34 @@
 """Self-contained LP/MIP kernel.
 
-A dense bounded-variable primal simplex (two phases, explicit basis
-inverse, Bland safeguard), a bounded dual simplex for warm re-solves, and
-a deterministic best-bound branch-and-bound driver with a lazy-cut
-callback.  Everything downstream of the instance
-model solves through this module; an external solver could be slotted in
-behind the same two entry points, but the embedded simplex is the default
-and the one the test suite exercises.
+A dense bounded-variable simplex (explicit basis inverse, a bounded dual
+loop, then a primal loop with a Bland safeguard) and a deterministic
+best-bound branch-and-bound driver with a lazy-cut callback.  Everything
+downstream of the instance model solves through this module; an external
+solver could be slotted in behind the same two entry points, but the
+embedded simplex is the default and the one the test suite exercises.
 
 A solve reads its rows from the model and nowhere else.  Lazy cuts are
 model rows too: ``solve_mip`` appends each cut its callback returns with
 ``add_constr``, so the cuts hold at every later node and are still in the
 model when the search returns.
 
-An optimal solve returns its final basis.  Given that basis, a re-solve
-after bound changes or appended rows (a branch-and-bound child, or a node
-re-solved with new lazy cuts) skips phase 1: the appended rows' slacks
-enter the basis, which stays dual feasible, and a bounded dual simplex
-restores primal feasibility before the primal loop confirms optimality.
-Columns appended with ``add_var(column=...)`` enter nonbasic at a bound,
-so after an append at zero the old basis stays primal feasible and the
-primal loop goes on from the old vertex; the restricted master of column
-generation grows this way.  Should the warm start break down or hit its
-iteration cap, the same call solves cold from scratch.
+Every solve starts from a basis and runs one path: the bounded dual loop
+moves the basic values into their bounds, then the primal loop reaches
+optimality.  A solve without a warm basis starts from
+``slack_basis(model, ())``: every row's slack basic, every column at its
+lower bound (at its upper bound, or free at zero, when it has no finite
+lower one).  That basis need not be dual feasible; the dual ratio test
+reads a reduced cost of the wrong sign as zero, and the primal loop
+settles the rest.  An optimal solve returns its final basis.  Given that
+basis, a re-solve after bound changes or appended rows (a branch-and-bound
+child, or a node re-solved with new lazy cuts) starts closer: the
+appended rows' slacks enter the basis, which stays dual feasible, so the
+dual loop has few pivots to make.  Columns appended with
+``add_var(column=...)`` enter nonbasic at a bound, so after an append at
+zero the old basis stays primal feasible and the primal loop goes on from
+the old vertex; the restricted master of column generation grows this
+way.  Should a warm start break down or hit its iteration cap, the same
+call starts again from the slack basis.
 
 The basis carries its inverse (``LpBasis.inverse``) and the number of
 rank-one updates applied since that inverse was last computed from
@@ -39,14 +45,15 @@ only the objective, some bounds and appended cut rows change in between.
 The pricing engines keep one model per ship, edit it in place, and pass
 the last round's root basis (``MipSolution.root_basis``) back to
 ``solve_mip(warm=...)``.  After a price change that basis is still primal
-feasible, so the dual phase has nothing to do and the primal loop goes on
-from the old vertex; bound changes and new rows take the dual path above.
+feasible, so the dual loop has nothing to do and the primal loop goes on
+from the old vertex; bound changes and new rows give the dual loop work.
 The dense rows of a model are cached on it until its next
 ``add_var``/``add_constr``, so objective and bound edits cost no rebuild
 and a batch of new cuts costs one.
 A pricing model's first root has no earlier basis; it starts from
 ``slack_basis`` with the best start-to-sink path at its upper bounds, a
-vertex every pricing row admits, so it skips phase 1 too.
+vertex every pricing row admits, so its dual loop has nothing to do
+either.
 
 The models are small (tens of rows), so a pivot costs a few numpy calls
 more than it costs arithmetic.  Both simplex loops therefore carry the
@@ -294,6 +301,7 @@ class _Simplex:
         overrides: dict[int, tuple[float, float]] | None,
         deadline: float | None = None,
     ):
+        self.model = model
         self.deadline = deadline
         n, m = model.num_vars, model.num_rows
         self.n_struct = n
@@ -317,73 +325,6 @@ class _Simplex:
         self.bland = False
         self._degen_run = 0
         self._since_refactor = 0
-        self._refactor_every = _REFACTOR_EVERY
-
-    # setup of the initial point / basis (with artificials where needed)
-    def _initialize(self) -> None:
-        N = self.n_total
-        self.state = np.full(N, _AT_LOWER, dtype=np.int8)
-        self.x = np.zeros(N)
-        for j in range(self.n_struct):
-            if self.lb[j] > -INF:
-                self.state[j] = _AT_LOWER
-                self.x[j] = self.lb[j]
-            elif self.ub[j] < INF:
-                self.state[j] = _AT_UPPER
-                self.x[j] = self.ub[j]
-            else:
-                self.state[j] = _FREE
-                self.x[j] = 0.0
-
-        m = self.m
-        resid = self.b - self.A[:, : self.n_struct] @ self.x[: self.n_struct]
-        basis = []
-        art_cols = []
-        art_signs = []
-        for i in range(m):
-            s = self.n_struct + i
-            lo, hi = self.lb[s], self.ub[s]
-            if lo - 1e-11 <= resid[i] <= hi + 1e-11:
-                self.state[s] = _BASIC
-                self.x[s] = min(max(resid[i], lo), hi)
-                basis.append(s)
-            else:
-                # clamp slack to its nearest bound, cover the rest artificially
-                val = lo if resid[i] < lo else hi
-                self.state[s] = _AT_LOWER if val == lo else _AT_UPPER
-                self.x[s] = val
-                gap = resid[i] - val
-                art_cols.append(i)
-                art_signs.append(1.0 if gap > 0 else -1.0)
-                basis.append(self.n_total + len(art_cols) - 1)
-
-        self.n_art = len(art_cols)
-        self.art_rows = np.array(art_cols, dtype=np.int64)
-        self.art_signs = np.array(art_signs, dtype=float)
-        if self.n_art:
-            art = np.zeros((m, self.n_art))
-            for k, (i, sgn) in enumerate(zip(art_cols, art_signs)):
-                art[i, k] = sgn
-            self.A = np.hstack([self.A, art])
-            self.lb = np.concatenate([self.lb, np.zeros(self.n_art)])
-            self.ub = np.concatenate([self.ub, np.full(self.n_art, INF)])
-            self.c_real = np.concatenate([self.c_real, np.zeros(self.n_art)])
-            self.state = np.concatenate([self.state, np.zeros(self.n_art, dtype=np.int8)])
-            art_vals = np.zeros(self.n_art)
-            for k, (i, sgn) in enumerate(zip(art_cols, art_signs)):
-                s = self.n_struct + i
-                art_vals[k] = (resid[i] - self.x[s]) * sgn
-            self.x = np.concatenate([self.x, art_vals])
-            self.n_total += self.n_art
-
-        self.basis = np.array(basis, dtype=np.int64)
-        self.xB = self.x[self.basis]
-        # initial basis is diagonal +-1 (slacks and signed artificials)
-        diag = np.ones(m)
-        for k, (i, sgn) in enumerate(zip(art_cols, art_signs)):
-            diag[i] = sgn
-        self.Binv = np.diag(diag) if m else np.zeros((0, 0))
-        self._sync_directions()
 
     def _sync_directions(self) -> None:
         """Derive the pricing direction of every column from its state; a
@@ -445,12 +386,13 @@ class _Simplex:
         self.Binv -= w[:, None] * row
 
         self._since_refactor += 1
-        if self._since_refactor >= self._refactor_every:
+        if self._since_refactor >= _REFACTOR_EVERY:
             return self._refactor()
         return True
 
-    def _optimize(self, c: np.ndarray, max_iters: int, allow_unbounded: bool) -> str:
-        """Bounded primal simplex on costs c from a primal feasible basis.
+    def _optimize(self, max_iters: int) -> str:
+        """Bounded primal simplex on the real costs from a primal feasible
+        basis.
 
         The reduced costs d are computed on entry and after every
         refactorization; a basis change updates them with the pivot row.
@@ -458,7 +400,7 @@ class _Simplex:
         """
         if self.m == 0:
             return OPTIMAL
-        A, lb, ub, x, basis = self.A, self.lb, self.ub, self.x, self.basis
+        A, lb, ub, x, basis, c = self.A, self.lb, self.ub, self.x, self.basis, self.c_real
         lbB, ubB = lb[basis], ub[basis]
         d = self._reduced_costs(c)
         fresh = True
@@ -511,7 +453,7 @@ class _Simplex:
                     d, fresh = self._reduced_costs(c), True
                     self.iterations -= 1
                     continue
-                return UNBOUNDED if allow_unbounded else BREAKDOWN
+                return UNBOUNDED
 
             # a suspiciously small pivot may be drift in the updated inverse:
             # refactorize and re-derive the step before committing anything
@@ -555,14 +497,15 @@ class _Simplex:
                 fresh = False
 
     def _dual(self, max_iters: int) -> str:
-        """Bounded dual simplex on the real costs from a dual feasible basis.
+        """Bounded dual simplex on the real costs.
 
         Each pivot moves the most infeasible basic column to the bound it
         violates, and updates the reduced costs with the pivot row it has
-        already computed for the ratio test.  OPTIMAL here means the basic
-        values are within bounds; the primal loop then settles, on fresh
-        reduced costs, any dual infeasibility left by the tolerant ratio
-        test.
+        already computed for the ratio test.  The ratio test reads a
+        reduced cost of the wrong sign as zero, so the start need not be
+        dual feasible.  OPTIMAL here means the basic values are within
+        bounds; the primal loop then settles, on fresh reduced costs, any
+        dual infeasibility left.
         """
         A, lb, ub, x, dirn, c = self.A, self.lb, self.ub, self.x, self.dirn, self.c_real
         basis = self.basis
@@ -599,10 +542,11 @@ class _Simplex:
                     d = None
                     continue
                 # p already takes the best value the nonbasic bounds allow,
-                # short of columns whose entries are below the pivot tolerance
-                moves = toward < 0.0 if raise_p else toward > 0.0
-                moves[self.free] = aa[self.free] > 0.0
-                reach = float((aa * (ub - lb))[moves].sum())
+                # short of columns whose entries are below the pivot tolerance;
+                # on a column with an infinite range such an entry is round-off
+                span = ub - lb
+                moves = (toward < 0.0 if raise_p else toward > 0.0) & (span < INF)
+                reach = float((aa * span)[moves].sum())
                 scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
                 return INFEASIBLE if infeas[r] - reach > TOL_FEAS * scale else BREAKDOWN
 
@@ -666,87 +610,25 @@ class _Simplex:
             return LpSolution(OPTIMAL, x, np.zeros(0), obj)
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            spent = 0
             if warm is not None:
                 result = self._solve_warm(warm)
                 if result.status != BREAKDOWN:
                     return result
-                spent = result.iterations
-            # a heavily degenerate run can stall for thousands of pivots and
-            # corrupt the updated inverse; the retry breaks ties with a tiny
-            # deterministic cost perturbation and cleans up exactly afterwards
-            result = self._solve_once(refactor_every=_REFACTOR_EVERY)
-            if result.status == BREAKDOWN:
-                result = self._solve_once(refactor_every=50, perturb=True)
-        result.iterations += spent
-        return result
-
-    def _perturbed_costs(self) -> np.ndarray:
-        c = self.c_real.copy()
-        state = 0x9E3779B97F4A7C15
-        for j in range(self.n_struct):
-            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            u = (state >> 11) / float(1 << 53)
-            c[j] += 1e-9 * (1.0 + abs(c[j])) * u
-        return c
-
-    def _solve_once(self, refactor_every: int, perturb: bool = False) -> LpSolution:
-        n_struct_cols = self.n_struct + self.m
-        if self.n_total != n_struct_cols:
-            # drop artificial columns from a previous attempt
-            self.A = self.A[:, :n_struct_cols]
-            self.lb = self.lb[:n_struct_cols]
-            self.ub = self.ub[:n_struct_cols]
-            self.c_real = self.c_real[:n_struct_cols]
-            self.n_total = n_struct_cols
-        self._initialize()
-        self.iterations = 0
-        self.bland = False
-        self._degen_run = 0
-        self._since_refactor = 0
-        self._refactor_every = refactor_every
-        max_iters = 20000 + 40 * (self.m + self.n_total)
-
-        if self.n_art:
-            c1 = np.zeros(self.n_total)
-            c1[self.n_total - self.n_art :] = -1.0
-            status = self._optimize(c1, max_iters, allow_unbounded=False)
-            if status != OPTIMAL:
-                return LpSolution(status, iterations=self.iterations)
-            # nonbasic artificials sit at zero
-            infeas = float(self.xB[self.basis >= self.n_total - self.n_art].sum())
-            scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-            if infeas > TOL_FEAS * scale:
-                return LpSolution(INFEASIBLE, iterations=self.iterations)
-            # pin artificials at zero for phase 2
-            self.ub[self.n_total - self.n_art :] = 0.0
-            self._sync_directions()
-            self.bland = False
-            self._degen_run = 0
-
-        if perturb:
-            status = self._optimize(self._perturbed_costs(), max_iters, allow_unbounded=True)
-            if status == BREAKDOWN:
-                return LpSolution(status, iterations=self.iterations)
-            # an unbounded ray under perturbed costs may cost exactly zero
-            # under the real ones, so the exact pass below has the last word
-            self.bland = False
-            self._degen_run = 0
-        # exact objective; after a perturbed run this is a short cleanup
-        status = self._optimize(self.c_real, max_iters, allow_unbounded=True)
-        if status != OPTIMAL:
-            return LpSolution(status, iterations=self.iterations)
-
-        return self._optimal_solution()
+            # a cold solve, or a warm start that broke down; the pivots of
+            # the failed start stay in self.iterations
+            return self._solve_warm(slack_basis(self.model, ()))
 
     def _solve_warm(self, warm: LpBasis) -> LpSolution:
-        """Re-solve from the basis of an earlier solve of the same model.
+        """Solve from the basis of an earlier solve of the same model, or
+        from ``slack_basis``.
 
         Rows appended since then enter with their slacks basic, which keeps
         the basis dual feasible; bound changes do not affect dual
         feasibility at all.  Columns appended since then enter nonbasic at
         a bound, which keeps it primal feasible when that bound is zero.
-        BREAKDOWN sends the caller to the cold path.
+        The dual loop restores primal feasibility, and the primal loop
+        optimality; both share one iteration budget per start.  BREAKDOWN
+        sends the caller to the slack start.
         """
         n, m, N = self.n_struct, self.m, self.n_total
         m0 = warm.basic.size
@@ -758,8 +640,6 @@ class _Simplex:
         marked = (warm.state == _BASIC).nonzero()[0]
         if marked.size != m0 or (np.sort(warm.basic) != marked).any():
             return LpSolution(BREAKDOWN)
-        self.n_art = 0
-        self.art_rows = np.zeros(0, dtype=np.int64)
         # appended columns come before the slacks, which shift right
         basic0 = warm.basic
         if n0 < n:
@@ -783,7 +663,6 @@ class _Simplex:
         self._sync_directions()
         self.bland = False
         self._degen_run = 0
-        self._refactor_every = _REFACTOR_EVERY
         if warm.inverse is None:
             if not self._refactor():
                 return LpSolution(BREAKDOWN)
@@ -802,43 +681,29 @@ class _Simplex:
         if not np.isfinite(self.xB).all():
             return LpSolution(BREAKDOWN)
 
-        status = self._dual(1000 + 10 * (m + N))
+        max_iters = self.iterations + 20000 + 40 * (m + N)
+        status = self._dual(max_iters)
         if status == OPTIMAL:
-            max_iters = self.iterations + 20000 + 40 * (m + N)
-            status = self._optimize(self.c_real, max_iters, allow_unbounded=True)
+            status = self._optimize(max_iters)
         if status != OPTIMAL:
             return LpSolution(status, iterations=self.iterations)
         return self._optimal_solution()
 
     def _optimal_solution(self) -> LpSolution:
-        n, m = self.n_struct, self.m
+        n = self.n_struct
         y = self.c_real[self.basis] @ self.Binv
         self.x[self.basis] = self.xB
-        x = self.x[:n].copy()
-        x = np.minimum(np.maximum(x, self.lb[:n]), self.ub[:n])
+        x = np.minimum(np.maximum(self.x[:n], self.lb[:n]), self.ub[:n])
         obj = float(self.c_real[:n] @ x)
-        # a basic artificial and its row's slack are both +-e_i, and that
-        # slack is nonbasic, so swapping them keeps the basis nonsingular;
-        # the swap scales the artificial's column, hence its inverse row,
-        # by the artificial's sign.  Nothing pivots after this, so Binv
-        # itself becomes the exported inverse.
-        basic = self.basis.copy()
-        state = self.state[: n + m].copy()
+        # nothing pivots after this, so the arrays themselves are exported
+        basic, state, inverse = self.basis, self.state, self.Binv
         # fixed columns are never priced, so their labels may not match
         # their reduced costs: put each at the bound its reduced cost favours
-        fixed = ((state != _BASIC) & (self.lb[: n + m] == self.ub[: n + m])).nonzero()[0]
+        fixed = ((state != _BASIC) & (self.lb == self.ub)).nonzero()[0]
         if fixed.size:
             d = self.c_real[fixed] - y @ self.A[:, fixed]
             state[fixed[d > _RC_TOL]] = _AT_UPPER
             state[fixed[d < -_RC_TOL]] = _AT_LOWER
-        inverse = self.Binv
-        art = basic >= n + m
-        if art.any():
-            k = basic[art] - (n + m)
-            slacks = n + self.art_rows[k]
-            basic[art] = slacks
-            state[slacks] = _BASIC
-            inverse[art] *= self.art_signs[k][:, None]
         for arr in (basic, state, inverse):
             arr.setflags(write=False)
         basis = LpBasis(basic, state, inverse, self._since_refactor)
@@ -865,8 +730,9 @@ def slack_basis(model: LinearModel, at_upper: Sequence[int]) -> LpBasis:
     """The basis of every row's slack, with the columns in at_upper
     nonbasic at their upper bounds and the rest at their lower bounds.
 
-    Its inverse is I.  Used as a warm start, it skips phase 1 when that
-    point satisfies every row.
+    Its inverse is I.  Every solve without a warm basis starts from
+    ``slack_basis(model, ())``; when the point satisfies every row, the
+    dual loop has nothing to do.
     """
     n, m = model.num_vars, model.num_rows
     state = np.full(n + m, _AT_LOWER, dtype=np.int8)

@@ -247,9 +247,32 @@ def pricing_calls(instance: Instance, seed: int, calls: int):
         yield ship.id, prices, excluded
 
 
+def record_seeded_starts(monkeypatch) -> list[tuple[lp.LpBasis, str]]:
+    """Record (basis, status) of every ``_Simplex._solve_warm`` call that
+    starts from the basis its solve_lp caller passed.  The slack starts of
+    cold solves, and of warm starts that broke down, are not recorded."""
+    starts = []
+    real_solve, real_warm = lp._Simplex.solve, lp._Simplex._solve_warm
+
+    def solve(self, warm=None):
+        self.seed = warm
+        return real_solve(self, warm)
+
+    def solve_warm(self, warm):
+        result = real_warm(self, warm)
+        if warm is self.seed:
+            starts.append((warm, result.status))
+        return result
+
+    monkeypatch.setattr(lp._Simplex, "solve", solve)
+    monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
+    return starts
+
+
 def record_warm_roots(monkeypatch) -> dict[str, int]:
     """Count the root LPs that solve_mip(warm=...) seeds: "warm" for those
-    the warm path finished, "cold" for those that fell back to a cold solve."""
+    the warm start finished, "cold" for those that broke down and restarted
+    from the slack basis."""
     counts = {"warm": 0, "cold": 0}
     seeds: dict[int, lp.LpBasis] = {}  # held, so that no id is reused
     real_mip, real_warm = lp.solve_mip, lp._Simplex._solve_warm

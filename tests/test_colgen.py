@@ -26,6 +26,7 @@ from fixtures import (
     isolated_start,
     mixed_type_fractional,
     pricing_calls,
+    record_seeded_starts,
     record_warm_roots,
     shared_corridor,
     t1,
@@ -429,15 +430,7 @@ def test_growing_master_matches_one_shot_master(monkeypatch, branched):
             excluded=frozenset({(node, sid) for sid in others} | {(other_node, col.ship)}),
             required=((node, col.ship),),
         )
-    finished = []
-    real_warm = lp._Simplex._solve_warm
-
-    def solve_warm(self, warm):
-        result = real_warm(self, warm)
-        finished.append(result.status != lp.BREAKDOWN)
-        return result
-
-    monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
+    starts = record_seeded_starts(monkeypatch)
     columns = [make_dummy(ins, s.id) for s in ins.ships]
     master = RestrictedMaster(ins, state)
     banned = 0
@@ -455,7 +448,7 @@ def test_growing_master_matches_one_shot_master(monkeypatch, branched):
             price = duals.pi[c.ship] + sum(duals.node_price(v, c.ship) for v in c.nodes)
             assert c.profit - price <= tol
     assert banned > 0 if branched else banned == 0
-    assert sum(finished) >= len(sequence) // 2
+    assert sum(status != lp.BREAKDOWN for _, status in starts) >= len(sequence) // 2
 
 
 # -- path-seeded pricing roots and repeated pricing calls -------------------------
@@ -488,8 +481,7 @@ def test_only_first_master_solves_start_cold(monkeypatch, method, case):
     _, ins, optimum = case
     solved: list[str] = []  # model name of every solve_lp call
     cold: list[lp.LinearModel] = []  # models of the calls without a warm basis
-    fallbacks = []
-    real_solve, real_warm, real_loop = lp.solve_lp, lp._Simplex._solve_warm, colgen._cg_loop
+    real_solve, real_loop = lp.solve_lp, colgen._cg_loop
 
     def solve_lp(model, bound_overrides=None, deadline=None, warm=None):
         solved.append(model.name)
@@ -497,15 +489,9 @@ def test_only_first_master_solves_start_cold(monkeypatch, method, case):
             cold.append(model)
         return real_solve(model, bound_overrides, deadline, warm)
 
-    def solve_warm(self, warm):
-        result = real_warm(self, warm)
-        if result.status == lp.BREAKDOWN:
-            fallbacks.append(result)
-        return result
-
     loops = []
     monkeypatch.setattr(lp, "solve_lp", solve_lp)
-    monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
+    starts = record_seeded_starts(monkeypatch)
     monkeypatch.setattr(colgen, "_cg_loop", lambda *args: loops.append(1) or real_loop(*args))
     sol = run_method(ins, method)
     assert sol.status == OPTIMAL
@@ -514,7 +500,7 @@ def test_only_first_master_solves_start_cold(monkeypatch, method, case):
     # one cold solve per branch-and-price node: the first of its own master
     assert all(model.name == "rmp" for model in cold)
     assert len({id(model) for model in cold}) == len(cold) == len(loops)
-    assert not fallbacks
+    assert not [status for _, status in starts if status == lp.BREAKDOWN]
 
 
 @pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])

@@ -29,7 +29,7 @@ from lsfrp.lazy import (
 )
 from lsfrp import lp
 from lsfrp.oracle import _cargo_lp, brute_force_solve
-from lsfrp.solution import OPTIMAL
+from lsfrp.solution import OPTIMAL, DemandFlow, Solution
 
 from fixtures import (
     FIG3_NOSPLIT_OPT,
@@ -272,6 +272,20 @@ def test_lazy_equals_other_methods_on_random_instances():
         rv = solve_arcflow(ins, "revised")
         assert lz.objective == pytest.approx(rv.objective, rel=1e-6)
         assert not capacity_violations(ins, lz)
+
+
+@pytest.mark.parametrize(
+    "path, destination",
+    [(("v0", "v2", "tau"), "v2"), (("v0", "v1", "v2", "tau"), "v1")],
+    ids=["origin-off-path", "delivered-at-origin"],
+)
+def test_capacity_violations_reject_a_flow_off_its_path(path, destination):
+    sol = Solution(
+        method="x", status=OPTIMAL, ship_paths={"s1": path},
+        demand_flows=[DemandFlow("m1", "s1", destination, 50.0)],
+    )
+    with pytest.raises(ValueError, match="flow for demand m1"):
+        capacity_violations(t1(), sol)
 
 
 def test_lazy_solution_reevaluates_consistently():

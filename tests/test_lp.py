@@ -8,6 +8,7 @@ import pytest
 
 import lsfrp.lp as lp_module
 from lsfrp.lp import (
+    BREAKDOWN,
     EQ,
     GE,
     INF,
@@ -393,7 +394,10 @@ def _warm_cases(model):
     return root, cases
 
 
-def test_warm_resolves_match_cold():
+def test_warm_resolves_match_cold(monkeypatch):
+    from fixtures import record_seeded_starts
+
+    starts = record_seeded_starts(monkeypatch)
     rng = random.Random(31)
     models = [_random_bounded_lp(rng) for _ in range(250)] + list(_pricing_models())
     compared = infeasible = warm_pivots = cold_pivots = 0
@@ -412,9 +416,11 @@ def test_warm_resolves_match_cold():
             assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
             assert _kkt_ok(case, overrides, warm)
     assert compared >= 300 and infeasible >= 10
-    # a warm path that silently fell back to the cold one every time would
-    # spend more pivots than the cold solves, not fewer
+    # a warm path that silently fell back to the slack start every time
+    # would spend more pivots than the cold solves, not fewer; an
+    # infeasible re-solve is proved so on the warm path itself
     assert warm_pivots < cold_pivots / 2
+    assert not [status for _, status in starts if status == BREAKDOWN]
 
 
 def test_warm_resolves_match_highs():
@@ -513,11 +519,12 @@ def test_edits_after_a_solve_reach_the_next_solve():
 
 
 def test_warm_mip_after_edits_matches_cold(monkeypatch):
-    from fixtures import record_warm_roots
+    from fixtures import record_seeded_starts, record_warm_roots
 
     import lsfrp.lp as lp_module
 
     warm_roots = record_warm_roots(monkeypatch)
+    starts = record_seeded_starts(monkeypatch)
     rng = random.Random(71)
     compared = 0
     for _ in range(200):
@@ -538,6 +545,8 @@ def test_warm_mip_after_edits_matches_cold(monkeypatch):
         compared += 1
     assert compared >= 100
     assert warm_roots["warm"] >= compared // 2
+    # every seeded start, at the root or a node, finishes on the warm path
+    assert not [status for _, status in starts if status == BREAKDOWN]
 
 
 def test_root_basis_covers_the_root_cuts():
@@ -703,23 +712,19 @@ def test_warm_chain_carries_the_inverse_across_refactors():
     assert np.allclose(sol.basis.inverse @ B, np.eye(B.shape[0]), atol=1e-8)
 
 
-def test_basis_with_negative_artificial_seeds_warm_solve():
-    from lsfrp import lp as lp_module
-
-    # x >= 2 starts violated, so its row gets an artificial of sign -1;
-    # phase 1 flips x to its upper bound 2, which zeroes the artificial
-    # without a pivot, and the exported basis swaps it for the row's slack
+def test_slack_start_with_a_violated_row_seeds_warm_solve():
+    # x >= 2 is violated at the slack start x = 0, so the dual loop pivots
+    # x into the basis before the primal loop runs; the exported basis and
+    # its inverse then seed warm re-solves like any other
     model = LinearModel()
     x = model.add_var(0, 2, obj=1.0)
     y = model.add_var(0, 5, obj=1.0)
     model.add_constr({x: -1.0}, LE, -2.0)
     model.add_constr({x: 1.0, y: 1.0}, LE, 4.0)
-    simplex = lp_module._Simplex(model, None)
-    root = simplex.solve()
-    assert root.status == OPTIMAL
-    n, m = model.num_vars, model.num_rows
-    basic_art = simplex.basis[simplex.basis >= n + m] - (n + m)
-    assert basic_art.size == 1 and simplex.art_signs[basic_art[0]] == -1.0
+    root = solve_lp(model)
+    assert root.status == OPTIMAL and root.iterations >= 1
+    assert root.x[x] == pytest.approx(2.0) and root.objective == pytest.approx(4.0)
+    m = model.num_rows
     assert np.allclose(root.basis.inverse @ _basis_matrix(model, root.basis), np.eye(m))
     cut = _appended(model, [Constraint({y: 1.0}, LE, 1.0)])
     for case, overrides in ((model, {x: (0.0, 1.0)}), (model, {x: (0.0, 3.0)}), (cut, {})):
@@ -732,24 +737,23 @@ def test_basis_with_negative_artificial_seeds_warm_solve():
 
 
 def test_open_nodes_hold_no_inverse(monkeypatch):
+    from fixtures import record_seeded_starts
+
     import lsfrp.lp as lp_module
 
-    pushed, seeded = [], []
-    real_push, real_warm = lp_module.heapq.heappush, lp_module._Simplex._solve_warm
+    pushed = []
+    real_push = lp_module.heapq.heappush
 
     def heappush(heap, item):
         pushed.append(item[3])
         real_push(heap, item)
 
-    def solve_warm(self, warm):
-        seeded.append(warm.inverse is not None)
-        return real_warm(self, warm)
-
     monkeypatch.setattr(lp_module.heapq, "heappush", heappush)
-    monkeypatch.setattr(lp_module._Simplex, "_solve_warm", solve_warm)
+    starts = record_seeded_starts(monkeypatch)
     sol = solve_mip(knap([10, 13, 7, 8, 9, 6], [5, 7, 4, 5, 6, 3], 14))
     assert sol.status == OPTIMAL and sol.nodes > 3
     assert pushed and all(b is not None and b.inverse is None for b in pushed)
+    seeded = [basis.inverse is not None for basis, _ in starts]
     # the child popped right after its parent branched skips the inversion
     assert any(seeded) and not all(seeded)
 
@@ -818,7 +822,10 @@ def _assert_fresh_reduced_costs_optimal(model, overrides, basis, tol=1e-7):
 @pytest.mark.parametrize("refactor_every", [_REFACTOR_EVERY, 2], ids=["default", "every2"])
 def test_kernel_matches_highs_on_degenerate_free_and_unbounded_lps(monkeypatch, refactor_every):
     pytest.importorskip("scipy")
+    from fixtures import record_seeded_starts
+
     monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", refactor_every)
+    starts = record_seeded_starts(monkeypatch)
     rng = random.Random(59)
     seen: dict[tuple[str, str], int] = {}
     for trial in range(360):
@@ -843,3 +850,4 @@ def test_kernel_matches_highs_on_degenerate_free_and_unbounded_lps(monkeypatch, 
     assert seen.get(("degenerate", INFEASIBLE), 0) >= 10
     assert seen.get(("free", OPTIMAL), 0) >= 20
     assert seen.get(("free", UNBOUNDED), 0) + seen.get(("unbounded", UNBOUNDED), 0) >= 40
+    assert not [status for _, status in starts if status == BREAKDOWN]
