@@ -5,21 +5,21 @@ node-disjointness; pricing solves a per-ship profit maximization with the
 master duals priced into node entries.
 
 A ship is priced in one place, ``PricingModel.price``: it writes the node
-prices and exclusions into the ship's model, solves it from the last root
-basis, and reads the column and its profit.  A ``PricingEngine`` builds a
-ship's model on its first call, keeps it, and reports the pricing B&B
-nodes and model sizes.  An engine supplies only the model and a reader of
-its solution: arc-flow pricing the revised model of one ship
-(``formulations.build_ship_revised``, the revised MIP without its
-node-once rows), and lsfrp.lazy the compact model, with capacity cuts
-separated on each integer candidate.
+prices and exclusions into the ship's model, solves it to optimality from
+its last root basis, and reads the column and its profit.  A
+``PricingEngine`` builds a ship's model on its first call, keeps it, and
+reports the pricing B&B nodes and model sizes.  An engine supplies only
+the model and a reader of its solution: arc-flow pricing the revised
+model of one ship (``formulations.build_ship_revised``, the revised MIP
+without its node-once rows), and lsfrp.lazy the compact model, with
+capacity cuts separated on each integer candidate.
 
 One time limit covers a whole run: it becomes an absolute
 ``time.monotonic()`` deadline that the master loop checks and that every
 pricing solve receives.  Its one signal is ``ColgenTimeout``, raised by
-the loop or by a pricing solve that ran out of time without a usable
-column; ``run_column_generation`` turns it into a "time_limit" result
-carrying the counters and model sizes gathered so far.
+the loop or by a pricing solve that ran out of time;
+``run_column_generation`` turns it into a "time_limit" result carrying
+the counters and model sizes gathered so far.
 
 When the relaxed master ends fractional, branch-and-price branches on
 (visit, ship) usage: whether ship s calls at visit v.
@@ -34,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import lp
-from .formulations import build_ship_revised, evaluate_objective, extract_solution
+from .formulations import _reject_empties, build_ship_revised, evaluate_objective, extract_solution
 from .instance import Instance, ReachIndex, Ship, build_reach_index, path_count
 from .lp import EQ, GE, LE, LinearModel
 from .solution import (
@@ -176,8 +176,8 @@ def solve_rmp(master: RestrictedMaster, columns: list[Column]) -> tuple[lp.LpSol
 
 
 class ColgenTimeout(RuntimeError):
-    """The run's deadline passed: in the master loop, or in a pricing solve
-    without a usable column."""
+    """The run's deadline passed: in the master loop, or in a pricing
+    solve."""
 
 
 class PricingModel:
@@ -185,18 +185,11 @@ class PricingModel:
     the one place where a ship is priced.
 
     Each round writes the node prices into the arc objectives, turns the
-    excluded visits into zero bounds on their arcs, warm-starts the root LP
-    from the previous round's root basis, and reads the column with the
-    engine's ``read(x) -> (path, demand flows, empty flows)``.  It keeps
-    its size as built, before any cut row, and counts its B&B nodes.
-
-    Before the first root basis exists, the root starts from the slack
-    basis with the best start->sink path under the current arc objectives
-    at its upper bounds and every other column at its lower bound.  Every
-    row of both engines holds there (the path's arcs balance the routing
-    rows, and cargo at zero fits every capacity, gate and link row), so
-    the root LP starts primal feasible and its dual loop has nothing to
-    do.
+    excluded visits into zero bounds on their arcs, solves the MIP to
+    optimality with its root LP started from the previous round's root
+    basis (from the slack basis on the first round), and reads the column
+    with the engine's ``read(x) -> (path, demand flows, empty flows)``.  It
+    keeps its size as built, before any cut row, and counts its B&B nodes.
     """
 
     def __init__(
@@ -208,68 +201,30 @@ class PricingModel:
         self.instance = instance
         self.ship = ship
         self.read = read
-        self.order = instance.topological_order()
-        self.out: dict[str, list[tuple[str, int]]] = {}  # arc variables by tail
-        for (i, j), k in yvars.items():
-            self.out.setdefault(i, []).append((j, k))
         self.base = [model.obj[k] for k in yvars.values()]  # y costs before prices
         self.basis: lp.LpBasis | None = None
         self.size = model.size_triple()
         self.nodes = 0  # B&B nodes over every solve
 
-    def _path_basis(self) -> lp.LpBasis | None:
-        """Slack basis on the best start->sink path over arcs whose upper
-        bound is not zero, or None when there is no such path."""
-        if self.order is None:
-            return None
-        obj, ub = self.model.obj, self.model.ub
-        start, sink = self.ship.start_visit, self.instance.sink
-        # node -> (best value, last arc variable, that arc's tail)
-        best: dict[str, tuple[float, int, str]] = {start: (0.0, -1, "")}
-        for node in self.order:
-            if node not in best:
-                continue
-            value = best[node][0]
-            for dst, k in self.out.get(node, ()):
-                if ub[k] > 0.0 and (dst not in best or value + obj[k] > best[dst][0]):
-                    best[dst] = (value + obj[k], k, node)
-        if sink not in best:
-            return None
-        path, node = [], sink
-        while node != start:
-            _, k, node = best[node]
-            path.append(k)
-        return lp.slack_basis(self.model, path)
-
     def price(
-        self, node_price: dict[str, float], excluded: frozenset[str], stop_above: float | None,
-        deadline: float | None, on_candidate: lp.CandidateCallback | None = None,
+        self, node_price: dict[str, float], excluded: frozenset[str], deadline: float | None,
+        on_candidate: lp.CandidateCallback | None = None,
     ) -> tuple[Column | None, float]:
         """Best column under the node prices and exclusions, with its model
         value less the start's node price; (None, -inf) when no column
-        exists.  With stop_above set, the search may return any column
-        whose model value clears it.
-
-        A solve is usable when exact, early-stopped, or timed out with an
-        incumbent that already clears stop_above; any other timeout raises
-        ColgenTimeout, since nothing certifies that no column exists."""
+        exists.  A solve that runs out of time raises ColgenTimeout."""
         model, ins, ship = self.model, self.instance, self.ship
         for ((i, j), k), base in zip(self.yvars.items(), self.base):
             price = 0.0 if j == ins.sink else node_price.get(j, 0.0)
             model.set_objective_coeff(k, base - price)
             model.set_bounds(k, 0.0, 0.0 if i in excluded or j in excluded else 1.0)
-        warm = self.basis if self.basis is not None else self._path_basis()
-        mip = lp.solve_mip(
-            model, on_candidate=on_candidate, deadline=deadline, stop_above=stop_above, warm=warm
-        )
+        mip = lp.solve_mip(model, on_candidate=on_candidate, deadline=deadline, warm=self.basis)
         if mip.root_basis is not None:
             self.basis = mip.root_basis
         self.nodes += mip.nodes
-        if mip.status == lp.TIME_LIMIT and (
-            mip.x is None or stop_above is None or mip.objective <= stop_above
-        ):
+        if mip.status == lp.TIME_LIMIT:
             raise ColgenTimeout("pricing ran out of time")
-        if mip.status not in (lp.OPTIMAL, lp.STOPPED, lp.TIME_LIMIT):
+        if mip.status != lp.OPTIMAL:
             return None, -math.inf
         path, flows, empty_flows = self.read(mip.x)
         sol = Solution("pricing", OPTIMAL, ship_paths={ship.id: path}, demand_flows=flows,
@@ -319,8 +274,7 @@ class ArcFlowPricing(PricingEngine):
     objectives."""
 
     def __init__(self, instance: Instance, reach: ReachIndex):
-        if instance.empty_points:
-            raise ValueError("arc-flow pricing does not model empty equipment; use compact pricing")
+        _reject_empties(instance)
         super().__init__(instance, reach)
 
     def build(self, ship: Ship) -> PricingModel | None:
@@ -340,13 +294,13 @@ class ArcFlowPricing(PricingEngine):
 
     def price(
         self, ship_id: str, node_price: dict[str, float], excluded: frozenset[str],
-        stop_above: float | None = None, deadline: float | None = None,
+        deadline: float | None = None,
     ) -> tuple[Column | None, float]:
         """Best column for the ship, as PricingModel.price finds it."""
         priced = self.model(ship_id, excluded)
         if priced is None:
             return None, -math.inf
-        return priced.price(node_price, excluded, stop_above, deadline)
+        return priced.price(node_price, excluded, deadline)
 
 
 # -- heuristic initial columns -------------------------------------------------------
@@ -381,22 +335,14 @@ def price_ship(
     rc_tol: float = 1e-6,
     deadline: float | None = None,
 ) -> Column | None:
-    """One pricing round; a column comes back only when its reduced cost
-    clears the tolerance.
-
-    The pricing search may stop at the first column that already clears
-    the tolerance; returning None still requires the exact optimum, so a
-    clean pass remains a valid LP optimality certificate.
-    """
+    """One pricing round, solved to optimality; a column comes back only
+    when its reduced cost clears the tolerance, so a pass that returns none
+    certifies the relaxed master optimal."""
     state = state or _BranchState()
-    ship = instance.ship_by_id[ship_id]
     excluded = frozenset(n for (n, sid) in state.excluded if sid == ship_id)
     prices = {v.id: duals.node_price(v.id, ship_id) for v in instance.visits}
     pi = duals.pi.get(ship_id, 0.0)
-    stop_above = pi + rc_tol + prices.get(ship.start_visit, 0.0)
-    col, value = engine.price(
-        ship_id, prices, excluded, stop_above=stop_above, deadline=deadline
-    )
+    col, value = engine.price(ship_id, prices, excluded, deadline=deadline)
     if col is not None and value - pi > rc_tol:
         return col
     return None

@@ -337,10 +337,12 @@ def _reach_masks(instance: Instance) -> dict[str, int]:
 class ReachIndex:
     """Precomputed reachability and the derived per-demand / per-ship sets.
 
-    demand_arcs[m] holds every arc the demand can be aboard a ship on.
-    Cargo unloads the first time it enters a member of its destination set,
-    so arcs departing a destination are excluded; this makes the arc sets
-    agree with the load/unload replay used by the lazy solver.
+    demand_arcs[m] is ``arc_set`` of the demand: every arc whose tail the
+    origin reaches and from whose head some destination is reachable.  It
+    keeps arcs departing a destination toward another one, on purpose: the
+    arc-flow models absorb cargo at any destination it enters.  The arcs
+    the cargo rides when it unloads at the first destination visited, as
+    the lazy solver's replay does, are ``carry_arc_set``.
     """
 
     def __init__(self, instance: Instance):

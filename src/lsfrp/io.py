@@ -355,17 +355,22 @@ class GeneratorParams:
             raise ValueError("demands need at least two non-start visits")
         if self.empty_points > 0 and self.visits - self.ships < 2:
             raise ValueError("empty points need at least two non-start visits")
-        for rng in (
-            self.sail_cost_range,
-            self.port_fee_range,
-            self.move_cost_range,
-            self.revenue_range,
-            self.amount_range,
-            self.capacity_dc_range,
-            self.empty_amount_range,
-        ):
-            if rng[0] > rng[1]:
-                raise ValueError(f"inverted range {rng}")
+        # the least lower bound of each range: amounts are positive; costs,
+        # revenues and capacities nonnegative; port fees may be negative
+        least = {
+            "sail_cost_range": 0, "port_fee_range": -math.inf, "move_cost_range": 0,
+            "revenue_range": 0, "amount_range": 1, "capacity_dc_range": 0, "empty_amount_range": 1,
+        }
+        for name, low in least.items():
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name}: inverted range ({lo}, {hi})")
+            if lo < low:
+                raise ValueError(f"{name}: lower bound {lo} is below {low}")
+        if self.empty_revenue < 0:
+            raise ValueError(f"empty_revenue: {self.empty_revenue} is negative")
+        if self.dest_count_max < 1:
+            raise ValueError(f"dest_count_max: {self.dest_count_max} is below 1")
 
 
 def generate_random(params: GeneratorParams) -> Instance:

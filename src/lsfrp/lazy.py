@@ -497,7 +497,7 @@ class CompactPricing(PricingEngine):
 
     def price(
         self, ship_id: str, node_price: dict[str, float], excluded: frozenset[str],
-        stop_above: float | None = None, deadline: float | None = None,
+        deadline: float | None = None,
     ) -> tuple[Column | None, float]:
         """Best column for the ship (see PricingModel.price), with every
         integer candidate replayed and cut off while it overloads the ship."""
@@ -505,7 +505,7 @@ class CompactPricing(PricingEngine):
         if priced is None:
             return None, -math.inf
         on_candidate = partial(add_violated_cuts, self.contexts[ship_id])
-        return priced.price(node_price, excluded, stop_above, deadline, on_candidate)
+        return priced.price(node_price, excluded, deadline, on_candidate)
 
     def fill_diagnostics(self, diag: Diagnostics) -> None:
         super().fill_diagnostics(diag)

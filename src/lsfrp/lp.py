@@ -15,7 +15,7 @@ model when the search returns.
 Every solve starts from a basis and runs one path: the bounded dual loop
 moves the basic values into their bounds, then the primal loop reaches
 optimality.  A solve without a warm basis starts from
-``slack_basis(model, ())``: every row's slack basic, every column at its
+``slack_basis(model)``: every row's slack basic, every column at its
 lower bound (at its upper bound, or free at zero, when it has no finite
 lower one).  That basis need not be dual feasible; the dual ratio test
 reads a reduced cost of the wrong sign as zero, and the primal loop
@@ -43,17 +43,14 @@ child popped next.
 Column generation re-solves each ship's pricing MIP once per round, and
 only the objective, some bounds and appended cut rows change in between.
 The pricing engines keep one model per ship, edit it in place, and pass
-the last round's root basis (``MipSolution.root_basis``) back to
+the last round's root basis (``MipSolution.root_basis``; none on the
+first round, which starts from the slack basis) back to
 ``solve_mip(warm=...)``.  After a price change that basis is still primal
 feasible, so the dual loop has nothing to do and the primal loop goes on
 from the old vertex; bound changes and new rows give the dual loop work.
 The dense rows of a model are cached on it until its next
 ``add_var``/``add_constr``, so objective and bound edits cost no rebuild
 and a batch of new cuts costs one.
-A pricing model's first root has no earlier basis; it starts from
-``slack_basis`` with the best start-to-sink path at its upper bounds, a
-vertex every pricing row admits, so its dual loop has nothing to do
-either.
 
 The models are small (tens of rows), so a pivot costs a few numpy calls
 more than it costs arithmetic.  Both simplex loops therefore carry the
@@ -73,7 +70,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -97,7 +94,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 BREAKDOWN = "breakdown"
 TIME_LIMIT = "time_limit"
-STOPPED = "stopped"  # halted early at the caller's incumbent threshold
 
 
 class CutSoundnessError(RuntimeError):
@@ -407,7 +403,7 @@ class _Simplex:
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
-            if self.iterations % 128 == 0 and expired(self.deadline):
+            if expired(self.deadline):
                 return TIME_LIMIT
             self.iterations += 1
 
@@ -514,7 +510,7 @@ class _Simplex:
         while True:
             if self.iterations >= max_iters:
                 return BREAKDOWN
-            if self.iterations % 128 == 0 and expired(self.deadline):
+            if expired(self.deadline):
                 return TIME_LIMIT
 
             xB = self.xB
@@ -616,7 +612,7 @@ class _Simplex:
                     return result
             # a cold solve, or a warm start that broke down; the pivots of
             # the failed start stay in self.iterations
-            return self._solve_warm(slack_basis(self.model, ()))
+            return self._solve_warm(slack_basis(self.model))
 
     def _solve_warm(self, warm: LpBasis) -> LpSolution:
         """Solve from the basis of an earlier solve of the same model, or
@@ -721,22 +717,22 @@ def solve_lp(
 
     warm is the basis of an earlier optimal solve of the same model, taken
     when the model's rows were a prefix of its rows now; bounds, objective
-    and appended columns may differ.
+    and appended columns may differ.  deadline, an absolute
+    ``time.monotonic()`` instant, is checked before every pivot; once it
+    has passed, the solve ends "time_limit".
     """
     return _Simplex(model, bound_overrides, deadline).solve(warm)
 
 
-def slack_basis(model: LinearModel, at_upper: Sequence[int]) -> LpBasis:
-    """The basis of every row's slack, with the columns in at_upper
-    nonbasic at their upper bounds and the rest at their lower bounds.
+def slack_basis(model: LinearModel) -> LpBasis:
+    """The basis of every row's slack, with every column nonbasic at its
+    lower bound.
 
-    Its inverse is I.  Every solve without a warm basis starts from
-    ``slack_basis(model, ())``; when the point satisfies every row, the
-    dual loop has nothing to do.
+    Its inverse is I.  Every solve without a warm basis starts here; when
+    the point satisfies every row, the dual loop has nothing to do.
     """
     n, m = model.num_vars, model.num_rows
     state = np.full(n + m, _AT_LOWER, dtype=np.int8)
-    state[list(at_upper)] = _AT_UPPER
     state[n:] = _BASIC
     basic = np.arange(n, n + m, dtype=np.int64)
     inverse = np.eye(m)
@@ -763,7 +759,6 @@ def solve_mip(
     model: LinearModel,
     on_candidate: CandidateCallback | None = None,
     deadline: float | None = None,
-    stop_above: float | None = None,
     warm: LpBasis | None = None,
 ) -> MipSolution:
     """Deterministic best-bound branch and bound.
@@ -776,10 +771,6 @@ def solve_mip(
     violated by the candidate that produced it; otherwise CutSoundnessError
     is raised before any of the batch is appended.
 
-    stop_above halts the search as soon as an accepted incumbent exceeds
-    the threshold (status "stopped"); useful when any sufficiently good
-    solution serves, as in intermediate pricing rounds.
-
     Each node's LP starts from its parent's optimal basis, and a re-solve
     after new cuts from the basis of the solve the cuts were made from.
     warm seeds the root LP: the root basis of an earlier solve of this
@@ -791,7 +782,7 @@ def solve_mip(
     last.
 
     deadline is an absolute ``time.monotonic()`` instant.  Once it passes,
-    no further node starts and the LP in progress stops at its next check;
+    no further node starts and the LP in progress stops at its next pivot;
     the result is then "time_limit" with the best incumbent found, if any,
     and the best bound among the open nodes.
     """
@@ -810,11 +801,10 @@ def solve_mip(
     branched: LpBasis | None = None  # with its inverse
     nodes = 0
     timed_out = False
-    stopped = False
     abandoned_bound = -INF  # bound of a node dropped mid-solve on timeout
     root_basis: LpBasis | None = None
 
-    while heap and not stopped and not timed_out:
+    while heap and not timed_out:
         neg_bound, _, overrides, warm = heapq.heappop(heap)
         if -neg_bound <= best_obj + TOL_GAP * (1 + abs(best_obj)):
             continue
@@ -880,15 +870,12 @@ def solve_mip(
             if sol.objective > best_obj:
                 best_obj = sol.objective
                 best_x = sol.x.copy()
-                if stop_above is not None and best_obj > stop_above:
-                    stopped = True
             break
 
-    if timed_out or stopped:
+    if timed_out:
         open_bounds = [-nb for nb, _, _, _ in heap]
         bound = max(open_bounds + [best_obj, abandoned_bound])
-        status = STOPPED if stopped else TIME_LIMIT
-        return MipSolution(status, best_x, best_obj, bound, nodes, cuts_added, root_basis)
+        return MipSolution(TIME_LIMIT, best_x, best_obj, bound, nodes, cuts_added, root_basis)
     if best_x is None:
         return MipSolution(INFEASIBLE, None, -INF, -INF, nodes, cuts_added, root_basis)
     return MipSolution(OPTIMAL, best_x, best_obj, best_obj, nodes, cuts_added, root_basis)

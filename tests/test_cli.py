@@ -127,6 +127,15 @@ def test_compare_empty_revenue_pair(tmp_path, capsys):
     assert "rev=0" in out and "rev=30000" in out
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_colgen_on_empty_points_is_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "e.json"
+    p.write_bytes(write_instance(empty_repos19()))
+    flag = "--method" if command == "solve" else "--methods"
+    assert main([command, "--instance", str(p), flag, "colgen"]) == 64
+    assert "colgen-lazy" in capsys.readouterr().err
+
+
 def test_compare_rejects_unknown_method(t1_path):
     assert main(["compare", "--instance", t1_path, "--methods", "magic"]) == 64
 
@@ -154,6 +163,26 @@ def test_generate_zero_demands_solvable(tmp_path):
 def test_generate_infeasible_params(tmp_path):
     assert main(["generate", "--ships", "0", "--visits", "0", "--demands", "5",
                  "--out", str(tmp_path / "x.json")]) == 64
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--empty-revenue", "-5"], "empty_revenue"),
+        (["--amount-range", "0,0"], "amount_range"),
+        (["--empty-amount-range", "0,5"], "empty_amount_range"),
+        (["--revenue-range=-1,5"], "revenue_range"),
+        (["--move-cost-range=-1,5"], "move_cost_range"),
+        (["--sail-cost-range=-1,5"], "sail_cost_range"),
+        (["--capacity-range=-5,-1"], "capacity_dc_range"),
+        (["--dest-count-max", "0"], "dest_count_max"),
+    ],
+)
+def test_generate_invalid_params_name_the_field(tmp_path, capsys, flags, field):
+    code = main(["generate", "--ships", "2", "--visits", "8", "--demands", "4", "--empty-points", "2",
+                 "--seed", "3", "--out", str(tmp_path / "x.json"), *flags])
+    assert code == 64
+    assert field in capsys.readouterr().err
 
 
 def test_generate_table1_shape(tmp_path, capsys):

@@ -451,7 +451,7 @@ def test_growing_master_matches_one_shot_master(monkeypatch, branched):
     assert sum(status != lp.BREAKDOWN for _, status in starts) >= len(sequence) // 2
 
 
-# -- path-seeded pricing roots and repeated pricing calls -------------------------
+# -- cold starts and repeated pricing calls ----------------------------------------
 
 
 def _colgen_fixtures():
@@ -472,21 +472,18 @@ def _colgen_fixtures():
     return out
 
 
-@pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
-@pytest.mark.parametrize("case", _colgen_fixtures(), ids=lambda c: c[0])
-def test_only_first_master_solves_start_cold(monkeypatch, method, case):
+def _solve_recording_cold_starts(monkeypatch, method, case):
+    """Run the method on the case, recording (model, cold) for every
+    solve_lp call, one entry per _cg_loop call, and every seeded start."""
     from lsfrp import colgen
     from lsfrp.cli import run_method
 
     _, ins, optimum = case
-    solved: list[str] = []  # model name of every solve_lp call
-    cold: list[lp.LinearModel] = []  # models of the calls without a warm basis
+    solves: list[tuple[lp.LinearModel, bool]] = []
     real_solve, real_loop = lp.solve_lp, colgen._cg_loop
 
     def solve_lp(model, bound_overrides=None, deadline=None, warm=None):
-        solved.append(model.name)
-        if warm is None:
-            cold.append(model)
+        solves.append((model, warm is None))
         return real_solve(model, bound_overrides, deadline, warm)
 
     loops = []
@@ -496,11 +493,30 @@ def test_only_first_master_solves_start_cold(monkeypatch, method, case):
     sol = run_method(ins, method)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(optimum)
-    assert any(name != "rmp" for name in solved)
-    # one cold solve per branch-and-price node: the first of its own master
-    assert all(model.name == "rmp" for model in cold)
-    assert len({id(model) for model in cold}) == len(cold) == len(loops)
+    assert any(model.name != "rmp" for model, _ in solves)
     assert not [status for _, status in starts if status == lp.BREAKDOWN]
+    return solves, loops
+
+
+@pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
+@pytest.mark.parametrize("case", _colgen_fixtures(), ids=lambda c: c[0])
+def test_only_first_master_solves_start_cold(monkeypatch, method, case):
+    solves, loops = _solve_recording_cold_starts(monkeypatch, method, case)
+    # one cold master solve per branch-and-price node: the first of its own master
+    cold = [model for model, is_cold in solves if is_cold and model.name == "rmp"]
+    assert len({id(model) for model in cold}) == len(cold) == len(loops)
+
+
+@pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
+@pytest.mark.parametrize("case", _colgen_fixtures(), ids=lambda c: c[0])
+def test_no_model_is_solved_cold_twice(monkeypatch, method, case):
+    solves, _ = _solve_recording_cold_starts(monkeypatch, method, case)
+    # a model's first solve, master or pricing, is cold and every later one
+    # warm: a pricing root starts from the last round's root basis or nothing
+    seen: set[int] = set()
+    for model, is_cold in solves:
+        assert is_cold == (id(model) not in seen)
+        seen.add(id(model))
 
 
 @pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])

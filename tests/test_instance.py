@@ -108,6 +108,22 @@ def test_reach_index_chain():
     assert ("v1", "v2") in arcs and ("v2", "v3") in arcs
 
 
+def test_demand_arcs_ride_through_a_destination():
+    # o -> {d1, d2} with an arc d1 -> d2: demand_arcs keeps the ride-through
+    # arc, carry_arc_set (unload at the first destination) drops it
+    ins = Instance(
+        [Ship("s1", "o", 10, 0, "T0")],
+        [Visit("o"), Visit("d1", time_index=1), Visit("d2", time_index=2)],
+        "tau",
+        [make_arc("o", "d1", {"T0": 1}), make_arc("d1", "d2", {"T0": 1})]
+        + [make_arc(v, "tau", Z0) for v in ("o", "d1", "d2")],
+        [Demand("m1", "o", frozenset({"d1", "d2"}), "dc", 5, 10)],
+    )
+    reach = build_reach_index(ins)
+    assert reach.demand_arcs["m1"] == {("o", "d1"), ("d1", "d2")}
+    assert reach.carry_arc_set("o", {"d1", "d2"}) == {("o", "d1")}
+
+
 def test_reach_index_requires_valid_instance():
     ins = Instance(
         [Ship("s1", "v1", 10, 20, "T0")],  # rf above dc

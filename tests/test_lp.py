@@ -482,6 +482,20 @@ def test_warm_resolve_honours_deadline():
     assert sol.status == TIME_LIMIT
 
 
+def test_deadline_is_checked_on_every_pivot(monkeypatch):
+    # every row x_j >= 1 is violated at the slack basis: three dual pivots
+    m = LinearModel()
+    for j in range(3):
+        m.add_var(0, 10, obj=-1.0)
+        m.add_constr({j: 1.0}, GE, 1.0)
+    assert solve_lp(m).iterations >= 3
+    # the clock passes the deadline right after its first reading
+    readings = itertools.count()
+    monkeypatch.setattr(lp_module.time, "monotonic", lambda: 0.0 if next(readings) == 0 else 2.0)
+    sol = solve_lp(m, deadline=1.0)
+    assert sol.status == TIME_LIMIT and sol.iterations <= 2
+
+
 def _rebuilt(model):
     """A fresh model with the same variables and rows, so no cached state."""
     out = LinearModel(model.name)
