@@ -306,6 +306,19 @@ def cmd_generate(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
+def _at_least_zero(kind):
+    """argparse type for a limit flag: a kind that is at least 0 (not nan)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a number >= 0")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsfrp",
@@ -318,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", required=True, choices=METHODS)
     p_solve.add_argument("--empty-revenue", type=float, default=None,
                          help="override empty-equipment revenue (cents per TEU, both types)")
-    p_solve.add_argument("--time-limit", type=float, default=None)
+    p_solve.add_argument("--time-limit", type=_at_least_zero(float), default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--seed", type=int, default=0, help="echoed into solution metadata")
-    p_solve.add_argument("--oracle-budget", type=int, default=10**6)
+    p_solve.add_argument("--oracle-budget", type=_at_least_zero(int), default=10**6)
     p_solve.add_argument("--verbose", action="store_true",
                          help="print column-generation progress lines to stderr")
     p_solve.set_defaults(func=cmd_solve)
@@ -332,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--oracle", action="store_true", help="include the brute-force oracle")
     p_cmp.add_argument("--empty-revenue", type=float, action="append", default=None,
                        help="repeat to get a with/without empty-cargo pair")
-    p_cmp.add_argument("--time-limit", type=float, default=None)
+    p_cmp.add_argument("--time-limit", type=_at_least_zero(float), default=None)
     p_cmp.add_argument("--csv", default=None, help="write the CSV report here")
-    p_cmp.add_argument("--oracle-budget", type=int, default=10**6)
+    p_cmp.add_argument("--oracle-budget", type=_at_least_zero(int), default=10**6)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_gen = sub.add_parser("generate", help="generate a random instance")

@@ -57,14 +57,16 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(obj: dict, key: str, where: str, kind=float):
-    """The field obj[key] converted by kind, or a ParseError naming it."""
+def _number(obj: dict, key: str, where: str, kind=float) -> float:
+    """The field obj[key] as a float; it must be a finite kind (see
+    _typed), or a ParseError names it."""
+    value = _typed(_need(obj, key, where), kind, f"{where}.{key}")
     try:
-        return kind(obj[key])
-    except KeyError:
-        raise ParseError(f"{where}: missing field {key!r}") from None
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}.{key}: {obj[key]!r} is not a number") from None
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ParseError(f"{where}.{key}: {value!r} is not finite")
 
 
 def _typed(value, kind, where: str):
@@ -162,9 +164,9 @@ def parse_instance(data: bytes | str) -> Instance:
     visits = [
         Visit(
             id=str(_need(v, "id", where)),
-            port_fee=_number(v, "port_fee", where),
-            move_cost=_number(v, "move_cost", where),
-            time_index=_number(v, "time_index", where, int) if "time_index" in v else 0,
+            port_fee=_number(v, "port_fee", where, int),
+            move_cost=_number(v, "move_cost", where, int),
+            time_index=_typed(v.get("time_index", 0), int, f"{where}.time_index"),
         )
         for where, v in _entries(doc, "visits")
     ]
@@ -187,7 +189,7 @@ def parse_instance(data: bytes | str) -> Instance:
             make_arc(
                 str(_need(a, "from", where)),
                 str(_need(a, "to", where)),
-                {str(t): _number(cost, t, f"{where}.sail_cost") for t in cost},
+                {str(t): _number(cost, t, f"{where}.sail_cost", int) for t in cost},
             )
         )
     demands = []
@@ -202,7 +204,7 @@ def parse_instance(data: bytes | str) -> Instance:
                 destinations=frozenset(str(d) for d in dests),
                 cargo_type=str(_need(m, "cargo_type", where)),
                 amount=_number(m, "amount", where),
-                revenue=_number(m, "revenue_per_teu", where),
+                revenue=_number(m, "revenue_per_teu", where, int),
             )
         )
     points = [
@@ -214,7 +216,7 @@ def parse_instance(data: bytes | str) -> Instance:
         for where, p in _entries(doc, "empty_points")
     ]
     revenue = _mapping(doc.get("empty_revenue", {}), "empty_revenue")
-    revenue = {str(q): _number(revenue, q, "empty_revenue") for q in revenue}
+    revenue = {str(q): _number(revenue, q, "empty_revenue", int) for q in revenue}
 
     instance = Instance(
         ships, visits, str(_need(doc, "sink", "instance")), arcs, demands, points, revenue

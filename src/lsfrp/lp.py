@@ -10,7 +10,11 @@ embedded simplex is the default and the one the test suite exercises.
 A solve reads its rows from the model and nowhere else.  Lazy cuts are
 model rows too: ``solve_mip`` appends each cut its callback returns with
 ``add_constr``, so the cuts hold at every later node and are still in the
-model when the search returns.
+model when the search returns.  The kernel keeps only the dense m x n block
+A of the rows' coefficients, cached on the model until its next
+``add_var``/``add_constr``, so bound and objective edits cost no rebuild.
+The slack columns, the I of ``[A | I]``, are never stored: four
+``_Simplex`` methods, the only readers of A, supply them.
 
 Every solve starts from a basis and runs one path: the bounded dual loop
 moves the basic values into their bounds, then the primal loop reaches
@@ -28,7 +32,8 @@ dual loop has few pivots to make.  Columns appended with
 zero the old basis stays primal feasible and the primal loop goes on from
 the old vertex; the restricted master of column generation grows this
 way.  Should a warm start break down or hit its iteration cap, the same
-call starts again from the slack basis.
+call starts again from the slack basis.  A model without rows takes the
+same path from an empty basis, and its column moves are bound flips.
 
 The basis carries its inverse (``LpBasis.inverse``) and the number of
 rank-one updates applied since that inverse was last computed from
@@ -48,18 +53,16 @@ first round, which starts from the slack basis) back to
 ``solve_mip(warm=...)``.  After a price change that basis is still primal
 feasible, so the dual loop has nothing to do and the primal loop goes on
 from the old vertex; bound changes and new rows give the dual loop work.
-The dense rows of a model are cached on it until its next
-``add_var``/``add_constr``, so objective and bound edits cost no rebuild
-and a batch of new cuts costs one.
 
 The models are small (tens of rows), so a pivot costs a few numpy calls
 more than it costs arithmetic.  Both simplex loops therefore carry the
-reduced costs d across pivots instead of recomputing ``c - (c_B B^-1) A``:
+reduced costs d across pivots instead of recomputing them from scratch:
 a basis change with entering column e in row r updates them by the pivot
-row, ``d -= d[e] / alpha_r[e] * alpha_r`` with ``alpha_r = B^-1[r] A`` taken
-before the inverse update (the dual ratio test computes that row anyway),
-and a bound flip leaves them as they are.  They are computed afresh on
-entry to a loop and after every refactorization, and a verdict reached on
+row, ``d -= d[e] / alpha_r[e] * alpha_r`` with ``alpha_r`` row r of
+``B^-1 [A | I]`` taken before the inverse update (the dual ratio test
+computes that row anyway), and a bound flip leaves them as they are.
+They are computed afresh on entry to a loop and after every
+refactorization, and a verdict reached on
 carried values (optimal, or an unbounded ray) is confirmed on fresh ones
 before it is returned; that re-check is not counted as an iteration.
 """
@@ -129,7 +132,7 @@ class LinearModel:
         self.var_names: list[str] = []
         self.rows: list[Constraint] = []
         # bumped by add_var/add_constr only: objective and bound edits keep
-        # the cached dense rows of _row_block valid
+        # the cached structural block of _row_block valid
         self._structure = 0
         self._block_cache: tuple[int, tuple] | None = None
 
@@ -238,7 +241,7 @@ class LpSolution:
     duals: np.ndarray | None = None
     objective: float = -INF
     iterations: int = 0
-    basis: LpBasis | None = None  # set on optimal solves with at least one row
+    basis: LpBasis | None = None  # set on every optimal solve
 
 
 @dataclass
@@ -266,20 +269,19 @@ _DIRECTION = np.array([0.0, 1.0, -1.0, 0.0])
 
 
 def _row_block(model: LinearModel):
-    """``[A | I]``, b and slack bounds of the model's rows, cached on the
-    model until its next add_var/add_constr; each row's slack s makes it
-    ``a.x + s = rhs``.  The arrays are read-only: every solve of the model
-    shares them."""
+    """The m x n structural block A, b and slack bounds of the model's rows,
+    cached on the model until its next add_var/add_constr; each row's slack
+    s makes it ``a.x + s = rhs``, and its column of ``[A | I]`` is never
+    stored.  The arrays are read-only: every solve of the model shares
+    them."""
     cache = model._block_cache
     if cache is not None and cache[0] == model._structure:
         return cache[1]
     rows = model.rows
-    n, m = model.num_vars, model.num_rows
-    A = np.zeros((m, n + m))
+    A = np.zeros((model.num_rows, model.num_vars))
     for i, r in enumerate(rows):
         for j, c in r.coeffs.items():
             A[i, j] = c
-    A[:, n:] = np.eye(m)
     b = np.array([r.rhs for r in rows], dtype=float)
     slack_lb = np.array([-INF if r.sense == GE else 0.0 for r in rows], dtype=float)
     slack_ub = np.array([INF if r.sense == LE else 0.0 for r in rows], dtype=float)
@@ -299,10 +301,8 @@ class _Simplex:
     ):
         self.model = model
         self.deadline = deadline
-        n, m = model.num_vars, model.num_rows
-        self.n_struct = n
-        self.m = m
-        A, b, slack_lb, slack_ub = _row_block(model)
+        self.n_struct, self.m = n, m = model.num_vars, model.num_rows
+        self.A, self.b, slack_lb, slack_ub = _row_block(model)
 
         lb = np.array(model.lb, dtype=float)
         ub = np.array(model.ub, dtype=float)
@@ -311,8 +311,6 @@ class _Simplex:
                 lb[j], ub[j] = lo, hi
         self.trivially_infeasible = bool((lb > ub).any())
 
-        self.A = A
-        self.b = b
         self.lb = np.concatenate([lb, slack_lb])
         self.ub = np.concatenate([ub, slack_ub])
         self.c_real = np.concatenate([np.array(model.obj, dtype=float), np.zeros(m)])
@@ -329,12 +327,34 @@ class _Simplex:
         self.dirn[self.lb == self.ub] = 0.0
         self.free = (self.state == _FREE).nonzero()[0]
 
+    # -- the columns of [A | I]: the only readers of A; slack columns are implicit
+
+    def _ftran(self, e: int) -> np.ndarray:
+        """B^-1 times column e, a new array; a slack's is a column of B^-1."""
+        n = self.n_struct
+        return self.Binv[:, e - n].copy() if e >= n else self.Binv @ self.A[:, e]
+
+    def _rmul(self, v: np.ndarray) -> np.ndarray:
+        """``v @ [A | I]``."""
+        return np.concatenate([v @ self.A, v])
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """``[A | I] @ x``."""
+        return self.A @ x[: self.n_struct] + x[self.n_struct :]
+
+    def _columns(self, idx: np.ndarray, start: int = 0) -> np.ndarray:
+        """Rows ``start:`` of the columns idx, dense."""
+        n = self.n_struct
+        cols = np.zeros((self.m - start, idx.size))
+        structural = idx < n
+        cols[:, structural] = self.A[start:, idx[structural]]
+        pos = (idx >= n + start).nonzero()[0]
+        cols[idx[pos] - n - start, pos] = 1.0
+        return cols
+
     def _refactor(self) -> bool:
-        if self.m == 0:
-            return True
-        B = self.A[:, self.basis]
         try:
-            self.Binv = np.linalg.inv(B)
+            self.Binv = np.linalg.inv(self._columns(self.basis))
         except np.linalg.LinAlgError:
             return False
         self._since_refactor = 0
@@ -345,11 +365,11 @@ class _Simplex:
         """Recompute the basic values ``xB`` from the nonbasic ones."""
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.xB = self.Binv @ (self.b - self.A @ xn)
+        self.xB = self.Binv @ (self.b - self._matvec(xn))
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        """Fresh reduced costs ``c - (c_B B^-1) A`` of every column."""
-        return c - (c[self.basis] @ self.Binv) @ self.A
+        """Fresh reduced costs ``c - (c_B B^-1) [A | I]`` of every column."""
+        return c - self._rmul(c[self.basis] @ self.Binv)
 
     def _entering(self, d: np.ndarray) -> int:
         """The improving nonbasic column, or -1: the largest |d| with the
@@ -359,11 +379,13 @@ class _Simplex:
         score = d * self.dirn
         if self.free.size:
             score[self.free] = np.abs(d[self.free])
+        if not score.size:  # a model without columns or rows
+            return -1
         e = int(np.argmax(score > _RC_TOL) if self.bland else score.argmax())
         return e if score[e] > _RC_TOL else -1
 
     def _pivot(self, r: int, e: int, w: np.ndarray) -> bool:
-        """Make column e basic in row r (w = Binv @ A[:, e], which this
+        """Make column e basic in row r (w = ``_ftran(e)``, which this
         overwrites); values, bounds and the leaving column's state are the
         caller's.  False on breakdown; ``_since_refactor`` is 0 afterwards
         when the pivot ended in a refactorization."""
@@ -394,9 +416,7 @@ class _Simplex:
         refactorization; a basis change updates them with the pivot row.
         OPTIMAL and UNBOUNDED are only returned on fresh reduced costs.
         """
-        if self.m == 0:
-            return OPTIMAL
-        A, lb, ub, x, basis, c = self.A, self.lb, self.ub, self.x, self.basis, self.c_real
+        lb, ub, x, basis, c = self.lb, self.ub, self.x, self.basis, self.c_real
         lbB, ubB = lb[basis], ub[basis]
         d = self._reduced_costs(c)
         fresh = True
@@ -415,7 +435,7 @@ class _Simplex:
                 return OPTIMAL
             up = bool(d[e] > 0.0)
 
-            w = self.Binv @ A[:, e]
+            w = self._ftran(e)
 
             # two-pass (Harris style) ratio test: basic values move by
             # -t * coef; a small feasibility slack lets us pick the largest
@@ -429,7 +449,7 @@ class _Simplex:
             ratio[acoef <= _PIVOT_TOL] = INF
             # slack small enough that accumulated bound drift stays
             # below the feasibility tolerance over a whole solve
-            t_lim = float((ratio + 1e-11 / acoef).min())
+            t_lim = float((ratio + 1e-11 / acoef).min(initial=INF))
 
             span = float(ub[e] - lb[e])
             if span <= t_lim:
@@ -481,7 +501,7 @@ class _Simplex:
             xB[leave_pos] = x[e] + step
             lbB[leave_pos], ubB[leave_pos] = lb[e], ub[e]
             # pivot row of B^-1 A, taken before the update
-            alpha_r = self.Binv[leave_pos] @ A
+            alpha_r = self._rmul(self.Binv[leave_pos])
             scale = d[e] / w[leave_pos]
             if not self._pivot(leave_pos, e, w):
                 return BREAKDOWN
@@ -503,7 +523,7 @@ class _Simplex:
         bounds; the primal loop then settles, on fresh reduced costs, any
         dual infeasibility left.
         """
-        A, lb, ub, x, dirn, c = self.A, self.lb, self.ub, self.x, self.dirn, self.c_real
+        lb, ub, x, dirn, c = self.lb, self.ub, self.x, self.dirn, self.c_real
         basis = self.basis
         lbB, ubB = lb[basis], ub[basis]
         d = None  # computed at the first pivot: a feasible start needs none
@@ -516,8 +536,8 @@ class _Simplex:
             xB = self.xB
             below = lbB - xB
             infeas = np.maximum(below, xB - ubB)
-            r = int(infeas.argmax())
-            if infeas[r] <= _DUAL_FEAS_TOL:
+            r = int(infeas.argmax()) if infeas.size else -1
+            if r < 0 or infeas[r] <= _DUAL_FEAS_TOL:
                 return OPTIMAL
             self.iterations += 1
             raise_p = bool(below[r] > 0.0)  # the leaving column rises to its lower bound
@@ -525,7 +545,7 @@ class _Simplex:
             # basic value p moves by -alpha[j] per unit step of column j;
             # entering columns are those whose own feasible direction moves
             # p toward the violated bound
-            alpha = self.Binv[r] @ A
+            alpha = self._rmul(self.Binv[r])
             toward = alpha * dirn
             eligible = toward < -_DUAL_PIVOT_TOL if raise_p else toward > _DUAL_PIVOT_TOL
             aa = np.abs(alpha)
@@ -554,7 +574,7 @@ class _Simplex:
             t_lim = float(np.where(eligible, ratio + _RC_TOL / aa, INF).min())
             e = int(np.where(eligible & (ratio <= t_lim), aa, -1.0).argmax())
 
-            w = self.Binv @ A[:, e]
+            w = self._ftran(e)
             if abs(w[r]) < 1e-6 and self._since_refactor > 0:
                 if not self._refactor():
                     return BREAKDOWN
@@ -587,24 +607,6 @@ class _Simplex:
     def solve(self, warm: LpBasis | None = None) -> LpSolution:
         if self.trivially_infeasible:
             return LpSolution(INFEASIBLE)
-        if self.m == 0:
-            # pure box problem
-            x = np.zeros(self.n_struct)
-            for j in range(self.n_struct):
-                cj = self.c_real[j]
-                if cj > 0:
-                    if self.ub[j] == INF:
-                        return LpSolution(UNBOUNDED)
-                    x[j] = self.ub[j]
-                elif cj < 0:
-                    if self.lb[j] == -INF:
-                        return LpSolution(UNBOUNDED)
-                    x[j] = self.lb[j]
-                else:
-                    x[j] = self.lb[j] if self.lb[j] > -INF else min(0.0, self.ub[j])
-            obj = float(self.c_real[: self.n_struct] @ x)
-            return LpSolution(OPTIMAL, x, np.zeros(0), obj)
-
         with np.errstate(divide="ignore", invalid="ignore"):
             if warm is not None:
                 result = self._solve_warm(warm)
@@ -663,15 +665,12 @@ class _Simplex:
             if not self._refactor():
                 return LpSolution(BREAKDOWN)
         else:
-            if m0 == m:
-                self.Binv = warm.inverse.copy()
-            else:
-                # B = [[B0, 0], [E, I]] with E the appended rows on the old
-                # basic columns, so B^-1 = [[B0^-1, 0], [-E B0^-1, I]]
-                Binv = np.eye(m)
-                Binv[:m0, :m0] = warm.inverse
-                Binv[m0:, :m0] = -self.A[m0:, basic0] @ warm.inverse
-                self.Binv = Binv
+            # B = [[B0, 0], [E, I]] with E the appended rows on the old
+            # basic columns, so B^-1 = [[B0^-1, 0], [-E B0^-1, I]]
+            self.Binv = np.eye(m)
+            self.Binv[:m0, :m0] = warm.inverse
+            if m0 < m:
+                self.Binv[m0:, :m0] = -self._columns(basic0, m0) @ warm.inverse
             self._since_refactor = warm.age
             self._basic_values()
         if not np.isfinite(self.xB).all():
@@ -697,7 +696,7 @@ class _Simplex:
         # their reduced costs: put each at the bound its reduced cost favours
         fixed = ((state != _BASIC) & (self.lb == self.ub)).nonzero()[0]
         if fixed.size:
-            d = self.c_real[fixed] - y @ self.A[:, fixed]
+            d = self._reduced_costs(self.c_real)[fixed]
             state[fixed[d > _RC_TOL]] = _AT_UPPER
             state[fixed[d < -_RC_TOL]] = _AT_LOWER
         for arr in (basic, state, inverse):

@@ -44,6 +44,16 @@ def test_solve_bad_flags_usage_exit():
     assert main(["solve", "--instance", "x.json", "--method", "warp"]) == 64
 
 
+@pytest.mark.parametrize("command, method_flag", [("solve", "--method"), ("compare", "--methods")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--oracle-budget", "-3")],
+)
+def test_bad_limit_flags_are_usage_errors(t1_path, capsys, command, method_flag, flag, value):
+    assert main([command, "--instance", t1_path, method_flag, "oracle", flag, value]) == 64
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
 def test_solve_missing_file_is_usage_error(tmp_path):
     code = main(["solve", "--instance", str(tmp_path / "none.json"), "--method", "reduced"])
     assert code == 64
@@ -55,8 +65,10 @@ def test_solve_missing_file_is_usage_error(tmp_path):
         (lambda doc: {"schema": doc["schema"], "sink": "t", "visits": [1]}, "visits[0]"),
         (lambda doc: {**doc, "arcs": [{**doc["arcs"][0], "sail_cost": {"T0": "x"}}]},
          "arcs[0].sail_cost"),
+        (lambda doc: {**doc, "visits": [{**doc["visits"][0], "port_fee": 12.5}] + doc["visits"][1:]},
+         "visits[0].port_fee"),
     ],
-    ids=["visit-entry", "sail-cost"],
+    ids=["visit-entry", "sail-cost", "fractional-money"],
 )
 def test_solve_malformed_instance_entry_is_usage_error(t1_path, tmp_path, capsys, edit, where):
     with open(t1_path, encoding="utf-8") as fh:

@@ -53,8 +53,20 @@ def test_parse_rejects_wrong_schema():
         ("demands", 0, "amount", "many", "demands[0].amount"),
         ("visits", 1, "time_index", "late", "visits[1].time_index"),
         ("empty_revenue", None, None, [1, 2], "empty_revenue"),
+        ("visits", 1, "port_fee", "12", "visits[1].port_fee: '12' is not an integer"),
+        ("visits", 1, "port_fee", 12.5, "visits[1].port_fee: 12.5 is not an integer"),
+        ("ships", 0, "capacity_dc", True, "ships[0].capacity_dc: True is not a number"),
+        ("visits", 1, "time_index", 3.7, "visits[1].time_index: 3.7 is not an integer"),
+        ("arcs", 0, "sail_cost", {"T0": 2.5}, "arcs[0].sail_cost.T0: 2.5 is not an integer"),
+        ("demands", 0, "revenue_per_teu", 20.0, "demands[0].revenue_per_teu: 20.0 is not an integer"),
+        ("empty_revenue", None, None, {"dc": 1.5}, "empty_revenue.dc: 1.5 is not an integer"),
+        ("demands", 0, "amount", float("nan"), "demands[0].amount: nan is not finite"),
+        ("ships", 0, "capacity_rf", float("inf"), "ships[0].capacity_rf: inf is not finite"),
     ],
-    ids=["visit-entry", "visit-list", "capacity", "sail-cost", "amount", "time-index", "empty-revenue"],
+    ids=["visit-entry", "visit-list", "capacity", "sail-cost", "amount", "time-index", "empty-revenue",
+         "string-money", "fractional-money", "bool-capacity", "fractional-time-index",
+         "fractional-sail-cost", "float-revenue", "fractional-empty-revenue", "nan-amount",
+         "infinite-capacity"],
 )
 def test_parse_names_the_malformed_instance_entry(key, index, name, value, where):
     doc = json.loads(write_instance(t1()).decode())
@@ -94,6 +106,14 @@ def test_parse_solution_names_the_malformed_entry(edit, where):
     with pytest.raises(ParseError) as exc:
         parse_solution(json.dumps(edit(doc)))
     assert str(exc.value).startswith(where)
+
+
+def test_parse_rejects_money_beyond_float_range():
+    doc = json.loads(write_instance(t1()).decode())
+    doc["visits"][1]["move_cost"] = 10**400
+    with pytest.raises(ParseError) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value).startswith("visits[1].move_cost: 1000")
 
 
 def test_empty_demand_list_is_valid():

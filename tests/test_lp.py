@@ -60,6 +60,12 @@ def test_unbounded():
     assert solve_lp(m).status == UNBOUNDED
 
 
+def test_empty_model_is_optimal_with_a_basis():
+    for sol in (solve_lp(LinearModel()), solve_mip(LinearModel())):
+        assert sol.status == OPTIMAL and sol.objective == 0.0 and sol.x.size == 0
+    assert solve_lp(LinearModel()).basis.basic.size == 0
+
+
 def test_model_validation():
     m = LinearModel()
     with pytest.raises(ValueError):
@@ -442,6 +448,7 @@ def test_warm_resolves_match_highs():
 def test_warm_basis_is_read_only_and_shared():
     m = knap([10, 9, 8, 7], [5, 5, 4, 3], 9)
     root = solve_lp(m)
+    assert lp_module._row_block(m)[0].shape == (m.num_rows, m.num_vars)  # slacks implicit
     before = (root.basis.basic.copy(), root.basis.state.copy())
     for j in range(m.num_vars):
         solve_lp(m, {j: (0.0, 0.0)}, warm=root.basis)
@@ -779,7 +786,8 @@ def _differential_lp(rng, kind):
     """A random LP built around an integer point.  "degenerate": every row
     is tight at a point on its bounds, and a few rows may be shifted off it
     (possibly infeasible).  "free": some columns are free.  "unbounded":
-    some columns have no upper bound.  The last two contain the point, so
+    some columns have no upper bound.  "box": no rows, and some columns are
+    free or have one infinite bound.  The last three contain the point, so
     they are feasible and either optimal or unbounded."""
     n = rng.randint(3, 9)
     model = LinearModel(kind)
@@ -789,13 +797,15 @@ def _differential_lp(rng, kind):
             lo, hi, value = -INF, INF, rng.randint(-3, 3)
         elif kind == "unbounded" and rng.random() < 0.5:
             lo, hi, value = 0, INF, rng.randint(0, 4)
+        elif kind == "box" and rng.random() < 0.3:
+            lo, hi, value = rng.choice([(-INF, INF), (0, INF), (-INF, 0)]) + (0,)
         else:
             lo = rng.choice([0, 0, -2])
             hi = lo + rng.randint(0, 6)
             value = rng.choice([lo, hi]) if kind == "degenerate" else rng.randint(lo, hi)
         model.add_var(lo, hi, obj=rng.randint(-6, 6))
         point.append(value)
-    for _ in range(rng.randint(2, 2 * n)):
+    for _ in range(0 if kind == "box" else rng.randint(2, 2 * n)):
         coeffs = {j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.6}
         activity = sum(c * point[j] for j, c in coeffs.items())
         sense = rng.choice([LE, LE, GE, EQ])
@@ -842,8 +852,8 @@ def test_kernel_matches_highs_on_degenerate_free_and_unbounded_lps(monkeypatch, 
     starts = record_seeded_starts(monkeypatch)
     rng = random.Random(59)
     seen: dict[tuple[str, str], int] = {}
-    for trial in range(360):
-        model = _differential_lp(rng, ("degenerate", "free", "unbounded")[trial % 3])
+    for trial in range(480):
+        model = _differential_lp(rng, ("degenerate", "free", "unbounded", "box")[trial % 4])
         cold = solve_lp(model)
         solves = [(None, cold)]
         bounded = [j for j in range(model.num_vars) if 1 <= model.ub[j] - model.lb[j] < INF]
@@ -864,4 +874,6 @@ def test_kernel_matches_highs_on_degenerate_free_and_unbounded_lps(monkeypatch, 
     assert seen.get(("degenerate", INFEASIBLE), 0) >= 10
     assert seen.get(("free", OPTIMAL), 0) >= 20
     assert seen.get(("free", UNBOUNDED), 0) + seen.get(("unbounded", UNBOUNDED), 0) >= 40
+    assert seen.get(("box", OPTIMAL), 0) >= 20
+    assert seen.get(("box", UNBOUNDED), 0) >= 20
     assert not [status for _, status in starts if status == BREAKDOWN]
