@@ -80,7 +80,7 @@ def _exit_code_for(solution: Solution) -> int:
     return EXIT_NO_SOLUTION
 
 
-def _load_instance(path: str, empty_revenue: float | None) -> Instance:
+def _load_instance(path: str, empty_revenue: int | None) -> Instance:
     try:
         with open(path, "rb") as fh:
             instance = parse_instance(fh.read())
@@ -307,7 +307,8 @@ def cmd_generate(args) -> int:
 
 
 def _at_least_zero(kind):
-    """argparse type for a limit flag: a kind that is at least 0 (not nan)."""
+    """argparse type for a limit or money flag: a kind that is at least 0
+    (not nan)."""
 
     def parse(text: str):
         value = kind(text)
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance with one method")
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--method", required=True, choices=METHODS)
-    p_solve.add_argument("--empty-revenue", type=float, default=None,
+    p_solve.add_argument("--empty-revenue", type=_at_least_zero(int), default=None,
                          help="override empty-equipment revenue (cents per TEU, both types)")
     p_solve.add_argument("--time-limit", type=_at_least_zero(float), default=None)
     p_solve.add_argument("--out", default=None)
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--instance", required=True)
     p_cmp.add_argument("--methods", default="reduced,reduced-tight,revised,colgen,colgen-lazy")
     p_cmp.add_argument("--oracle", action="store_true", help="include the brute-force oracle")
-    p_cmp.add_argument("--empty-revenue", type=float, action="append", default=None,
+    p_cmp.add_argument("--empty-revenue", type=_at_least_zero(int), action="append", default=None,
                        help="repeat to get a with/without empty-cargo pair")
     p_cmp.add_argument("--time-limit", type=_at_least_zero(float), default=None)
     p_cmp.add_argument("--csv", default=None, help="write the CSV report here")

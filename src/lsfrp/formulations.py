@@ -1,7 +1,7 @@
 """Arc-flow MIP formulations over the LP kernel.
 
-Two models: the reduced MIP (ship-aggregated cargo variables, optional
-per-arc tightening rows) and the revised MIP (cargo variables carry a ship
+Two models: the reduced MIP (cargo variables pooled over the ships,
+optional link rows) and the revised MIP (cargo variables carry a ship
 index, giving a tighter relaxation).  Cargo may ride through one of its
 destinations toward a later one; explicit absorption rows at destination
 nodes (outflow <= inflow, revenue on the net amount absorbed) keep the
@@ -9,15 +9,18 @@ delivered total consistent with availability on every graph, so both
 models agree with the path-replay semantics of the compact solver and the
 oracle.
 
-Every ship's part of a model is built here, once: ``add_ship_arcs`` makes
-a ship's arc variables (with optional node prices and excluded visits),
-``add_path_rows`` its start, sink and conservation rows, and
-``add_revised_cargo`` its per-ship cargo block.  The revised MIP is the
-node-once rows plus those three over all ships; the reduced MIP shares
-the arc variables and path rows and aggregates its cargo.  Arc-flow
-pricing in column generation solves ``build_ship_revised``, the revised
-model of one ship without the node-once rows, and the compact pricing
-model of lsfrp.lazy shares its arc variables and path rows.
+Every part of a model is built here, once: ``add_ship_arcs`` makes a
+ship's arc variables (with optional node prices and excluded visits),
+``add_path_rows`` its start, sink and conservation rows, and ``add_cargo``
+the one cargo block.  The cargo block works over carriers, sets of ships
+that share cargo variables: the revised MIP gives each ship its own
+carrier, the reduced MIP pools every ship in one, and the two differ in
+nothing else.  The link rows x <= ub(x) * (sum of the carrier's arc
+variables) are always part of the revised block and are the rows that
+reduced-tight adds to reduced.  Arc-flow pricing in column generation
+solves ``build_ship_revised``, the revised model of one ship without the
+node-once rows, and the compact pricing model of lsfrp.lazy shares its arc
+variables and path rows.
 
 Neither arc-flow model covers empty-equipment flows; instances with empty
 points are rejected here and handled by the compact lazy solver.
@@ -59,6 +62,16 @@ def delivery_coef(instance: Instance, demand_id: str, dest: str) -> float:
     """Profit per TEU delivered to dest: revenue minus on/off move costs."""
     m = instance.demand_by_id[demand_id]
     return m.revenue - instance.visit_by_id[m.origin].move_cost - instance.visit_by_id[dest].move_cost
+
+
+def empty_coef(instance: Instance, q: str, src: str, dst: str) -> float:
+    """Profit per TEU of empty equipment of type q moved from src to dst:
+    the empty revenue minus on/off move costs."""
+    return (
+        instance.empty_revenue[q]
+        - instance.visit_by_id[src].move_cost
+        - instance.visit_by_id[dst].move_cost
+    )
 
 
 def _reject_empties(instance: Instance) -> None:
@@ -154,75 +167,92 @@ def add_path_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]
                 model.add_constr(coeffs, EQ, 0.0, f"cons[{s.id},{v.id}]")
 
 
-def add_revised_cargo(
-    model: LinearModel, instance: Instance, reach: ReachIndex, yvars: dict[str, dict]
+def add_cargo(
+    model: LinearModel,
+    instance: Instance,
+    reach: ReachIndex,
+    yvars: dict[str, dict],
+    pooled: bool = False,
+    link: bool = True,
 ) -> dict[tuple, int]:
-    """Revised cargo block of the ships in yvars: flows x[(ship, demand, i, j)]
-    on the ship's arcs, with its arc capacities, availability gates,
-    flow/absorption rows and the min(amount, capacity) link rows."""
+    """Cargo block of the ships in yvars, over carriers: sets of ships that
+    share cargo variables.  Each ship is its own carrier, with flows
+    x[(ship, demand, i, j)] of its movable demands bounded by min(amount,
+    capacity); pooled=True puts every ship in one carrier, with flows
+    x[(demand, i, j)] of every demand bounded by the amount.  A flow lies on
+    each arc of the demand that some ship of its carrier can sail.  Each
+    carrier gets per-arc reefer and total capacity rows against its ships'
+    capacities and an availability gate at each origin; then come the
+    flow/absorption rows and, with link=True, the link rows
+    x <= ub(x) * (sum over the carrier's ships of their arc variable)."""
+    if pooled:
+        carriers = [((), list(yvars), sorted(instance.demand_by_id))]
+    else:
+        carriers = [((sid,), [sid], sorted(reach.movable[sid])) for sid in yvars]
+
+    def sailing(sids, i, j):
+        """(ship, arc variable) for each of the ships that can sail (i, j)."""
+        return [(instance.ship_by_id[sid], yvars[sid][(i, j)]) for sid in sids if (i, j) in yvars[sid]]
+
     xvars: dict[tuple, int] = {}
-    for sid, ys in yvars.items():
-        s = instance.ship_by_id[sid]
-        for mid in sorted(reach.movable[sid]):
+    carried: list[list[tuple]] = []  # per carrier, its flows' keys in variable order
+    for prefix, sids, demands in carriers:
+        keys = []
+        for mid in demands:
             m = instance.demand_by_id[mid]
-            cap = s.capacity_rf if m.cargo_type == "rf" else s.capacity_dc
+            ub = m.amount
+            if not pooled:
+                s = instance.ship_by_id[sids[0]]
+                ub = min(ub, s.capacity_rf if m.cargo_type == "rf" else s.capacity_dc)
             for (i, j) in sorted(reach.demand_arcs[mid]):
-                if (i, j) in ys:
-                    xvars[(sid, mid, i, j)] = model.add_var(
-                        0.0, min(m.amount, cap),
-                        obj=_cargo_objective(instance, mid, i, j),
-                        name=f"x[{sid},{mid},{i},{j}]",
+                if any((i, j) in yvars[sid] for sid in sids):
+                    key = prefix + (mid, i, j)
+                    keys.append(key)
+                    xvars[key] = model.add_var(
+                        0.0, ub, obj=_cargo_objective(instance, mid, i, j),
+                        name=f"x[{','.join(key)}]",
                     )
+        carried.append(keys)
 
-    # per-ship arc capacities
-    arcs_by_ship: dict[str, set[tuple[str, str]]] = {}
-    for (sid, mid, i, j) in xvars:
-        arcs_by_ship.setdefault(sid, set()).add((i, j))
-    for sid, ys in yvars.items():
-        s = instance.ship_by_id[sid]
-        for (i, j) in sorted(arcs_by_ship.get(sid, ())):
-            yj = ys[(i, j)]
-            rf = {}
-            total = {}
-            for m in instance.demands:
-                v = xvars.get((sid, m.id, i, j))
-                if v is None:
-                    continue
-                total[v] = 1.0
-                if m.cargo_type == "rf":
-                    rf[v] = 1.0
+    # per-arc capacities, reefer and total
+    for (prefix, sids, _), keys in zip(carriers, carried):
+        loads: dict[tuple[str, str], list[tuple]] = {}
+        for key in keys:
+            loads.setdefault(key[-2:], []).append(key)
+        for (i, j), on_arc in sorted(loads.items()):
+            tag = ",".join(prefix + (i, j))
+            ships = sailing(sids, i, j)
+            rf = {xvars[k]: 1.0 for k in on_arc if instance.demand_by_id[k[-3]].cargo_type == "rf"}
             if rf:
-                rf[yj] = -s.capacity_rf
-                model.add_constr(rf, LE, 0.0, f"cap_rf[{sid},{i},{j}]")
-            total[yj] = -s.capacity_dc
-            model.add_constr(total, LE, 0.0, f"cap_dc[{sid},{i},{j}]")
+                rf.update({y: -s.capacity_rf for s, y in ships})
+                model.add_constr(rf, LE, 0.0, f"cap_rf[{tag}]")
+            total = {xvars[k]: 1.0 for k in on_arc}
+            total.update({y: -s.capacity_dc for s, y in ships})
+            model.add_constr(total, LE, 0.0, f"cap_dc[{tag}]")
 
-    # per-ship availability gates
-    for sid, ys in yvars.items():
-        for mid in sorted(reach.movable[sid]):
+    # availability gate at each origin
+    for prefix, sids, demands in carriers:
+        for mid in demands:
             m = instance.demand_by_id[mid]
             coeffs = {}
             for a in instance.out_arcs[m.origin]:
-                v = xvars.get((sid, mid, a.src, a.dst))
+                v = xvars.get(prefix + (mid, a.src, a.dst))
                 if v is not None:
                     coeffs[v] = 1.0
-                yj = ys.get((a.src, a.dst))
-                if yj is not None:
-                    coeffs[yj] = coeffs.get(yj, 0.0) - m.amount
+                coeffs.update({y: -m.amount for _, y in sailing(sids, a.src, a.dst)})
             if coeffs:
-                model.add_constr(coeffs, LE, 0.0, f"avail[{sid},{mid}]")
+                model.add_constr(coeffs, LE, 0.0, f"avail[{','.join(prefix + (mid,))}]")
 
     _add_cargo_conservation(model, instance, xvars)
 
-    # disaggregated link: no more cargo than available or loadable per ship
-    for (sid, mid, i, j), v in xvars.items():
-        s = instance.ship_by_id[sid]
-        m = instance.demand_by_id[mid]
-        cap = s.capacity_rf if m.cargo_type == "rf" else s.capacity_dc
-        model.add_constr(
-            {v: 1.0, yvars[sid][(i, j)]: -min(m.amount, cap)}, LE, 0.0,
-            f"link[{sid},{mid},{i},{j}]",
-        )
+    # link: no flow on an arc its carrier does not sail, and at most ub(x)
+    if link:
+        for (_, sids, _), keys in zip(carriers, carried):
+            for key in keys:
+                v = xvars[key]
+                coeffs = {v: 1.0}
+                coeffs.update({y: -model.ub[v] for _, y in sailing(sids, *key[-2:])})
+                model.add_constr(coeffs, LE, 0.0, f"link[{','.join(key)}]")
     return xvars
 
 
@@ -275,76 +305,15 @@ def _add_node_once_rows(model: LinearModel, instance: Instance, yvars: dict[str,
 def build_reduced(
     instance: Instance, reach: ReachIndex | None = None, tighten: bool = False
 ) -> tuple[LinearModel, ArcFlowVars]:
-    """Reduced MIP: binary ship-arc variables plus ship-aggregated cargo
-    flows; tighten=True adds the per-arc availability rows."""
+    """Reduced MIP: node-once rows, then every ship's path rows and one
+    cargo block with every ship pooled; tighten=True adds its link rows."""
     reach = reach or build_reach_index(instance)  # validates the instance
     _reject_empties(instance)
     model = LinearModel("reduced" + ("-tight" if tighten else ""))
     yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
-
-    # cargo variables only on arcs some ship can sail
-    sailable = {arc for ys in yvars.values() for arc in ys}
-    xvars: dict[tuple, int] = {}
-    for m in instance.demands:
-        for (i, j) in sorted(reach.demand_arcs[m.id]):
-            if (i, j) in sailable:
-                xvars[(m.id, i, j)] = model.add_var(
-                    0.0, m.amount, obj=_cargo_objective(instance, m.id, i, j),
-                    name=f"x[{m.id},{i},{j}]",
-                )
-
     _add_node_once_rows(model, instance, yvars)
     add_path_rows(model, instance, yvars)
-
-    # joint arc capacities over all ships, reefer and total
-    arcs_with_cargo = sorted({(i, j) for (_, i, j) in xvars})
-    for (i, j) in arcs_with_cargo:
-        rf = {}
-        total = {}
-        for m in instance.demands:
-            v = xvars.get((m.id, i, j))
-            if v is None:
-                continue
-            total[v] = 1.0
-            if m.cargo_type == "rf":
-                rf[v] = 1.0
-        for s in instance.ships:
-            yj = yvars[s.id].get((i, j))
-            if yj is None:
-                continue
-            if rf:
-                rf[yj] = -s.capacity_rf
-            total[yj] = -s.capacity_dc
-        if rf:
-            model.add_constr(rf, LE, 0.0, f"cap_rf[{i},{j}]")
-        model.add_constr(total, LE, 0.0, f"cap_dc[{i},{j}]")
-
-    # availability gate at each origin
-    for m in instance.demands:
-        coeffs = {}
-        for a in instance.out_arcs[m.origin]:
-            v = xvars.get((m.id, a.src, a.dst))
-            if v is not None:
-                coeffs[v] = 1.0
-            for s in instance.ships:
-                yj = yvars[s.id].get((a.src, a.dst))
-                if yj is not None:
-                    coeffs[yj] = coeffs.get(yj, 0.0) - m.amount
-        if coeffs:
-            model.add_constr(coeffs, LE, 0.0, f"avail[{m.id}]")
-
-    _add_cargo_conservation(model, instance, xvars)
-
-    if tighten:
-        for (mid, i, j), v in xvars.items():
-            coeffs = {v: 1.0}
-            amount = instance.demand_by_id[mid].amount
-            for s in instance.ships:
-                yj = yvars[s.id].get((i, j))
-                if yj is not None:
-                    coeffs[yj] = -amount
-            model.add_constr(coeffs, LE, 0.0, f"tight[{mid},{i},{j}]")
-
+    xvars = add_cargo(model, instance, reach, yvars, pooled=True, link=tighten)
     return model, ArcFlowVars(yvars, xvars)
 
 
@@ -359,7 +328,7 @@ def build_revised(
     yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
     _add_node_once_rows(model, instance, yvars)
     add_path_rows(model, instance, yvars)
-    xvars = add_revised_cargo(model, instance, reach, yvars)
+    xvars = add_cargo(model, instance, reach, yvars)
     return model, ArcFlowVars(yvars, xvars)
 
 
@@ -377,7 +346,7 @@ def build_ship_revised(
     if not leaves_start(instance, ship, yvars[ship.id]):
         return None
     add_path_rows(model, instance, yvars)
-    xvars = add_revised_cargo(model, instance, reach, yvars)
+    xvars = add_cargo(model, instance, reach, yvars)
     return model, ArcFlowVars(yvars, xvars)
 
 
@@ -483,11 +452,7 @@ def evaluate_objective(instance: Instance, solution: Solution) -> float:
         pos = positions.get(f.ship)
         if pos is None or f.src not in pos or f.dst not in pos or pos[f.src] >= pos[f.dst]:
             raise ValueError(f"empty flow {f.src}->{f.dst} not supported by ship {f.ship}")
-        total += f.amount * (
-            instance.empty_revenue[f.cargo_type]
-            - instance.visit_by_id[f.src].move_cost
-            - instance.visit_by_id[f.dst].move_cost
-        )
+        total += f.amount * empty_coef(instance, f.cargo_type, f.src, f.dst)
     return total
 
 

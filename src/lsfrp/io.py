@@ -57,6 +57,11 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _string(obj: dict, key: str, where: str) -> str:
+    """The field obj[key], which must be a JSON string, or a ParseError names it."""
+    return _typed(_need(obj, key, where), str, f"{where}.{key}")
+
+
 def _number(obj: dict, key: str, where: str, kind=float) -> float:
     """The field obj[key] as a float; it must be a finite kind (see
     _typed), or a ParseError names it."""
@@ -163,7 +168,7 @@ def parse_instance(data: bytes | str) -> Instance:
 
     visits = [
         Visit(
-            id=str(_need(v, "id", where)),
+            id=_string(v, "id", where),
             port_fee=_number(v, "port_fee", where, int),
             move_cost=_number(v, "move_cost", where, int),
             time_index=_typed(v.get("time_index", 0), int, f"{where}.time_index"),
@@ -172,11 +177,11 @@ def parse_instance(data: bytes | str) -> Instance:
     ]
     ships = [
         Ship(
-            id=str(_need(s, "id", where)),
-            start_visit=str(_need(s, "start_visit", where)),
+            id=_string(s, "id", where),
+            start_visit=_string(s, "start_visit", where),
             capacity_dc=_number(s, "capacity_dc", where),
             capacity_rf=_number(s, "capacity_rf", where),
-            ship_type=str(s.get("ship_type", "T0")),
+            ship_type=_typed(s.get("ship_type", "T0"), str, f"{where}.ship_type"),
         )
         for where, s in _entries(doc, "ships")
     ]
@@ -187,9 +192,9 @@ def parse_instance(data: bytes | str) -> Instance:
             raise ParseError(f"{where}: sail_cost must map ship type to cost")
         arcs.append(
             make_arc(
-                str(_need(a, "from", where)),
-                str(_need(a, "to", where)),
-                {str(t): _number(cost, t, f"{where}.sail_cost", int) for t in cost},
+                _string(a, "from", where),
+                _string(a, "to", where),
+                {t: _number(cost, t, f"{where}.sail_cost", int) for t in cost},
             )
         )
     demands = []
@@ -199,27 +204,29 @@ def parse_instance(data: bytes | str) -> Instance:
             raise ParseError(f"{where}: destinations must be a list")
         demands.append(
             Demand(
-                id=str(_need(m, "id", where)),
-                origin=str(_need(m, "origin", where)),
-                destinations=frozenset(str(d) for d in dests),
-                cargo_type=str(_need(m, "cargo_type", where)),
+                id=_string(m, "id", where),
+                origin=_string(m, "origin", where),
+                destinations=frozenset(
+                    _typed(d, str, f"{where}.destinations[{k}]") for k, d in enumerate(dests)
+                ),
+                cargo_type=_string(m, "cargo_type", where),
                 amount=_number(m, "amount", where),
                 revenue=_number(m, "revenue_per_teu", where, int),
             )
         )
     points = [
         EmptyPoint(
-            visit=str(_need(p, "visit", where)),
-            cargo_type=str(_need(p, "cargo_type", where)),
+            visit=_string(p, "visit", where),
+            cargo_type=_string(p, "cargo_type", where),
             amount=_number(p, "amount", where),
         )
         for where, p in _entries(doc, "empty_points")
     ]
     revenue = _mapping(doc.get("empty_revenue", {}), "empty_revenue")
-    revenue = {str(q): _number(revenue, q, "empty_revenue", int) for q in revenue}
+    revenue = {q: _number(revenue, q, "empty_revenue", int) for q in revenue}
 
     instance = Instance(
-        ships, visits, str(_need(doc, "sink", "instance")), arcs, demands, points, revenue
+        ships, visits, _string(doc, "sink", "instance"), arcs, demands, points, revenue
     )
     report = validate(instance)
     if not report.ok:
@@ -302,15 +309,15 @@ def parse_solution(data: bytes | str) -> Solution:
         ship_paths={s: tuple(p) for s, p in paths.items()},
         demand_flows=[
             DemandFlow(
-                _need(f, "demand", where), _need(f, "ship", where), _need(f, "destination", where),
+                _string(f, "demand", where), _string(f, "ship", where), _string(f, "destination", where),
                 _number(f, "amount", where),
             )
             for where, f in _entries(doc, "demand_flows")
         ],
         empty_flows=[
             EmptyFlow(
-                _need(f, "cargo_type", where), _need(f, "ship", where), _need(f, "from", where),
-                _need(f, "to", where), _number(f, "amount", where),
+                _string(f, "cargo_type", where), _string(f, "ship", where), _string(f, "from", where),
+                _string(f, "to", where), _number(f, "amount", where),
             )
             for where, f in _entries(doc, "empty_flows")
         ],

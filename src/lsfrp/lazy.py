@@ -32,7 +32,7 @@ from functools import partial
 
 from . import lp
 from .colgen import CgConfig, Column, PricingEngine, PricingModel, run_column_generation
-from .formulations import _trace_path, add_path_rows, add_ship_arcs, leaves_start
+from .formulations import _trace_path, add_path_rows, add_ship_arcs, empty_coef, leaves_start
 from .instance import Instance, ReachIndex, Ship, build_reach_index
 from .lp import LE, LinearModel
 from .solution import DemandFlow, Diagnostics, EmptyFlow, Solution
@@ -292,13 +292,9 @@ def build_compact_pricing(
             pair_arcs = frozenset((i, j) for (i, j) in full_arcs if (i, j) in yvars)
             if not pair_arcs:
                 continue
-            coef = (
-                ins.empty_revenue[q]
-                - ins.visit_by_id[sp.visit].move_cost
-                - ins.visit_by_id[dp.visit].move_cost
-            )
             evars[key] = model.add_var(
-                0.0, min(sp.amount, -dp.amount, ship.capacity_dc), obj=coef,
+                0.0, min(sp.amount, -dp.amount, ship.capacity_dc),
+                obj=empty_coef(ins, q, sp.visit, dp.visit),
                 name=f"e[{q},{sp.visit},{dp.visit}]",
             )
             empty_gate_arcs[key] = pair_arcs

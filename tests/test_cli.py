@@ -47,7 +47,9 @@ def test_solve_bad_flags_usage_exit():
 @pytest.mark.parametrize("command, method_flag", [("solve", "--method"), ("compare", "--methods")])
 @pytest.mark.parametrize(
     "flag, value",
-    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--oracle-budget", "-3")],
+    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--oracle-budget", "-3"),
+     ("--empty-revenue", "-500"), ("--empty-revenue", "nan"), ("--empty-revenue", "inf"),
+     ("--empty-revenue", "1.5")],
 )
 def test_bad_limit_flags_are_usage_errors(t1_path, capsys, command, method_flag, flag, value):
     assert main([command, "--instance", t1_path, method_flag, "oracle", flag, value]) == 64

@@ -62,11 +62,28 @@ def test_parse_rejects_wrong_schema():
         ("empty_revenue", None, None, {"dc": 1.5}, "empty_revenue.dc: 1.5 is not an integer"),
         ("demands", 0, "amount", float("nan"), "demands[0].amount: nan is not finite"),
         ("ships", 0, "capacity_rf", float("inf"), "ships[0].capacity_rf: inf is not finite"),
+        ("visits", 0, "id", None, "visits[0].id: None is not a string"),
+        ("ships", 0, "id", 1, "ships[0].id: 1 is not a string"),
+        ("ships", 0, "start_visit", None, "ships[0].start_visit: None is not a string"),
+        ("ships", 0, "ship_type", 0, "ships[0].ship_type: 0 is not a string"),
+        ("sink", None, None, None, "instance.sink: None is not a string"),
+        ("arcs", 0, "from", None, "arcs[0].from: None is not a string"),
+        ("arcs", 0, "to", 2, "arcs[0].to: 2 is not a string"),
+        ("demands", 0, "id", 1, "demands[0].id: 1 is not a string"),
+        ("demands", 0, "origin", None, "demands[0].origin: None is not a string"),
+        ("demands", 0, "destinations", ["v2", None], "demands[0].destinations[1]: None is not a string"),
+        ("demands", 0, "cargo_type", None, "demands[0].cargo_type: None is not a string"),
+        ("empty_points", None, None, [{"visit": None, "cargo_type": "dc", "amount": 5}],
+         "empty_points[0].visit: None is not a string"),
+        ("empty_points", None, None, [{"visit": "v1", "cargo_type": 0, "amount": 5}],
+         "empty_points[0].cargo_type: 0 is not a string"),
     ],
     ids=["visit-entry", "visit-list", "capacity", "sail-cost", "amount", "time-index", "empty-revenue",
          "string-money", "fractional-money", "bool-capacity", "fractional-time-index",
          "fractional-sail-cost", "float-revenue", "fractional-empty-revenue", "nan-amount",
-         "infinite-capacity"],
+         "infinite-capacity", "null-visit-id", "int-ship-id", "null-start-visit", "int-ship-type",
+         "null-sink", "null-arc-from", "int-arc-to", "int-demand-id", "null-origin",
+         "null-destination", "null-cargo-type", "null-empty-visit", "int-empty-cargo-type"],
 )
 def test_parse_names_the_malformed_instance_entry(key, index, name, value, where):
     doc = json.loads(write_instance(t1()).decode())
@@ -97,9 +114,15 @@ def test_parse_names_the_malformed_instance_entry(key, index, name, value, where
         (lambda doc: {**doc, "diagnostics": {"cuts_dc": [1]}}, "diagnostics.cuts_dc must be an object"),
         (lambda doc: {**doc, "ship_paths": {"s1": ["v0", 1, "tau"]}},
          "ship_paths.s1[1]: 1 is not a string"),
+        (lambda doc: {**doc, "demand_flows": [{"demand": "m1", "ship": None, "destination": "v2",
+                                               "amount": 1}]},
+         "demand_flows[0].ship: None is not a string"),
+        (lambda doc: {**doc, "empty_flows": [{"cargo_type": "dc", "ship": "s1", "from": 1, "to": "b",
+                                              "amount": 1}]}, "empty_flows[0].from: 1 is not a string"),
     ],
     ids=["top-level", "flow-field", "flow-entry", "empty-flow-amount", "ship-path", "diagnostics",
-         "objective", "bound", "diagnostics-field", "cut-counts", "ship-path-entry"],
+         "objective", "bound", "diagnostics-field", "cut-counts", "ship-path-entry", "flow-ship",
+         "empty-flow-from"],
 )
 def test_parse_solution_names_the_malformed_entry(edit, where):
     doc = json.loads(write_solution(brute_force_solve(t1())).decode())

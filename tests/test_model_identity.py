@@ -5,6 +5,9 @@ right-hand sides, senses, bounds, objective and integrality, in row and
 column order; row and variable names are left out.  The digests were
 frozen from the builders as they stood before the per-ship builders were
 shared, so a refactor of the builders must leave every model unchanged.
+The "many" instance has more than ten demands, so its ids do not sort in
+instance order ("m10" before "m2"): its reduced digests record the one
+cargo order of every model, demands sorted by id.
 """
 
 import hashlib
@@ -23,6 +26,8 @@ INSTANCES = {
                            capacity_dc_range=(25, 60), amount_range=(10, 45), seed=12),
     "three": GeneratorParams(ships=3, ship_types=2, visits=12, demands=10, seed=13),
     "empties": GeneratorParams(ships=3, visits=12, demands=8, empty_points=4, seed=14),
+    "many": GeneratorParams(ships=2, ship_types=2, visits=12, demands=12, reefer_fraction=0.5,
+                            seed=16),
 }
 
 PINNED = {
@@ -80,6 +85,21 @@ PINNED = {
     "empties/compact/s2/plain": "f4e492eccd9d2316",
     "empties/compact/s2/priced": "b8d1595a7f4ce145",
     "empties/compact/s2/excluded": "634283f08173d78b",
+    "many/reduced": "603265663896f058",
+    "many/reduced-tight": "0f4cd701a317a088",
+    "many/revised": "2bc47cb437600463",
+    "many/arcflow/s0/plain": "2cfa363c3e3c7db8",
+    "many/compact/s0/plain": "4b7fc5ee515277a8",
+    "many/arcflow/s0/priced": "8741321c40fa3c61",
+    "many/compact/s0/priced": "30cd2044dc03b8f4",
+    "many/arcflow/s0/excluded": "768aa4707df85558",
+    "many/compact/s0/excluded": "d18aefe88e4124af",
+    "many/arcflow/s1/plain": "d53a19e288a17f99",
+    "many/compact/s1/plain": "907cafb1a9654a38",
+    "many/arcflow/s1/priced": "b23d88da9e6ab1f1",
+    "many/compact/s1/priced": "ee0307dc7cabeaee",
+    "many/arcflow/s1/excluded": "f9aa85a529c0bc48",
+    "many/compact/s1/excluded": "cb1ea92ef3839302",
 }
 
 
