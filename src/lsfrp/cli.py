@@ -15,10 +15,17 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .colgen import CgConfig, run_column_generation
+from .colgen import run_column_generation
 from .formulations import UnsupportedInstanceError, solve_arcflow
 from .instance import Instance
-from .io import GeneratorParams, ParseError, generate_random, parse_instance, write_solution
+from .io import (
+    GeneratorParams,
+    ParseError,
+    generate_random,
+    parse_instance,
+    write_instance,
+    write_solution,
+)
 from .lazy import run_colgen_lazy
 from .lp import NumericalBreakdownError
 from .oracle import OracleBudgetError, brute_force_solve
@@ -60,11 +67,9 @@ def run_method(
         if method in ("reduced", "reduced-tight", "revised"):
             return solve_arcflow(instance, method, time_limit=time_limit)
         if method == "colgen":
-            return run_column_generation(
-                instance, CgConfig(pricing="arcflow", time_limit=time_limit, log=log)
-            )
+            return run_column_generation(instance, time_limit, log)
         if method == "colgen-lazy":
-            return run_colgen_lazy(instance, CgConfig(time_limit=time_limit, log=log))
+            return run_colgen_lazy(instance, time_limit, log)
     except NumericalBreakdownError as exc:
         sol = Solution(method=method, status=BREAKDOWN)
         sol.meta["refusal"] = f"numerical breakdown in the embedded solver: {exc}"
@@ -93,6 +98,19 @@ def _load_instance(path: str, empty_revenue: int | None) -> Instance:
     return instance
 
 
+def _emit(data: bytes, path: str | None) -> None:
+    """Write data to the file at path, or to stdout without one; a file
+    that cannot be written is a usage error naming it."""
+    if not path:
+        sys.stdout.write(data.decode("utf-8"))
+        return
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 # -- solve -------------------------------------------------------------------------
 
 
@@ -114,12 +132,7 @@ def cmd_solve(args) -> int:
             },
         }
     )
-    data = write_solution(sol)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _emit(write_solution(sol), args.out)
     if sol.status == OPTIMAL:
         print(f"{args.method}: objective {sol.objective:.6g} (optimal)", file=sys.stderr)
     else:
@@ -238,12 +251,7 @@ def cmd_compare(args) -> int:
 
     text = _render_text(rows)
     sys.stdout.write(text)
-    csv_text = _render_csv(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(_render_csv(rows).encode("utf-8"), args.csv)
     if mismatch:
         print("objective MISMATCH across methods", file=sys.stderr)
         return EXIT_MISMATCH
@@ -286,14 +294,7 @@ def cmd_generate(args) -> int:
         instance = generate_random(params)
     except ValueError as exc:
         raise _CliError(f"infeasible generator parameters: {exc}")
-    from .io import write_instance
-
-    data = write_instance(instance)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _emit(write_instance(instance), args.out)
     print(
         f"|S|={len(instance.ships)} |V|={len(instance.visits)} "
         f"|A|={len(instance.arcs)} |M|={len(instance.demands)} "

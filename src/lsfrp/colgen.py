@@ -14,6 +14,11 @@ model of one ship (``formulations.build_ship_revised``, the revised MIP
 without its node-once rows), and lsfrp.lazy the compact model, with
 capacity cuts separated on each integer candidate.
 
+The engine is the method: ``run_column_generation`` takes the engine
+class, which names the method in its ``method`` attribute ("colgen" for
+``ArcFlowPricing``, "colgen-lazy" for ``lazy.CompactPricing``).  There are
+no other switches.
+
 One time limit covers a whole run: it becomes an absolute
 ``time.monotonic()`` deadline that the master loop checks and that every
 pricing solve receives.  Its one signal is ``ColgenTimeout``, raised by
@@ -67,14 +72,6 @@ class MasterDuals:
 
     def node_price(self, visit: str, ship_id: str) -> float:
         return self.mu.get(visit, 0.0) + self.branch.get((visit, ship_id), 0.0)
-
-
-@dataclass
-class CgConfig:
-    pricing: str = "arcflow"  # or "compact"
-    splitting: bool = True  # compact engine only
-    time_limit: float | None = None
-    log: "object" = None  # callable taking one machine-parsable progress line
 
 
 @dataclass
@@ -237,7 +234,10 @@ class PricingModel:
 class PricingEngine:
     """The ships' pricing models, each built by the engine's ``build`` on
     its ship's first call whose exclusions leave the start open; None for a
-    ship without a start arc."""
+    ship without a start arc.  ``method`` names the column generation
+    method the engine prices for."""
+
+    method: str
 
     def __init__(self, instance: Instance, reach: ReachIndex):
         self.instance = instance
@@ -272,6 +272,8 @@ class ArcFlowPricing(PricingEngine):
     """Single-ship pricing on the revised model of that one ship
     (formulations.build_ship_revised), with the node prices in its arc
     objectives."""
+
+    method = "colgen"
 
     def __init__(self, instance: Instance, reach: ReachIndex):
         _reject_empties(instance)
@@ -351,15 +353,15 @@ def price_ship(
 # -- main driver ----------------------------------------------------------------------
 
 
-def _log_progress(config, diag, sol, columns):
-    if config.log is not None:
-        config.log(
+def _log_progress(log, diag, sol, columns):
+    if log is not None:
+        log(
             f"cg iter={diag.rmp_iterations} columns={sum(1 for c in columns if not c.is_dummy)} "
             f"bound={sol.objective:.9g}"
         )
 
 
-def _cg_loop(instance, columns, engine, state, config, deadline, diag, order):
+def _cg_loop(instance, columns, engine, state, log, deadline, diag, order):
     """Price-and-resolve, over the ships in the given order, until a full
     pass adds no column; returns the final relaxed master solution and its
     duals.
@@ -371,7 +373,7 @@ def _cg_loop(instance, columns, engine, state, config, deadline, diag, order):
     master = RestrictedMaster(instance, state)
     sol, duals = solve_rmp(master, columns)
     diag.rmp_iterations += 1
-    _log_progress(config, diag, sol, columns)
+    _log_progress(log, diag, sol, columns)
     priced_out: dict[str, tuple] = {}  # ship -> inputs of its last call without a column
     while True:
         improved = False
@@ -394,7 +396,7 @@ def _cg_loop(instance, columns, engine, state, config, deadline, diag, order):
                 improved = True
                 sol, duals = solve_rmp(master, columns)
                 diag.rmp_iterations += 1
-                _log_progress(config, diag, sol, columns)
+                _log_progress(log, diag, sol, columns)
         if not improved:
             return sol, duals
 
@@ -449,7 +451,7 @@ def _assemble(method, chosen, diag) -> Solution:
     return sol
 
 
-def _branch_and_price(instance, engine, method, config, deadline, diag) -> Solution:
+def _branch_and_price(instance, engine, method, log, deadline, diag) -> Solution:
     """Heuristic start, the root pricing loop, and (visit, ship) branching
     when the root master is fractional; raises ColgenTimeout at the
     deadline."""
@@ -463,7 +465,7 @@ def _branch_and_price(instance, engine, method, config, deadline, diag) -> Solut
     diag.columns_generated = sum(1 for c in columns if not c.is_dummy)
     order.reverse()
 
-    root_sol, _ = _cg_loop(instance, columns, engine, _BranchState(), config, deadline, diag, order)
+    root_sol, _ = _cg_loop(instance, columns, engine, _BranchState(), log, deadline, diag, order)
     z = [float(root_sol.x[k]) for k in range(len(columns))]
     if _is_integral(z):
         sol = _assemble(method, _settled_columns(columns, z), diag)
@@ -487,7 +489,7 @@ def _branch_and_price(instance, engine, method, config, deadline, diag) -> Solut
             raise ColgenTimeout()
         diag.bnb_nodes += 1
         if node_sol is None:
-            node_sol, _ = _cg_loop(instance, columns, engine, state, config, deadline, diag, order)
+            node_sol, _ = _cg_loop(instance, columns, engine, state, log, deadline, diag, order)
         if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
             continue
         z = [float(node_sol.x[k]) for k in range(len(columns))]
@@ -520,33 +522,27 @@ def _branch_and_price(instance, engine, method, config, deadline, diag) -> Solut
     return best
 
 
-def run_column_generation(instance: Instance, config: CgConfig | None = None) -> Solution:
-    """Full column generation: heuristic start, pricing loop, integrality
-    check, and (visit, ship) branching when the master is fractional.
+def run_column_generation(
+    instance: Instance, time_limit: float | None = None, log: Callable[[str], None] | None = None,
+    engine: type[PricingEngine] = ArcFlowPricing,
+) -> Solution:
+    """Full column generation with the given pricing engine class, whose
+    ``method`` names the result: heuristic start, pricing loop, integrality
+    check, and (visit, ship) branching when the master is fractional.  log,
+    if given, receives one machine-parsable progress line per master solve.
 
     Every status leaves through one exit, which fills in the engine's
     counters and model sizes and the wall time: a time limit reports what
     was built and counted before it.
     """
-    config = config or CgConfig()
     t0 = time.monotonic()
-    deadline = None if config.time_limit is None else t0 + config.time_limit
-    method = "colgen" if config.pricing == "arcflow" else "colgen-lazy"
-    reach = build_reach_index(instance)
-    if config.pricing == "arcflow":
-        engine = ArcFlowPricing(instance, reach)
-    elif config.pricing == "compact":
-        from .lazy import CompactPricing
-
-        engine = CompactPricing(instance, reach, splitting=config.splitting)
-    else:
-        raise ValueError(f"unknown pricing engine {config.pricing!r}")
-
+    deadline = None if time_limit is None else t0 + time_limit
+    pricing = engine(instance, build_reach_index(instance))
     diag = Diagnostics()
     try:
-        sol = _branch_and_price(instance, engine, method, config, deadline, diag)
+        sol = _branch_and_price(instance, pricing, engine.method, log, deadline, diag)
     except ColgenTimeout:
-        sol = Solution(method=method, status=TIME_LIMIT, diagnostics=diag)
-    engine.fill_diagnostics(diag)
+        sol = Solution(method=engine.method, status=TIME_LIMIT, diagnostics=diag)
+    pricing.fill_diagnostics(diag)
     diag.wall_time_sec = time.monotonic() - t0
     return sol

@@ -51,6 +51,25 @@ def _num(value: float):
     return int(value) if float(value).is_integer() else float(value)
 
 
+def _document(data: bytes | str, schema: str) -> dict:
+    """The JSON object in data, UTF-8 if bytes, whose "schema" field must
+    be the given one; anything else is a ParseError."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    if doc.get("schema") != schema:
+        raise ParseError(f"unsupported schema {doc.get('schema')!r}, expected {schema!r}")
+    return doc
+
+
 def _need(obj: dict, key: str, where: str):
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
@@ -155,16 +174,7 @@ def write_instance(instance: Instance) -> bytes:
 
 
 def parse_instance(data: bytes | str) -> Instance:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    if doc.get("schema") != INSTANCE_SCHEMA:
-        raise ParseError(f"unsupported schema {doc.get('schema')!r}, expected {INSTANCE_SCHEMA!r}")
+    doc = _document(data, INSTANCE_SCHEMA)
 
     visits = [
         Visit(
@@ -281,16 +291,7 @@ def _diagnostics(value) -> Diagnostics:
 
 
 def parse_solution(data: bytes | str) -> Solution:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    if doc.get("schema") != SOLUTION_SCHEMA:
-        raise ParseError(f"unsupported schema {doc.get('schema')!r}, expected {SOLUTION_SCHEMA!r}")
+    doc = _document(data, SOLUTION_SCHEMA)
     paths = _mapping(doc.get("ship_paths", {}), "ship_paths")
     for s, p in paths.items():
         if not isinstance(p, list):

@@ -11,8 +11,11 @@ from the key.  Cuts persist across pricing rounds as rows of the ship's
 pricing model, which is built once and re-priced each round; the model
 lists their keys in ``CompactModel.cuts``, in row order.
 
-Multi-destination demands whose variables a cut could wrongly tie together
-are split into per-destination variables sharing one availability cap.
+Splitting is always on and has one rule, ``split_demand_triples``: a
+multi-destination demand gets one variable per destination, the family
+sharing one availability cap, when its destinations charge unequal unload
+costs or another demand can load between two of them, so that no cut
+ties the demand to cargo it never shares the ship with.
 
 A ship's arc variables and path rows come from the shared per-ship
 builders of lsfrp.formulations, the same ones the arc-flow models use;
@@ -27,11 +30,11 @@ with the compact model, ``replay_column`` as its reader and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import lp
-from .colgen import CgConfig, Column, PricingEngine, PricingModel, run_column_generation
+from .colgen import Column, PricingEngine, PricingModel, run_column_generation
 from .formulations import _trace_path, add_path_rows, add_ship_arcs, empty_coef, leaves_start
 from .instance import Instance, ReachIndex, Ship, build_reach_index
 from .lp import LE, LinearModel
@@ -52,10 +55,6 @@ class Member:
     unload_cost: float
 
 
-class SplitRequiredError(ValueError):
-    """Unequal unload costs across destinations need per-destination splits."""
-
-
 # flows below this are treated as solver noise, far under any real TEU amount
 FLOW_EPS = 1e-5
 
@@ -63,116 +62,74 @@ FLOW_EPS = 1e-5
 # -- demand-triple splitting -----------------------------------------------------
 
 
-def _split_demands(
-    instance: Instance, reach: ReachIndex, demand_ids, deliver_past: bool
-) -> set[str]:
-    """Multi-destination demands that need per-destination variables.
+def _interleaved(reach: ReachIndex, m, pool) -> bool:
+    """Whether another demand's origin o2 can interleave two of m's
+    destinations d1, d2: (1) d2 lies beyond d1, (2) o2 lies between d1 and
+    d2, and (4) m's origin reaches o2 around d1.
 
-    A demand m with destinations d1, d2 splits when another demand's
-    origin o2 can interleave them: (1) d2 lies beyond d1, (2) o2 lies
-    between d1 and d2, (3) the other demand can still deliver past d2, and
-    (4) m's origin reaches o2 around d1.  split_demand_triples reports the
-    four-criteria set (deliver_past=True).  The builder drops criterion 3
-    as a deliberate safety margin: whenever another demand can load while
-    this one may already have unloaded at an earlier destination, a static
-    cut over total flows could tie the two together even though they never
-    share the ship.  Splitting is optimum-preserving, so the wider trigger
-    only costs a few extra variables.
+    The paper's criterion 3, that the other demand can still deliver past
+    d2, is left out on purpose: whenever another demand can load while m
+    may already have unloaded at an earlier destination, a static cut over
+    total flows could tie the two together even though they never share
+    the ship.  Splitting is optimum-preserving, so the wider trigger only
+    costs a few extra variables.
     """
-    out = set()
-    pool = [instance.demand_by_id[mid] for mid in sorted(demand_ids)]
-    for m in pool:
-        if len(m.destinations) < 2:
-            continue
-        hit = False
-        for d1 in sorted(m.destinations):
-            if hit:
-                break
-            avoiding = reach.reach_avoiding(m.origin, {d1})
-            for d2 in sorted(m.destinations):
-                if d2 == d1 or not reach.can_reach(d1, d2):
-                    continue  # criterion 1
-                for other in pool:
-                    if other.id == m.id:
-                        continue
-                    o2 = other.origin
-                    if not (reach.can_reach(d1, o2) and reach.can_reach(o2, d2)):
-                        continue  # criterion 2
-                    if deliver_past and not any(
-                        reach.can_reach(d2, dd) for dd in other.destinations
-                    ):
-                        continue  # criterion 3
-                    if o2 not in avoiding:
-                        continue  # criterion 4
-                    out.add(m.id)
-                    hit = True
-                    break
-                if hit:
-                    break
-    return out
+    for d1 in sorted(m.destinations):
+        avoiding = reach.reach_avoiding(m.origin, {d1})
+        for d2 in sorted(m.destinations):
+            if d2 == d1 or not reach.can_reach(d1, d2):
+                continue  # criterion 1
+            for other in pool:
+                o2 = other.origin
+                if other.id == m.id or not (reach.can_reach(d1, o2) and reach.can_reach(o2, d2)):
+                    continue  # criterion 2
+                if o2 in avoiding:
+                    return True  # criterion 4
+    return False
 
 
 def split_demand_triples(
     instance: Instance, ship_id: str, reach: ReachIndex | None = None
 ) -> dict[str, list[frozenset[str]]]:
     """Split map for one ship's pricing model: demand id -> destination sets,
-    one per variable.  A demand is split into per-destination members iff
-    all four splitting criteria hold over the demands this ship can move."""
+    one per variable, over the demands the ship can move.
+
+    A multi-destination demand gets one variable per destination when its
+    destinations charge unequal unload costs, or when another demand can
+    load between two of them (_interleaved); otherwise one variable
+    covers all its destinations.  The pricing model's members are built
+    from this map, so it is the one splitting rule.
+    """
     reach = reach or build_reach_index(instance)
     movable = reach.movable[ship_id]
-    to_split = _split_demands(instance, reach, movable, deliver_past=True)
+    pool = [instance.demand_by_id[mid] for mid in sorted(movable)]
     out: dict[str, list[frozenset[str]]] = {}
-    for mid in sorted(movable):
-        m = instance.demand_by_id[mid]
-        if mid in to_split:
-            out[mid] = [frozenset({d}) for d in sorted(m.destinations)]
+    for m in pool:
+        unload = {instance.visit_by_id[d].move_cost for d in m.destinations}
+        if len(m.destinations) > 1 and (len(unload) > 1 or _interleaved(reach, m, pool)):
+            out[m.id] = [frozenset({d}) for d in sorted(m.destinations)]
         else:
-            out[mid] = [m.destinations]
+            out[m.id] = [m.destinations]
     return out
 
 
-def _members_for_ship(
-    instance: Instance, reach: ReachIndex, ship_id: str, splitting: bool
-) -> list[Member]:
-    movable = reach.movable[ship_id]
-    to_split: set[str] = set()
-    if splitting:
-        to_split = _split_demands(instance, reach, movable, deliver_past=False)
+def _members_for_ship(instance: Instance, reach: ReachIndex, ship_id: str) -> list[Member]:
+    """The ship's compact flow variables, one per destination set of its
+    split map; a split demand's members are keyed "demand@destination"."""
     members: list[Member] = []
-    for mid in sorted(movable):
+    for mid, parts in split_demand_triples(instance, ship_id, reach).items():
         m = instance.demand_by_id[mid]
-        unload = {instance.visit_by_id[d].move_cost for d in m.destinations}
-        split = mid in to_split or (splitting and len(unload) > 1)
-        if not split and len(unload) > 1:
-            raise SplitRequiredError(
-                f"demand {mid!r} has unequal unload costs across destinations; "
-                "enable splitting to price it compactly"
-            )
-        if split and len(m.destinations) > 1:
-            for d in sorted(m.destinations):
-                members.append(
-                    Member(
-                        key=f"{mid}@{d}",
-                        demand=mid,
-                        origin=m.origin,
-                        destinations=frozenset({d}),
-                        cargo_type=m.cargo_type,
-                        amount=m.amount,
-                        revenue=m.revenue,
-                        unload_cost=instance.visit_by_id[d].move_cost,
-                    )
-                )
-        else:
+        for dests in parts:
             members.append(
                 Member(
-                    key=mid,
+                    key=mid if len(parts) == 1 else f"{mid}@{min(dests)}",
                     demand=mid,
                     origin=m.origin,
-                    destinations=m.destinations,
+                    destinations=dests,
                     cargo_type=m.cargo_type,
                     amount=m.amount,
                     revenue=m.revenue,
-                    unload_cost=next(iter(unload)),
+                    unload_cost=instance.visit_by_id[min(dests)].move_cost,
                 )
             )
     return members
@@ -219,7 +176,6 @@ def build_compact_pricing(
     node_price: dict[str, float] | None = None,
     *,
     reach: ReachIndex,
-    splitting: bool = True,
     excluded: frozenset[str] = frozenset(),
 ) -> CompactModel | None:
     """Per-ship compact pricing model: path rows, load-node capacities,
@@ -239,7 +195,7 @@ def build_compact_pricing(
         return None
     add_path_rows(model, ins, {ship_id: yvars})
 
-    members = _members_for_ship(ins, reach, ship_id, splitting)
+    members = _members_for_ship(ins, reach, ship_id)
     reachable_members = []
     xvars: dict[str, int] = {}
     carry_nodes: dict[str, frozenset[str]] = {}
@@ -477,15 +433,14 @@ def replay_column(ctx: CompactModel, x) -> tuple[tuple[str, ...], list[DemandFlo
 class CompactPricing(PricingEngine):
     """Pricing engine whose ship models keep their cuts across rounds."""
 
-    def __init__(self, instance: Instance, reach: ReachIndex, splitting: bool = True):
+    method = "colgen-lazy"
+
+    def __init__(self, instance: Instance, reach: ReachIndex):
         super().__init__(instance, reach)
-        self.splitting = splitting
         self.contexts: dict[str, CompactModel] = {}  # ship -> its compact model, once built
 
     def build(self, ship: Ship) -> PricingModel | None:
-        ctx = build_compact_pricing(
-            self.instance, ship.id, reach=self.reach, splitting=self.splitting
-        )
+        ctx = build_compact_pricing(self.instance, ship.id, reach=self.reach)
         if ctx is None:
             return None
         self.contexts[ship.id] = ctx
@@ -512,10 +467,9 @@ class CompactPricing(PricingEngine):
         diag.splits = sum(ctx.split_parents for ctx in self.contexts.values())
 
 
-def run_colgen_lazy(instance: Instance, config: CgConfig | None = None) -> Solution:
-    """Column generation with the compact lazy-constraint pricing engine;
-    the caller's config is left as it is."""
-    return run_column_generation(instance, replace(config or CgConfig(), pricing="compact"))
+def run_colgen_lazy(instance: Instance, time_limit: float | None = None, log=None) -> Solution:
+    """Column generation with the compact lazy-constraint pricing engine."""
+    return run_column_generation(instance, time_limit, log, engine=CompactPricing)
 
 
 def capacity_violations(instance: Instance, solution: Solution) -> list[str]:

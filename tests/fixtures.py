@@ -8,7 +8,7 @@ import random
 
 from lsfrp import lp
 from lsfrp.formulations import build_arcflow
-from lsfrp.instance import Demand, EmptyPoint, Instance, Ship, Visit, make_arc
+from lsfrp.instance import Demand, EmptyPoint, Instance, Ship, Visit, build_reach_index, make_arc
 
 Z0 = {"T0": 0}
 
@@ -291,6 +291,19 @@ def record_warm_roots(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(lp, "solve_mip", solve_mip)
     monkeypatch.setattr(lp._Simplex, "_solve_warm", solve_warm)
     return counts
+
+
+def split_nothing(monkeypatch) -> None:
+    """Replace lazy's one splitting rule with a map that keeps every demand
+    whole: the unsplit compact model, whose over-constrained optimum shows
+    what splitting is for."""
+    from lsfrp import lazy
+
+    def whole(instance: Instance, ship_id: str, reach=None):
+        reach = reach or build_reach_index(instance)
+        return {mid: [instance.demand_by_id[mid].destinations] for mid in sorted(reach.movable[ship_id])}
+
+    monkeypatch.setattr(lazy, "split_demand_triples", whole)
 
 
 def relaxation_value(instance: Instance, method: str) -> float:

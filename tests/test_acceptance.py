@@ -19,7 +19,7 @@ import pytest
 
 from lsfrp import lp
 from lsfrp.cli import main
-from lsfrp.colgen import CgConfig, run_column_generation
+from lsfrp.colgen import run_column_generation
 from lsfrp.formulations import build_ship_revised, solve_arcflow
 from lsfrp.instance import build_reach_index
 from lsfrp.io import GeneratorParams, generate_random, write_instance
@@ -34,6 +34,7 @@ from fixtures import (
     overload1,
     reefer_overload,
     relaxation_value,
+    split_nothing,
     t1,
 )
 
@@ -76,7 +77,7 @@ def suite():
         rec["oracle"] = oracle.objective
         for m in ("reduced", "reduced-tight", "revised"):
             rec[m] = solve_arcflow(ins, m).objective
-        cg = run_column_generation(ins, CgConfig(pricing="arcflow"))
+        cg = run_column_generation(ins)
         rec["colgen"] = cg.objective
         rec["colgen_root_integral"] = cg.meta.get("root_master_integral", False)
         lz = run_colgen_lazy(ins)
@@ -155,13 +156,14 @@ def test_criterion_4_lazy_soundness(suite):
     print(f"\nACCEPTANCE 4: PASS - {checked} incumbent replays without capacity violations")
 
 
-def test_criterion_5_splitting_correctness():
+def test_criterion_5_splitting_correctness(monkeypatch):
     """Split run matches the oracle; unsplit run is over-constrained below it."""
     ins = fig3_split()
     oracle = brute_force_solve(ins)
     assert oracle.objective == pytest.approx(FIG3_OPT)
-    on = run_colgen_lazy(ins, CgConfig(splitting=True))
-    off = run_colgen_lazy(ins, CgConfig(splitting=False))
+    on = run_colgen_lazy(ins)
+    split_nothing(monkeypatch)
+    off = run_colgen_lazy(ins)
     assert on.objective == pytest.approx(oracle.objective, abs=1e-6)
     assert off.objective <= oracle.objective + 1e-9
     assert off.objective == pytest.approx(FIG3_NOSPLIT_OPT)

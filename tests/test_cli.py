@@ -61,6 +61,30 @@ def test_solve_missing_file_is_usage_error(tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("command, method_flag", [("solve", "--method"), ("compare", "--methods")])
+def test_non_utf8_instance_is_usage_error(tmp_path, capsys, command, method_flag):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(write_instance(t1()).decode().encode("utf-16"))
+    assert main([command, "--instance", str(p), method_flag, "oracle"]) == 64
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["solve", "--method", "oracle"], "--out"),
+        (["compare", "--methods", "oracle"], "--csv"),
+        (["generate", "--ships", "2", "--visits", "8", "--demands", "4"], "--out"),
+    ],
+    ids=["solve", "compare", "generate"],
+)
+def test_unwritable_output_is_usage_error(t1_path, tmp_path, capsys, args, flag):
+    target = str(tmp_path / "missing" / "out.txt")
+    instance = [] if args[0] == "generate" else ["--instance", t1_path]
+    assert main([args[0], *instance, *args[1:], flag, target]) == 64
+    assert f"cannot write {target}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit, where",
     [

@@ -3,7 +3,6 @@ import pytest
 from lsfrp import lp
 from lsfrp.colgen import (
     ArcFlowPricing,
-    CgConfig,
     Column,
     MasterDuals,
     RestrictedMaster,
@@ -17,6 +16,7 @@ from lsfrp.colgen import (
 from lsfrp.formulations import build_ship_revised, solve_arcflow
 from lsfrp.instance import build_reach_index, path_count
 from lsfrp.io import GeneratorParams, generate_random
+from lsfrp.lazy import CompactPricing
 from lsfrp.oracle import brute_force_solve
 from lsfrp.solution import NO_DISJOINT_ROUTING, OPTIMAL, TIME_LIMIT
 
@@ -151,7 +151,7 @@ def test_price_ship_penalized_node_avoided():
 
 
 def test_run_t1():
-    sol = run_column_generation(t1(), CgConfig(pricing="arcflow"))
+    sol = run_column_generation(t1())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(T1_OPT)
     assert sol.diagnostics.bnb_nodes == 0
@@ -159,7 +159,7 @@ def test_run_t1():
 
 
 def test_run_no_disjoint_routing():
-    sol = run_column_generation(shared_corridor(), CgConfig(pricing="arcflow"))
+    sol = run_column_generation(shared_corridor())
     assert sol.status == NO_DISJOINT_ROUTING
 
 
@@ -167,7 +167,7 @@ def test_mixed_type_branching_reaches_oracle():
     ins = mixed_type_fractional()
     oracle = brute_force_solve(ins)
     assert oracle.objective == pytest.approx(MIXED_OPT)
-    sol = run_column_generation(ins, CgConfig(pricing="arcflow"))
+    sol = run_column_generation(ins)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(MIXED_OPT)
     assert sol.meta["root_master_integral"] is False
@@ -205,7 +205,7 @@ def test_colgen_matches_revised_on_random_instances():
         ins = generate_random(
             GeneratorParams(ships=2 + seed % 2, visits=9, demands=6, seed=seed)
         )
-        a = run_column_generation(ins, CgConfig(pricing="arcflow")).objective
+        a = run_column_generation(ins).objective
         b = solve_arcflow(ins, "revised").objective
         assert a == pytest.approx(b, rel=1e-6)
 
@@ -228,17 +228,17 @@ def test_solution_objective_matches_reevaluation():
     from lsfrp.formulations import evaluate_objective
 
     ins = generate_random(GeneratorParams(ships=3, visits=11, demands=8, seed=88))
-    sol = run_column_generation(ins, CgConfig(pricing="arcflow"))
+    sol = run_column_generation(ins)
     assert sol.status == OPTIMAL
     assert evaluate_objective(ins, sol) == pytest.approx(sol.objective, abs=1e-6)
 
 
-@pytest.mark.parametrize("pricing", ["arcflow", "compact"])
-def test_time_limit_before_pricing_reports_model_sizes(pricing):
+@pytest.mark.parametrize("engine", [ArcFlowPricing, CompactPricing], ids=["arcflow", "compact"])
+def test_time_limit_before_pricing_reports_model_sizes(engine):
     # the deadline has passed when the greedy start prices its first ship,
     # whose pricing model is built by then
     ins = generate_random(GeneratorParams(ships=3, visits=12, demands=8, seed=5))
-    sol = run_column_generation(ins, CgConfig(pricing=pricing, time_limit=0.0))
+    sol = run_column_generation(ins, time_limit=0.0, engine=engine)
     assert sol.status == TIME_LIMIT
     diag = sol.diagnostics
     assert diag.model_rows > 0 and diag.model_cols > 0 and diag.model_nonzeros > 0
@@ -250,7 +250,7 @@ def test_progress_log_lines_machine_parsable():
 
     lines = []
     ins = generate_random(GeneratorParams(ships=2, visits=9, demands=6, seed=101))
-    run_column_generation(ins, CgConfig(pricing="arcflow", log=lines.append))
+    run_column_generation(ins, log=lines.append)
     assert lines
     pattern = re.compile(r"^cg iter=\d+ columns=\d+ bound=-?[\d.eE+]+$")
     assert all(pattern.match(l) for l in lines), lines[:3]
@@ -271,7 +271,7 @@ def test_pricing_bnb_nodes_reported(monkeypatch):
             module, "build_reach_index", lambda i, real=real: reach_builds.append(1) or real(i)
         )
     for run in (
-        lambda: run_column_generation(ins, CgConfig(pricing="arcflow")),
+        lambda: run_column_generation(ins),
         lambda: lazy.run_colgen_lazy(ins),
     ):
         reach_builds.clear()
@@ -283,8 +283,8 @@ def test_pricing_bnb_nodes_reported(monkeypatch):
         assert back.diagnostics.pricing_bnb_nodes == sol.diagnostics.pricing_bnb_nodes
 
 
-@pytest.mark.parametrize("pricing", ["arcflow", "compact"])
-def test_pricing_diagnostics_match_the_built_models(monkeypatch, pricing):
+@pytest.mark.parametrize("engine", [ArcFlowPricing, CompactPricing], ids=["arcflow", "compact"])
+def test_pricing_diagnostics_match_the_built_models(monkeypatch, engine):
     from lsfrp import colgen, lazy
 
     ins = generate_random(GeneratorParams(ships=3, visits=12, demands=10, capacity_dc_range=(25, 60),
@@ -298,21 +298,21 @@ def test_pricing_diagnostics_match_the_built_models(monkeypatch, pricing):
         return mip
 
     module, name = (colgen, "build_ship_revised")
-    if pricing == "compact":
+    if engine is CompactPricing:
         module, name = (lazy, "build_compact_pricing")
     real_build = getattr(module, name)
 
     def build(*args, **kwargs):
         built = real_build(*args, **kwargs)
         if built is not None:
-            model = built[0] if pricing == "arcflow" else built.model
+            model = built[0] if engine is ArcFlowPricing else built.model
             sizes.append(model.size_triple())
             splits.append(getattr(built, "split_parents", 0))
         return built
 
     monkeypatch.setattr(lp, "solve_mip", solve_mip)
     monkeypatch.setattr(module, name, build)
-    sol = run_column_generation(ins, CgConfig(pricing=pricing))
+    sol = run_column_generation(ins, engine=engine)
     assert sol.status == OPTIMAL
     diag = sol.diagnostics
     # the master solves LPs only, so every MIP is a pricing solve
@@ -322,7 +322,7 @@ def test_pricing_diagnostics_match_the_built_models(monkeypatch, pricing):
         round(sum(column) / len(sizes)) for column in zip(*sizes)
     )
     assert diag.splits == sum(splits)
-    assert (diag.splits > 0) == (pricing == "compact")
+    assert (diag.splits > 0) == (engine is CompactPricing)
 
 
 # Each instance reaches a branch-and-price node whose master is fractional

@@ -38,6 +38,15 @@ def test_parse_rejects_malformed_json():
         parse_instance(b"{not json")
 
 
+@pytest.mark.parametrize("parse", [parse_instance, parse_solution], ids=["instance", "solution"])
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{\x00}\x00", b'{"schema": "\xe9"}'], ids=["utf16-bom", "latin1"]
+)
+def test_parse_rejects_bytes_that_are_not_utf8(parse, data):
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse(data)
+
+
 def test_parse_rejects_wrong_schema():
     with pytest.raises(ParseError):
         parse_instance(json.dumps({"schema": "other-v9"}))

@@ -3,7 +3,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lsfrp.colgen import CgConfig
 from lsfrp.formulations import evaluate_objective, solve_arcflow
 from lsfrp.instance import (
     Demand,
@@ -18,7 +17,6 @@ from lsfrp.instance import (
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import (
     CompactPricing,
-    SplitRequiredError,
     add_violated_cuts,
     build_compact_pricing,
     capacity_cut,
@@ -48,6 +46,7 @@ from fixtures import (
     record_warm_roots,
     reefer_overload,
     shared_corridor,
+    split_nothing,
     t1,
 )
 
@@ -97,8 +96,8 @@ def test_no_interleaving_no_split():
 
 
 def test_builder_splits_without_criterion_three():
-    # mB loads between mA's destinations but delivers before a2, so the four
-    # criteria keep mA whole while the builder's wider trigger splits it
+    # mB loads between mA's destinations but delivers before a2: the paper's
+    # criterion 3 would keep mA whole, the one rule leaves it out and splits
     ins = Instance(
         [Ship("s1", "s0", 100, 0, "T0")],
         [Visit(v) for v in ("s0", "oA", "a1", "oB", "b1", "a2")],
@@ -117,9 +116,31 @@ def test_builder_splits_without_criterion_three():
             Demand("mB", "oB", frozenset({"b1"}), "dc", 10, 5),
         ],
     )
-    assert split_demand_triples(ins, "s1")["mA"] == [frozenset({"a1", "a2"})]
+    assert split_demand_triples(ins, "s1")["mA"] == [frozenset({"a1"}), frozenset({"a2"})]
     reach = build_reach_index(ins)
     assert set(build_compact_pricing(ins, "s1", reach=reach).xvars) == {"mA@a1", "mA@a2", "mB"}
+
+
+def test_split_map_is_the_builders_members():
+    instances = [
+        t1(), chain4(), overload1(), reefer_overload(), fig3_split(), gap_2ship(),
+        mixed_type_fractional(), empty_repos19(), shared_corridor(), isolated_start(),
+    ]
+    instances += [generate_random(GeneratorParams(ships=2, seed=k)) for k in range(60)]
+    split = 0
+    for k, ins in enumerate(instances):
+        reach = build_reach_index(ins)
+        for ship in ins.ships:
+            ctx = build_compact_pricing(ins, ship.id, reach=reach)
+            if ctx is None:
+                continue
+            built: dict[str, list[frozenset[str]]] = {}
+            for mem in ctx.members.values():
+                built.setdefault(mem.demand, []).append(mem.destinations)
+            expected = split_demand_triples(ins, ship.id, reach)
+            assert built == expected, (k, ship.id)
+            split += sum(len(parts) > 1 for parts in expected.values())
+    assert split >= 100
 
 
 # -- compact model ------------------------------------------------------------------
@@ -156,7 +177,8 @@ def test_empty_pair_vars_only_for_reachable_pairs():
     assert set(ctx.evars) == {("dc", "u", "w")}  # deficit unreachable pairs absent
 
 
-def test_unequal_unload_costs_without_splitting_is_error():
+def test_unequal_unload_costs_split_the_demand():
+    # no other demand interleaves m's destinations: only their unload costs split it
     ins = Instance(
         [Ship("s1", "s0", 100, 0, "T0")],
         [Visit("s0"), Visit("o"), Visit("d1", move_cost=7), Visit("d2", move_cost=3)],
@@ -169,11 +191,10 @@ def test_unequal_unload_costs_without_splitting_is_error():
         ],
         [Demand("m", "o", frozenset({"d1", "d2"}), "dc", 10, 50)],
     )
-    reach = build_reach_index(ins)
-    with pytest.raises(SplitRequiredError):
-        build_compact_pricing(ins, "s1", reach=reach, splitting=False)
-    ctx = build_compact_pricing(ins, "s1", reach=reach, splitting=True)
+    assert split_demand_triples(ins, "s1")["m"] == [frozenset({"d1"}), frozenset({"d2"})]
+    ctx = build_compact_pricing(ins, "s1", reach=build_reach_index(ins))
     assert set(ctx.xvars) == {"m@d1", "m@d2"}
+    assert {ctx.members[k].unload_cost for k in ctx.xvars} == {7, 3}
 
 
 # -- cut separation -----------------------------------------------------------------
@@ -231,25 +252,19 @@ def test_lazy_t1():
     assert sol.diagnostics.total_cuts_rf == 0
 
 
-def test_lazy_leaves_the_callers_config_as_it_is():
-    config = CgConfig()
-    sol = run_colgen_lazy(t1(), config)
-    assert sol.method == "colgen-lazy" and sol.objective == pytest.approx(T1_OPT)
-    assert config == CgConfig()
-
-
 def test_lazy_overload_matches_oracle_with_cuts():
     sol = run_colgen_lazy(overload1())
     assert sol.objective == pytest.approx(OVERLOAD1_OPT)
     assert sol.diagnostics.total_cuts_dc >= 1
 
 
-def test_fig3_split_on_matches_oracle_split_off_below():
+def test_fig3_split_on_matches_oracle_split_off_below(monkeypatch):
     ins = fig3_split()
     oracle = brute_force_solve(ins)
     assert oracle.objective == pytest.approx(FIG3_OPT)
-    on = run_colgen_lazy(ins, CgConfig(splitting=True))
-    off = run_colgen_lazy(ins, CgConfig(splitting=False))
+    on = run_colgen_lazy(ins)
+    split_nothing(monkeypatch)
+    off = run_colgen_lazy(ins)
     assert on.objective == pytest.approx(FIG3_OPT)
     assert on.diagnostics.splits == 1
     assert off.objective <= FIG3_OPT + 1e-9
@@ -399,13 +414,13 @@ def test_persistent_compact_engine_matches_fresh_models(monkeypatch, params):
 # -- cut validity -------------------------------------------------------------------
 
 
-def _cut_checks(ins, splitting=True):
+def _cut_checks(ins):
     """(name, left-hand side, rhs) of every capacity cut, at every node a
     member or empty pair can depart loaded and in both scopes, evaluated at
     the oracle's cargo plan on each start->sink path of each ship."""
     reach = build_reach_index(ins)
     for ship in ins.ships:
-        ctx = build_compact_pricing(ins, ship.id, reach=reach, splitting=splitting)
+        ctx = build_compact_pricing(ins, ship.id, reach=reach)
         if ctx is None:
             continue
         nodes = sorted(set().union(*ctx.carry_nodes.values(), *ctx.empty_nodes.values()))
@@ -422,7 +437,7 @@ def _cut_checks(ins, splitting=True):
                 yield cut.name, sum(c * x[j] for j, c in cut.coeffs.items()), cut.rhs
 
 
-def test_every_capacity_cut_holds_on_every_enumerated_path():
+def test_every_capacity_cut_holds_on_every_enumerated_path(monkeypatch):
     instances = [
         t1(), chain4(), overload1(), reefer_overload(), fig3_split(), gap_2ship(),
         mixed_type_fractional(), empty_repos19(), shared_corridor(), isolated_start(),
@@ -441,6 +456,7 @@ def test_every_capacity_cut_holds_on_every_enumerated_path():
             checks += 1
     assert checks > 1000
     # control: unsplit, A's cargo dropped at dA1 still counts in the cut at oB
-    violated = {(name, lhs, rhs) for name, lhs, rhs in _cut_checks(fig3_split(), splitting=False)
+    split_nothing(monkeypatch)
+    violated = {(name, lhs, rhs) for name, lhs, rhs in _cut_checks(fig3_split())
                 if lhs > rhs + 1e-7}
     assert violated == {("lazy[dc,oB]", 60.0, 40)}
