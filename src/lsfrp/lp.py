@@ -135,6 +135,10 @@ class LinearModel:
         # the cached structural block of _row_block valid
         self._structure = 0
         self._block_cache: tuple[int, tuple] | None = None
+        # bumped by set_bounds/set_objective_coeff; with _structure it keys
+        # the cached vectors of _column_vectors
+        self._edits = 0
+        self._vector_cache: tuple[tuple[int, int], tuple] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -190,12 +194,14 @@ class LinearModel:
 
     def set_objective_coeff(self, j: int, value: float) -> None:
         self.obj[j] = float(value)
+        self._edits += 1
 
     def set_bounds(self, j: int, lb: float, ub: float) -> None:
         if not lb <= ub:
             raise ValueError(f"variable {j}: lb {lb} > ub {ub}")
         self.lb[j] = float(lb)
         self.ub[j] = float(ub)
+        self._edits += 1
 
     # -- inspection -----------------------------------------------------------
 
@@ -266,6 +272,16 @@ _AT_UPPER = 2
 _FREE = 3
 # pricing direction by state: +1 at a lower bound, -1 at an upper bound
 _DIRECTION = np.array([0.0, 1.0, -1.0, 0.0])
+# the state a warm start gives a column, at [4 * state + 2 * (lb finite) +
+# (ub finite)]: a nonbasic column sits at the bound its state names, or at
+# the other one if that bound is infinite, or free at zero without either
+_SETTLE = np.array(
+    [_BASIC] * 4
+    + [_FREE, _AT_UPPER, _AT_LOWER, _AT_LOWER]
+    + [_FREE, _AT_UPPER, _AT_LOWER, _AT_UPPER]
+    + [_FREE, _AT_UPPER, _AT_LOWER, _AT_LOWER],
+    dtype=np.int8,
+)
 
 
 def _row_block(model: LinearModel):
@@ -292,6 +308,25 @@ def _row_block(model: LinearModel):
     return block
 
 
+def _column_vectors(model: LinearModel):
+    """lb, ub and the costs c of every column of ``[A | I]``, cached on the
+    model until its next edit of any kind; read-only, like ``_row_block``."""
+    key = (model._structure, model._edits)
+    cache = model._vector_cache
+    if cache is not None and cache[0] == key:
+        return cache[1]
+    _, _, slack_lb, slack_ub = _row_block(model)
+    vectors = (
+        np.concatenate([np.array(model.lb, dtype=float), slack_lb]),
+        np.concatenate([np.array(model.ub, dtype=float), slack_ub]),
+        np.concatenate([np.array(model.obj, dtype=float), np.zeros(model.num_rows)]),
+    )
+    for arr in vectors:
+        arr.flags.writeable = False
+    model._vector_cache = (key, vectors)
+    return vectors
+
+
 class _Simplex:
     def __init__(
         self,
@@ -302,18 +337,15 @@ class _Simplex:
         self.model = model
         self.deadline = deadline
         self.n_struct, self.m = n, m = model.num_vars, model.num_rows
-        self.A, self.b, slack_lb, slack_ub = _row_block(model)
-
-        lb = np.array(model.lb, dtype=float)
-        ub = np.array(model.ub, dtype=float)
+        self.A, self.b = _row_block(model)[:2]
+        self.lb, self.ub, self.c_real = _column_vectors(model)
+        # the model keeps lb <= ub, so only an override can break it
+        self.trivially_infeasible = False
         if overrides:
+            self.lb, self.ub = self.lb.copy(), self.ub.copy()
             for j, (lo, hi) in overrides.items():
-                lb[j], ub[j] = lo, hi
-        self.trivially_infeasible = bool((lb > ub).any())
-
-        self.lb = np.concatenate([lb, slack_lb])
-        self.ub = np.concatenate([ub, slack_ub])
-        self.c_real = np.concatenate([np.array(model.obj, dtype=float), np.zeros(m)])
+                self.lb[j], self.ub[j] = lo, hi
+                self.trivially_infeasible |= lo > hi
         self.n_total = n + m
         self.iterations = 0
         self.bland = False
@@ -368,8 +400,10 @@ class _Simplex:
         self.xB = self.Binv @ (self.b - self._matvec(xn))
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        """Fresh reduced costs ``c - (c_B B^-1) [A | I]`` of every column."""
-        return c - self._rmul(c[self.basis] @ self.Binv)
+        """Fresh reduced costs ``c - y [A | I]`` of every column; the duals
+        ``y = c_B B^-1`` stay in ``self.y``."""
+        self.y = c[self.basis] @ self.Binv
+        return c - self._rmul(self.y)
 
     def _entering(self, d: np.ndarray) -> int:
         """The improving nonbasic column, or -1: the largest |d| with the
@@ -414,10 +448,11 @@ class _Simplex:
 
         The reduced costs d are computed on entry and after every
         refactorization; a basis change updates them with the pivot row.
-        OPTIMAL and UNBOUNDED are only returned on fresh reduced costs.
+        OPTIMAL and UNBOUNDED are only returned on fresh reduced costs; on
+        OPTIMAL they stay in ``self.d``, beside the duals in ``self.y``.
         """
         lb, ub, x, basis, c = self.lb, self.ub, self.x, self.basis, self.c_real
-        lbB, ubB = lb[basis], ub[basis]
+        lbB, ubB = self.lbB, self.ubB
         d = self._reduced_costs(c)
         fresh = True
         while True:
@@ -432,6 +467,7 @@ class _Simplex:
                 d, fresh = self._reduced_costs(c), True
                 e = self._entering(d)
             if e < 0:
+                self.d = d
                 return OPTIMAL
             up = bool(d[e] > 0.0)
 
@@ -449,7 +485,7 @@ class _Simplex:
             ratio[acoef <= _PIVOT_TOL] = INF
             # slack small enough that accumulated bound drift stays
             # below the feasibility tolerance over a whole solve
-            t_lim = float((ratio + 1e-11 / acoef).min(initial=INF))
+            t_lim = float(np.minimum.reduce(ratio + 1e-11 / acoef, initial=INF))
 
             span = float(ub[e] - lb[e])
             if span <= t_lim:
@@ -524,8 +560,7 @@ class _Simplex:
         dual infeasibility left.
         """
         lb, ub, x, dirn, c = self.lb, self.ub, self.x, self.dirn, self.c_real
-        basis = self.basis
-        lbB, ubB = lb[basis], ub[basis]
+        basis, lbB, ubB = self.basis, self.lbB, self.ubB
         d = None  # computed at the first pivot: a feasible start needs none
         while True:
             if self.iterations >= max_iters:
@@ -571,7 +606,7 @@ class _Simplex:
             if d is None:
                 d = self._reduced_costs(c)
             ratio = np.maximum(-(d * dirn), 0.0) / aa
-            t_lim = float(np.where(eligible, ratio + _RC_TOL / aa, INF).min())
+            t_lim = float(np.minimum.reduce(np.where(eligible, ratio + _RC_TOL / aa, INF)))
             e = int(np.where(eligible & (ratio <= t_lim), aa, -1.0).argmax())
 
             w = self._ftran(e)
@@ -638,26 +673,24 @@ class _Simplex:
         marked = (warm.state == _BASIC).nonzero()[0]
         if marked.size != m0 or (np.sort(warm.basic) != marked).any():
             return LpSolution(BREAKDOWN)
-        # appended columns come before the slacks, which shift right
+        lb, ub = self.lb, self.ub
         basic0 = warm.basic
-        if n0 < n:
-            basic0 = np.where(basic0 >= n0, basic0 + (n - n0), basic0)
-        self.basis = np.concatenate([basic0, np.arange(n + m0, N)]) if m0 < m else basic0.copy()
-        state = np.full(N, _BASIC, dtype=np.int8)
-        state[:n0] = warm.state[:n0]
-        state[n0:n] = _AT_LOWER
-        state[n : n + m0] = warm.state[n0:]
-        # a nonbasic column sits at the bound its state names, or at the
-        # other one if that bound is now infinite
-        lo_ok, hi_ok = self.lb > -INF, self.ub < INF
-        nonbasic = state != _BASIC
-        at_lo = nonbasic & lo_ok & ((state != _AT_UPPER) | ~hi_ok)
-        at_up = nonbasic & ~at_lo & hi_ok
-        state[nonbasic] = _FREE
-        state[at_lo] = _AT_LOWER
-        state[at_up] = _AT_UPPER
-        self.state = state
-        self.x = np.where(at_lo, self.lb, np.where(at_up, self.ub, 0.0))
+        if m0 == m and n0 == n:
+            self.basis = basic0.copy()
+            state = warm.state
+        else:
+            # appended columns come before the slacks, which shift right
+            if n0 < n:
+                basic0 = np.where(basic0 >= n0, basic0 + (n - n0), basic0)
+            self.basis = np.concatenate([basic0, np.arange(n + m0, N)])
+            state = np.full(N, _BASIC, dtype=np.int8)
+            state[:n0] = warm.state[:n0]
+            state[n0:n] = _AT_LOWER
+            state[n : n + m0] = warm.state[n0:]
+        self.state = state = _SETTLE[4 * state + 2 * (lb > -INF) + (ub < INF)]
+        # the basic entries of x are 0 until the solve exports xB into them
+        self.x = np.where(state == _AT_LOWER, lb, np.where(state == _AT_UPPER, ub, 0.0))
+        self.lbB, self.ubB = lb[self.basis], ub[self.basis]
         self._sync_directions()
         self.bland = False
         self._degen_run = 0
@@ -665,14 +698,16 @@ class _Simplex:
             if not self._refactor():
                 return LpSolution(BREAKDOWN)
         else:
-            # B = [[B0, 0], [E, I]] with E the appended rows on the old
-            # basic columns, so B^-1 = [[B0^-1, 0], [-E B0^-1, I]]
-            self.Binv = np.eye(m)
-            self.Binv[:m0, :m0] = warm.inverse
-            if m0 < m:
+            if m0 == m:
+                self.Binv = warm.inverse.copy()
+            else:
+                # B = [[B0, 0], [E, I]] with E the appended rows on the old
+                # basic columns, so B^-1 = [[B0^-1, 0], [-E B0^-1, I]]
+                self.Binv = np.eye(m)
+                self.Binv[:m0, :m0] = warm.inverse
                 self.Binv[m0:, :m0] = -self._columns(basic0, m0) @ warm.inverse
             self._since_refactor = warm.age
-            self._basic_values()
+            self.xB = self.Binv @ (self.b - self._matvec(self.x))
         if not np.isfinite(self.xB).all():
             return LpSolution(BREAKDOWN)
 
@@ -686,7 +721,6 @@ class _Simplex:
 
     def _optimal_solution(self) -> LpSolution:
         n = self.n_struct
-        y = self.c_real[self.basis] @ self.Binv
         self.x[self.basis] = self.xB
         x = np.minimum(np.maximum(self.x[:n], self.lb[:n]), self.ub[:n])
         obj = float(self.c_real[:n] @ x)
@@ -696,13 +730,13 @@ class _Simplex:
         # their reduced costs: put each at the bound its reduced cost favours
         fixed = ((state != _BASIC) & (self.lb == self.ub)).nonzero()[0]
         if fixed.size:
-            d = self._reduced_costs(self.c_real)[fixed]
+            d = self.d[fixed]
             state[fixed[d > _RC_TOL]] = _AT_UPPER
             state[fixed[d < -_RC_TOL]] = _AT_LOWER
         for arr in (basic, state, inverse):
             arr.setflags(write=False)
         basis = LpBasis(basic, state, inverse, self._since_refactor)
-        return LpSolution(OPTIMAL, x, np.asarray(y, dtype=float), obj, self.iterations, basis)
+        return LpSolution(OPTIMAL, x, self.y, obj, self.iterations, basis)
 
 
 def solve_lp(
