@@ -14,7 +14,10 @@ model when the search returns.  The kernel keeps only the dense m x n block
 A of the rows' coefficients, cached on the model until its next
 ``add_var``/``add_constr``, so bound and objective edits cost no rebuild.
 The slack columns, the I of ``[A | I]``, are never stored: four
-``_Simplex`` methods, the only readers of A, supply them.
+``_Simplex`` methods, the only readers of A, supply them.  The bounds and
+costs of every column of ``[A | I]`` are cached on the model beside A
+(``_column_vectors``) until its next edit of any kind; a solve with bound
+overrides patches a copy.
 
 Every solve starts from a basis and runs one path: the bounded dual loop
 moves the basic values into their bounds, then the primal loop reaches
@@ -40,10 +43,13 @@ rank-one updates applied since that inverse was last computed from
 scratch (``LpBasis.age``).  Bound and objective edits leave the inverse as
 it is, appended rows extend it by a block and appended columns stay out
 of the basis, so a warm start inverts nothing; the refactorization every
-``_REFACTOR_EVERY`` updates counts across a chain of warm solves.  Open
-branch-and-bound nodes hold their parent's basis without the inverse, to
-keep memory bounded: only the last node that branched keeps it, for the
-child popped next.
+``_REFACTOR_EVERY`` updates counts across a chain of warm solves.  A
+warm start on an unchanged set of rows and columns copies the basis and
+its inverse as they are.  Both children of a branched node hold their
+parent's final basis, one read-only inverse between them: a bound change
+leaves B as it is, so that inverse is exact for either.  The inverses the
+open nodes hold stay within ``_OPEN_INVERSE_BYTES``; once that is full,
+new children get the basis without its inverse and invert it when popped.
 
 Column generation re-solves each ship's pricing MIP once per round, and
 only the objective, some bounds and appended cut rows change in between.
@@ -89,6 +95,7 @@ _PIVOT_TOL = 1e-10
 _DUAL_FEAS_TOL = 1e-9  # bound violation the dual simplex leaves to the primal cleanup
 _DUAL_PIVOT_TOL = 1e-9  # smallest row entry the dual ratio test accepts
 _REFACTOR_EVERY = 150
+_OPEN_INVERSE_BYTES = 4 << 20  # inverses the open B&B nodes may hold at once
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -809,10 +816,10 @@ def solve_mip(
     warm seeds the root LP: the root basis of an earlier solve of this
     model, taken before objective or bound edits or appended rows.
 
-    Open nodes hold their parent's basis without its inverse, so memory
-    does not grow with the open list; the last node that branched keeps
-    its inverse for whichever of its children is popped while it is the
-    last.
+    Both children of a node hold its final basis and share its read-only
+    inverse, so a child's LP inverts nothing.  The inverses open nodes hold
+    stay within ``_OPEN_INVERSE_BYTES``, counting a shared one once; when a
+    pair would exceed it, the pair gets the basis without the inverse.
 
     deadline is an absolute ``time.monotonic()`` instant.  Once it passes,
     no further node starts and the LP in progress stops at its next pivot;
@@ -831,7 +838,9 @@ def solve_mip(
     heap: list[tuple[float, int, dict[int, tuple[float, float]], LpBasis | None]] = [
         (-INF, 0, {}, warm)
     ]
-    branched: LpBasis | None = None  # with its inverse
+    # the inverses open nodes hold: id -> number of open holders, and bytes
+    holders: dict[int, int] = {}
+    held = 0
     nodes = 0
     timed_out = False
     abandoned_bound = -INF  # bound of a node dropped mid-solve on timeout
@@ -839,10 +848,14 @@ def solve_mip(
 
     while heap and not timed_out:
         neg_bound, _, overrides, warm = heapq.heappop(heap)
+        key = id(warm.inverse) if warm is not None else None
+        if key in holders:
+            holders[key] -= 1
+            if not holders[key]:
+                del holders[key]
+                held -= warm.inverse.nbytes
         if -neg_bound <= best_obj + TOL_GAP * (1 + abs(best_obj)):
             continue
-        if branched is not None and warm is not None and warm.basic is branched.basic:
-            warm = branched
         if expired(deadline):
             timed_out = True
             abandoned_bound = -neg_bound
@@ -879,8 +892,12 @@ def solve_mip(
                 down[j] = (lo, math.floor(xj))
                 up = dict(overrides)
                 up[j] = (math.ceil(xj), hi)
-                branched = warm
-                parent = LpBasis(warm.basic, warm.state)
+                parent = warm
+                if held + warm.inverse.nbytes > _OPEN_INVERSE_BYTES:
+                    parent = LpBasis(warm.basic, warm.state)
+                else:
+                    holders[id(warm.inverse)] = 2
+                    held += warm.inverse.nbytes
                 counter += 1
                 heapq.heappush(heap, (-sol.objective, counter, down, parent))
                 counter += 1

@@ -757,26 +757,77 @@ def test_slack_start_with_a_violated_row_seeds_warm_solve():
             assert _kkt_ok(case, overrides, warm)
 
 
-def test_open_nodes_hold_no_inverse(monkeypatch):
-    from fixtures import record_seeded_starts
-
-    import lsfrp.lp as lp_module
-
+def _record_open_nodes(monkeypatch):
+    """Per push onto the B&B heap: (the pushed basis, the bytes of the
+    distinct inverses that open nodes hold once it is pushed)."""
     pushed = []
     real_push = lp_module.heapq.heappush
 
     def heappush(heap, item):
-        pushed.append(item[3])
         real_push(heap, item)
+        inverses = {id(b.inverse): b.inverse.nbytes for *_, b in heap if b is not None and b.inverse is not None}
+        pushed.append((item[3], sum(inverses.values())))
 
     monkeypatch.setattr(lp_module.heapq, "heappush", heappush)
-    starts = record_seeded_starts(monkeypatch)
-    sol = solve_mip(knap([10, 13, 7, 8, 9, 6], [5, 7, 4, 5, 6, 3], 14))
-    assert sol.status == OPTIMAL and sol.nodes > 3
-    assert pushed and all(b is not None and b.inverse is None for b in pushed)
-    seeded = [basis.inverse is not None for basis, _ in starts]
-    # the child popped right after its parent branched skips the inversion
-    assert any(seeded) and not all(seeded)
+    return pushed
+
+
+BNB_KNAPSACK = ([31, 29, 27, 23, 21, 19, 17], [16, 15, 14, 12, 11, 10, 9], 40)
+
+
+def test_open_nodes_share_one_inverse_within_a_byte_budget(monkeypatch):
+    pushed = _record_open_nodes(monkeypatch)
+    sol = solve_mip(knap(*BNB_KNAPSACK))
+    assert sol.status == OPTIMAL and sol.nodes > 20
+    # the two children of a node are pushed together and share its inverse
+    pairs = list(zip(pushed[::2], pushed[1::2]))
+    assert pairs and len(pushed) % 2 == 0
+    assert all(down.inverse is not None and down.inverse is up.inverse for (down, _), (up, _) in pairs)
+
+    # a budget of two one-row inverses: children beyond it get none
+    pushed.clear()
+    monkeypatch.setattr(lp_module, "_OPEN_INVERSE_BYTES", 16)
+    assert solve_mip(knap(*BNB_KNAPSACK)).objective == sol.objective
+    assert all(held <= 16 for _, held in pushed)
+    assert {basis.inverse is None for basis, _ in pushed} == {True, False}
+
+    # no budget: no open node holds an inverse
+    pushed.clear()
+    monkeypatch.setattr(lp_module, "_OPEN_INVERSE_BYTES", 0)
+    assert solve_mip(knap(*BNB_KNAPSACK)).objective == sol.objective
+    assert pushed and all(basis is not None and basis.inverse is None for basis, _ in pushed)
+
+
+def test_bnb_children_invert_nothing(monkeypatch):
+    """Every node LP of a knapsack B&B starts from its parent's inverse, so
+    none that ends optimal calls np.linalg.inv; an infeasible one may, once,
+    to confirm its proof on a fresh inverse."""
+    inversions = []
+    real_inv, real_solve_lp = lp_module.np.linalg.inv, lp_module.solve_lp
+
+    def inv(a):
+        inversions[-1] += 1
+        return real_inv(a)
+
+    def solve_lp(*args, **kwargs):
+        inversions.append(0)
+        sol = real_solve_lp(*args, **kwargs)
+        solves.append((sol.status, inversions[-1]))
+        return sol
+
+    solves = []
+    monkeypatch.setattr(lp_module.np.linalg, "inv", inv)
+    monkeypatch.setattr(lp_module, "solve_lp", solve_lp)
+    sol = solve_mip(knap(*BNB_KNAPSACK))
+    assert sol.status == OPTIMAL and sol.nodes > 20
+    assert {status for status, _ in solves} == {OPTIMAL, INFEASIBLE}
+    assert all(count == 0 for status, count in solves if status == OPTIMAL)
+    assert all(count <= 1 for status, count in solves)
+    # with the budget at 0 the children get their parent's basis only
+    solves.clear()
+    monkeypatch.setattr(lp_module, "_OPEN_INVERSE_BYTES", 0)
+    solve_mip(knap(*BNB_KNAPSACK))
+    assert sum(count for status, count in solves if status == OPTIMAL) > 10
 
 
 # -- differential check of the simplex loops against HiGHS -------------------------
