@@ -63,6 +63,8 @@ def _document(data: bytes | str, schema: str) -> dict:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if doc.get("schema") != schema:

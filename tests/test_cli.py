@@ -69,6 +69,14 @@ def test_non_utf8_instance_is_usage_error(tmp_path, capsys, command, method_flag
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, method_flag", [("solve", "--method"), ("compare", "--methods")])
+def test_deeply_nested_instance_is_usage_error(tmp_path, capsys, command, method_flag):
+    p = tmp_path / "deep.json"
+    p.write_bytes(b"[" * 200_000)
+    assert main([command, "--instance", str(p), method_flag, "oracle"]) == 64
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [

@@ -47,6 +47,13 @@ def test_parse_rejects_bytes_that_are_not_utf8(parse, data):
         parse(data)
 
 
+@pytest.mark.parametrize("parse", [parse_instance, parse_solution], ids=["instance", "solution"])
+@pytest.mark.parametrize("data", ["[" * 200_000, '{"a": ' * 200_000], ids=["arrays", "objects"])
+def test_parse_rejects_json_nested_too_deeply(parse, data):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(data)
+
+
 def test_parse_rejects_wrong_schema():
     with pytest.raises(ParseError):
         parse_instance(json.dumps({"schema": "other-v9"}))
