@@ -765,7 +765,7 @@ def _record_open_nodes(monkeypatch):
 
     def heappush(heap, item):
         real_push(heap, item)
-        inverses = {id(b.inverse): b.inverse.nbytes for *_, b in heap if b is not None and b.inverse is not None}
+        inverses = {id(b.inverse): b.inverse.nbytes for *_, b in heap if b and b.inverse is not None}
         pushed.append((item[3], sum(inverses.values())))
 
     monkeypatch.setattr(lp_module.heapq, "heappush", heappush)
@@ -791,7 +791,7 @@ def test_open_nodes_share_one_inverse_within_a_byte_budget(monkeypatch):
     assert all(held <= 16 for _, held in pushed)
     assert {basis.inverse is None for basis, _ in pushed} == {True, False}
 
-    # no budget: no open node holds an inverse
+    # a budget of 0: no open node holds an inverse
     pushed.clear()
     monkeypatch.setattr(lp_module, "_OPEN_INVERSE_BYTES", 0)
     assert solve_mip(knap(*BNB_KNAPSACK)).objective == sol.objective
@@ -802,7 +802,7 @@ def test_bnb_children_invert_nothing(monkeypatch):
     """Every node LP of a knapsack B&B starts from its parent's inverse, so
     none that ends optimal calls np.linalg.inv; an infeasible one may, once,
     to confirm its proof on a fresh inverse."""
-    inversions = []
+    inversions, solves = [], []
     real_inv, real_solve_lp = lp_module.np.linalg.inv, lp_module.solve_lp
 
     def inv(a):
@@ -815,7 +815,6 @@ def test_bnb_children_invert_nothing(monkeypatch):
         solves.append((sol.status, inversions[-1]))
         return sol
 
-    solves = []
     monkeypatch.setattr(lp_module.np.linalg, "inv", inv)
     monkeypatch.setattr(lp_module, "solve_lp", solve_lp)
     sol = solve_mip(knap(*BNB_KNAPSACK))
