@@ -342,7 +342,8 @@ class ReachIndex:
     keeps arcs departing a destination toward another one, on purpose: the
     arc-flow models absorb cargo at any destination it enters.  The arcs
     the cargo rides when it unloads at the first destination visited, as
-    the lazy solver's replay does, are ``carry_arc_set``.
+    the lazy solver's column reader assumes and its capacity cuts count,
+    are ``carry_arc_set``.
     """
 
     def __init__(self, instance: Instance):

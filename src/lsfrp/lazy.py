@@ -2,14 +2,14 @@
 
 Instead of one flow variable per (demand, arc), each demand gets a single
 total-flow variable per ship; base rows only cap what is loaded at each
-node.  Joint capacity along the path is enforced lazily: every integer
-candidate is replayed from the start visit (cargo loads at its origin and
-unloads at the first visited destination), and wherever the onboard total
-exceeds a capacity a cut over every demand that can be aboard there is
-added.  A cut is its (node, scope) key, and ``capacity_cut`` builds its row
-from the key.  Cuts persist across pricing rounds as rows of the ship's
-pricing model, which is built once and re-priced each round; the model
-lists their keys in ``CompactModel.cuts``, in row order.
+node.  Joint capacity along the path is enforced lazily: the model keeps,
+unappended, one capacity cut row per (node, scope) over everything that
+can be aboard when the ship leaves the node, and appends each row an
+integer candidate violates.  A row sums all that can be aboard, so it flags
+every overload a replay of the candidate's path would.  Cuts persist across
+pricing rounds as rows of the ship's pricing model, which is built once and
+re-priced each round; the model lists their keys in ``CompactModel.cuts``,
+in row order.
 
 Splitting is always on and has one rule, ``split_demand_triples``: a
 multi-destination demand gets one variable per destination, the family
@@ -147,8 +147,8 @@ class CompactModel:
     xvars: dict[str, int]
     evars: dict[tuple[str, str, str], int]
     members: dict[str, Member]
-    carry_nodes: dict[str, frozenset[str]]  # member key -> nodes it can depart loaded
-    empty_nodes: dict[tuple[str, str, str], frozenset[str]]
+    # (node, scope) -> capacity cut row, built once, appended when violated
+    cut_rows: dict[tuple[str, str], lp.Constraint]
     split_parents: int = 0
     # (node, scope) of each capacity cut, in the order its row was appended
     cuts: list[tuple[str, str]] = field(default_factory=list)
@@ -198,16 +198,8 @@ def build_compact_pricing(
     members = _members_for_ship(ins, reach, ship_id)
     reachable_members = []
     xvars: dict[str, int] = {}
-    carry_nodes: dict[str, frozenset[str]] = {}
     gate_arcs: dict[str, frozenset[tuple[str, str]]] = {}
     for mem in members:
-        # cut membership is exclusion-independent so carried cuts stay valid
-        # when a pricing round sees the full graph again
-        carry_nodes[mem.key] = frozenset(
-            i
-            for (i, j) in reach.carry_arc_set(mem.origin, mem.destinations)
-            if reach.can_reach(ship.start_visit, i)
-        )
         arcs = frozenset(
             (i, j) for (i, j) in reach.arc_set(mem.origin, mem.destinations)
             if (i, j) in yvars
@@ -225,7 +217,8 @@ def build_compact_pricing(
 
     # empty-equipment pair variables, one per reachable (surplus, deficit)
     evars: dict[tuple[str, str, str], int] = {}
-    empty_nodes: dict[tuple[str, str, str], frozenset[str]] = {}
+    # arcs of every pair the ship can reach, excluded ones too, for the cut rows
+    pair_arcs_full: dict[tuple[str, str, str], frozenset[tuple[str, str]]] = {}
     empty_gate_arcs: dict[tuple[str, str, str], frozenset[tuple[str, str]]] = {}
     surpluses = [p for p in ins.empty_points if p.amount > 0]
     deficits = [p for p in ins.empty_points if p.amount < 0]
@@ -239,10 +232,7 @@ def build_compact_pricing(
                 continue
             q = sp.cargo_type
             key = (q, sp.visit, dp.visit)
-            full_arcs = reach.arc_set(sp.visit, {dp.visit})
-            empty_nodes[key] = frozenset(
-                i for (i, j) in full_arcs if reach.can_reach(ship.start_visit, i)
-            )
+            full_arcs = pair_arcs_full[key] = reach.arc_set(sp.visit, {dp.visit})
             if sp.visit in excluded or dp.visit in excluded:
                 continue
             pair_arcs = frozenset((i, j) for (i, j) in full_arcs if (i, j) in yvars)
@@ -328,24 +318,39 @@ def build_compact_pricing(
         xvars=xvars,
         evars=evars,
         members=member_by_key,
-        carry_nodes=carry_nodes,
-        empty_nodes=empty_nodes,
+        cut_rows=_capacity_cut_rows(reach, ship, member_by_key, pair_arcs_full, xvars, evars),
         split_parents=split_parents,
     )
 
 
+def _capacity_cut_rows(
+    reach: ReachIndex, ship: Ship, members: dict[str, Member], pair_arcs, xvars, evars
+) -> dict[tuple[str, str], lp.Constraint]:
+    """The capacity cut rows at each node some member or empty pair can
+    depart loaded, by node, then scope ("dc": total, empties included; "rf":
+    laden reefer only).  Membership ignores exclusions, so a carried cut
+    stays valid when a pricing round sees the full graph again."""
+    aboard: dict[str, list[tuple[int | None, str]]] = {}  # node -> (variable, cargo type)
+    for key, mem in sorted(members.items()):
+        for i in {i for i, _ in reach.carry_arc_set(mem.origin, mem.destinations)}:
+            aboard.setdefault(i, []).append((xvars.get(key), mem.cargo_type))
+    for key, arcs in sorted(pair_arcs.items()):
+        for i in {i for i, _ in arcs}:
+            aboard.setdefault(i, []).append((evars.get(key), "dc"))  # empties use no plugs
+    rows = {}
+    for node in sorted(n for n in aboard if reach.can_reach(ship.start_visit, n)):
+        for scope, cap in (("dc", ship.capacity_dc), ("rf", ship.capacity_rf)):
+            coeffs = {
+                var: 1.0 for var, q in aboard[node]
+                if var is not None and (scope == "dc" or q == "rf")
+            }
+            rows[(node, scope)] = lp.Constraint(coeffs, LE, cap, f"lazy[{scope},{node}]")
+    return rows
+
+
 def capacity_cut(ctx: CompactModel, node: str, scope: str) -> lp.Constraint:
-    """The capacity cut at node for one scope ("dc": total, empties
-    included; "rf": laden reefer only) over every member and empty pair
-    that can be aboard when the ship leaves node."""
-    coeffs = {
-        var: 1.0 for key, var in sorted(ctx.xvars.items())
-        if node in ctx.carry_nodes[key] and (scope == "dc" or ctx.members[key].cargo_type == "rf")
-    }
-    if scope == "dc":  # empties fill total capacity only; reefer plugs hold laden reefers
-        coeffs.update({v: 1.0 for e, v in sorted(ctx.evars.items()) if node in ctx.empty_nodes[e]})
-    cap = ctx.ship.capacity_dc if scope == "dc" else ctx.ship.capacity_rf
-    return lp.Constraint(coeffs, LE, cap, f"lazy[{scope},{node}]")
+    """The row of the capacity cut keyed (node, scope)."""
+    return ctx.cut_rows[(node, scope)]
 
 
 def leg_loads(instance: Instance, path, flows, empty_flows) -> list[tuple[float, float]]:
@@ -374,19 +379,12 @@ def leg_loads(instance: Instance, path, flows, empty_flows) -> list[tuple[float,
 
 
 def separate_cuts(ctx: CompactModel, x) -> list[tuple[str, str]]:
-    """Replay the candidate's cargo along its path; the (node, scope) key of
-    every leg where a capacity is exceeded, one per key since a path calls
-    at each node once."""
-    path, flows, empty_flows = replay_column(ctx, x)
-    caps = (ctx.ship.capacity_dc, ctx.ship.capacity_rf)
-    keys = []
-    for node, loads in zip(path, leg_loads(ctx.instance, path, flows, empty_flows)):
-        for scope, load, cap in zip(("dc", "rf"), loads, caps):
-            if load > cap + lp.TOL_FEAS:
-                if (node, scope) in ctx.cuts:  # a row of the model already, so it must bind
-                    raise RuntimeError(f"carried cut at {node!r} failed to bind ({scope} scope)")
-                keys.append((node, scope))
-    return keys
+    """Keys of the capacity cuts the candidate violates by more than
+    TOL_FEAS and the model does not carry yet, in ctx.cut_rows order."""
+    return [
+        key for key, row in ctx.cut_rows.items()
+        if lp._violation(row, x) > lp.TOL_FEAS and key not in ctx.cuts
+    ]
 
 
 def add_violated_cuts(ctx: CompactModel, x) -> list[lp.Constraint]:
@@ -394,7 +392,7 @@ def add_violated_cuts(ctx: CompactModel, x) -> list[lp.Constraint]:
     violates, whose keys join ctx.cuts as solve_mip appends the rows."""
     keys = separate_cuts(ctx, x)
     ctx.cuts.extend(keys)
-    return [capacity_cut(ctx, node, scope) for node, scope in keys]
+    return [ctx.cut_rows[key] for key in keys]
 
 
 def replay_column(ctx: CompactModel, x) -> tuple[tuple[str, ...], list[DemandFlow], list[EmptyFlow]]:
@@ -451,7 +449,7 @@ class CompactPricing(PricingEngine):
         deadline: float | None = None,
     ) -> tuple[Column | None, float]:
         """Best column for the ship (see PricingModel.price), with every
-        integer candidate replayed and cut off while it overloads the ship."""
+        integer candidate cut off while it violates a stored cut row."""
         priced = self.model(ship_id, excluded)
         if priced is None:
             return None, -math.inf

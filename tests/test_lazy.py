@@ -21,6 +21,7 @@ from lsfrp.lazy import (
     build_compact_pricing,
     capacity_cut,
     capacity_violations,
+    replay_column,
     run_colgen_lazy,
     separate_cuts,
     split_demand_triples,
@@ -241,6 +242,43 @@ def test_candidate_skipping_origins_yields_no_cuts():
     assert separate_cuts(ctx, x) == []
 
 
+def test_cut_rows_flag_exactly_the_replayed_overloads(monkeypatch):
+    # the stored rows decide separation; the path replay is the independent check
+    from lsfrp import lazy
+
+    seen = {"candidates": 0, "overloaded": 0}
+
+    def checked(ctx, x):
+        keys = separate_cuts(ctx, x)
+        path, flows, empties = replay_column(ctx, x)
+        sol = Solution(
+            method="replay", status=OPTIMAL, ship_paths={ctx.ship.id: path},
+            demand_flows=flows, empty_flows=empties,
+        )
+        assert bool(keys) == bool(capacity_violations(ctx.instance, sol)), path
+        assert all(lp._violation(capacity_cut(ctx, *key), x) > lp.TOL_FEAS for key in keys)
+        assert not set(keys) & set(ctx.cuts)
+        seen["candidates"] += 1
+        seen["overloaded"] += bool(keys)
+        return add_violated_cuts(ctx, x)
+
+    monkeypatch.setattr(lazy, "add_violated_cuts", checked)
+    instances = [
+        t1(), chain4(), overload1(), reefer_overload(), fig3_split(), gap_2ship(),
+        mixed_type_fractional(), empty_repos19(), shared_corridor(), isolated_start(),
+    ]
+    instances += [
+        generate_random(GeneratorParams(
+            ships=1 + k % 3, visits=10 + k % 5, demands=8 + k % 8, empty_points=2 * (k % 3),
+            seed=500 + k, **TIGHT,
+        ))
+        for k in range(40)
+    ]
+    for ins in instances:
+        run_colgen_lazy(ins)
+    assert seen["candidates"] > 400 and seen["overloaded"] > 60, seen
+
+
 # -- full runs ----------------------------------------------------------------------
 
 
@@ -415,16 +453,14 @@ def test_persistent_compact_engine_matches_fresh_models(monkeypatch, params):
 
 
 def _cut_checks(ins):
-    """(name, left-hand side, rhs) of every capacity cut, at every node a
-    member or empty pair can depart loaded and in both scopes, evaluated at
-    the oracle's cargo plan on each start->sink path of each ship."""
+    """(name, left-hand side, rhs) of every capacity cut row the model
+    stores, evaluated at the oracle's cargo plan on each start->sink path
+    of each ship."""
     reach = build_reach_index(ins)
     for ship in ins.ships:
         ctx = build_compact_pricing(ins, ship.id, reach=reach)
         if ctx is None:
             continue
-        nodes = sorted(set().union(*ctx.carry_nodes.values(), *ctx.empty_nodes.values()))
-        cuts = [capacity_cut(ctx, node, scope) for node in nodes for scope in ("dc", "rf")]
         for path in enumerate_paths(ins, ship.start_visit):
             _, flows, empties = _cargo_lp(ins, ship, path)
             x = np.zeros(ctx.model.num_vars)
@@ -433,7 +469,7 @@ def _cut_checks(ins):
                 x[ctx.xvars[key]] += f.amount
             for f in empties:
                 x[ctx.evars[(f.cargo_type, f.src, f.dst)]] += f.amount
-            for cut in cuts:
+            for cut in ctx.cut_rows.values():
                 yield cut.name, sum(c * x[j] for j, c in cut.coeffs.items()), cut.rhs
 
 
