@@ -28,7 +28,7 @@ from .io import (
 )
 from .lazy import run_colgen_lazy
 from .lp import NumericalBreakdownError
-from .oracle import OracleBudgetError, brute_force_solve
+from .oracle import DEFAULT_BUDGET, OracleBudgetError, brute_force_solve
 from .solution import BREAKDOWN, OPTIMAL, REFUSED, TIME_LIMIT, Solution
 
 METHODS = ("reduced", "reduced-tight", "revised", "colgen", "colgen-lazy", "oracle")
@@ -52,7 +52,7 @@ def run_method(
     instance: Instance,
     method: str,
     time_limit: float | None = None,
-    oracle_budget: int = 10**6,
+    oracle_budget: int = DEFAULT_BUDGET,
     log=None,
 ) -> Solution:
     """Dispatch one solve; statuses are normalized into the Solution."""
@@ -265,32 +265,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(part) for part in text.split(","))
     except ValueError:
-        raise _CliError(f"expected 'low,high' range, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 'low,high' range, got {text!r}")
     return lo, hi
 
 
 def cmd_generate(args) -> int:
-    params = GeneratorParams(
-        ships=args.ships,
-        ship_types=args.ship_types,
-        visits=args.visits,
-        arc_density=args.density,
-        demands=args.demands,
-        reefer_fraction=args.reefer_fraction,
-        empty_points=args.empty_points,
-        seed=args.seed,
-        sail_cost_range=_parse_range(args.sail_cost_range),
-        port_fee_range=_parse_range(args.port_fee_range),
-        move_cost_range=_parse_range(args.move_cost_range),
-        revenue_range=_parse_range(args.revenue_range),
-        amount_range=_parse_range(args.amount_range),
-        capacity_dc_range=_parse_range(args.capacity_range),
-        empty_amount_range=_parse_range(args.empty_amount_range),
-        empty_revenue=args.empty_revenue,
-        dest_count_max=args.dest_count_max,
-    )
+    params = GeneratorParams(**{f.name: getattr(args, f.name) for f in fields(GeneratorParams)})
     try:
-        params.check()
         instance = generate_random(params)
     except ValueError as exc:
         raise _CliError(f"infeasible generator parameters: {exc}")
@@ -321,6 +302,10 @@ def _at_least_zero(kind):
     return parse
 
 
+# generate takes one flag per GeneratorParams field, named after it but for these
+_GENERATE_FLAGS = {"arc_density": "density", "capacity_dc_range": "capacity_range"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsfrp",
@@ -336,41 +321,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--time-limit", type=_at_least_zero(float), default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--seed", type=int, default=0, help="echoed into solution metadata")
-    p_solve.add_argument("--oracle-budget", type=_at_least_zero(int), default=10**6)
+    p_solve.add_argument("--oracle-budget", type=_at_least_zero(int), default=DEFAULT_BUDGET)
     p_solve.add_argument("--verbose", action="store_true",
                          help="print column-generation progress lines to stderr")
     p_solve.set_defaults(func=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="run several methods and report a table")
     p_cmp.add_argument("--instance", required=True)
-    p_cmp.add_argument("--methods", default="reduced,reduced-tight,revised,colgen,colgen-lazy")
+    p_cmp.add_argument("--methods", default=",".join(m for m in METHODS if m != "oracle"))
     p_cmp.add_argument("--oracle", action="store_true", help="include the brute-force oracle")
     p_cmp.add_argument("--empty-revenue", type=_at_least_zero(int), action="append", default=None,
                        help="repeat to get a with/without empty-cargo pair")
     p_cmp.add_argument("--time-limit", type=_at_least_zero(float), default=None)
     p_cmp.add_argument("--csv", default=None, help="write the CSV report here")
-    p_cmp.add_argument("--oracle-budget", type=_at_least_zero(int), default=10**6)
+    p_cmp.add_argument("--oracle-budget", type=_at_least_zero(int), default=DEFAULT_BUDGET)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_gen = sub.add_parser("generate", help="generate a random instance")
-    p_gen.add_argument("--ships", type=int, default=3)
-    p_gen.add_argument("--ship-types", type=int, default=1, choices=(1, 2))
-    p_gen.add_argument("--visits", type=int, default=12)
-    p_gen.add_argument("--demands", type=int, default=8)
-    p_gen.add_argument("--density", type=float, default=0.5)
-    p_gen.add_argument("--reefer-fraction", type=float, default=0.25)
-    p_gen.add_argument("--empty-points", type=int, default=0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen = sub.add_parser(
+        "generate", help="generate a random instance",
+        description="One flag per field of lsfrp.io.GeneratorParams; ranges are 'low,high'.",
+    )
+    for f in fields(GeneratorParams):
+        flag = "--" + _GENERATE_FLAGS.get(f.name, f.name).replace("_", "-")
+        kind = _parse_range if isinstance(f.default, tuple) else type(f.default)
+        p_gen.add_argument(flag, dest=f.name, type=kind, default=f.default)
     p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--sail-cost-range", default="5,40")
-    p_gen.add_argument("--port-fee-range", default="0,10")
-    p_gen.add_argument("--move-cost-range", default="1,8")
-    p_gen.add_argument("--revenue-range", default="20,90")
-    p_gen.add_argument("--amount-range", default="5,60")
-    p_gen.add_argument("--capacity-range", default="60,160")
-    p_gen.add_argument("--empty-amount-range", default="5,40")
-    p_gen.add_argument("--empty-revenue", type=int, default=150)
-    p_gen.add_argument("--dest-count-max", type=int, default=3)
     p_gen.set_defaults(func=cmd_generate)
     return parser
 

@@ -313,16 +313,14 @@ def initial_columns(
 ) -> list[Column]:
     """Greedy start: the ships in the given order (ascending path count in
     a run), each priced with zero duals on the graph minus nodes already
-    claimed; dummy fallback."""
+    claimed; a ship left without a column gets none here."""
     used: set[str] = set()
     out: list[Column] = []
     for ship in order:
         col, _ = engine.price(
             ship.id, {}, frozenset(used - {ship.start_visit}), deadline=deadline
         )
-        if col is None:
-            out.append(make_dummy(instance, ship.id))
-        else:
+        if col is not None:
             out.append(col)
             used |= col.nodes
     return out
@@ -461,7 +459,7 @@ def _branch_and_price(instance, engine, method, log, deadline, diag) -> Solution
     # ties keep the instance's ship order, reversed when pricing
     order = sorted(instance.ships, key=lambda s: path_count(instance, s.id))
     columns = [make_dummy(instance, s.id) for s in instance.ships]
-    columns.extend(c for c in initial_columns(instance, engine, order, deadline) if not c.is_dummy)
+    columns.extend(initial_columns(instance, engine, order, deadline))
     diag.columns_generated = sum(1 for c in columns if not c.is_dummy)
     order.reverse()
 

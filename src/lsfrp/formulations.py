@@ -44,6 +44,10 @@ from .solution import (
 )
 
 
+# flows below this are treated as solver noise, far under any real TEU amount
+FLOW_EPS = 1e-5
+
+
 class UnsupportedInstanceError(ValueError):
     pass
 
@@ -402,7 +406,7 @@ def extract_solution(
     delivered: dict[tuple, float] = {}
     for key, var in vars_.x.items():
         val = float(x[var])
-        if abs(val) < 1e-5:
+        if abs(val) < FLOW_EPS:
             continue
         *ship, mid, i, j = key
         sid = ship[0] if ship else None
@@ -414,7 +418,7 @@ def extract_solution(
             owner = sid or visit_owner.get(i)
             delivered[(mid, owner, i)] = delivered.get((mid, owner, i), 0.0) - val
     for (mid, sid, dest), amount in sorted(delivered.items()):
-        if amount > 1e-5:
+        if amount > FLOW_EPS:
             sol.demand_flows.append(DemandFlow(mid, sid, dest, amount))
     return sol
 

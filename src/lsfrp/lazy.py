@@ -35,28 +35,22 @@ from functools import partial
 
 from . import lp
 from .colgen import Column, PricingEngine, PricingModel, run_column_generation
-from .formulations import _trace_path, add_path_rows, add_ship_arcs, empty_coef, leaves_start
-from .instance import Instance, ReachIndex, Ship, build_reach_index
+from .formulations import (
+    FLOW_EPS, _trace_path, add_path_rows, add_ship_arcs, delivery_coef, empty_coef, leaves_start,
+)
+from .instance import Demand, Instance, ReachIndex, Ship, build_reach_index
 from .lp import LE, LinearModel
 from .solution import DemandFlow, Diagnostics, EmptyFlow, Solution
 
 
 @dataclass(frozen=True)
 class Member:
-    """One compact flow variable: a demand or a per-destination slice of one."""
+    """One compact flow variable: its demand restricted to some of the
+    demand's destinations (all of them, or one of a split demand's)."""
 
     key: str
-    demand: str
-    origin: str
+    demand: Demand
     destinations: frozenset[str]
-    cargo_type: str
-    amount: float  # parent availability
-    revenue: float
-    unload_cost: float
-
-
-# flows below this are treated as solver noise, far under any real TEU amount
-FLOW_EPS = 1e-5
 
 
 # -- demand-triple splitting -----------------------------------------------------
@@ -120,18 +114,8 @@ def _members_for_ship(instance: Instance, reach: ReachIndex, ship_id: str) -> li
     for mid, parts in split_demand_triples(instance, ship_id, reach).items():
         m = instance.demand_by_id[mid]
         for dests in parts:
-            members.append(
-                Member(
-                    key=mid if len(parts) == 1 else f"{mid}@{min(dests)}",
-                    demand=mid,
-                    origin=m.origin,
-                    destinations=dests,
-                    cargo_type=m.cargo_type,
-                    amount=m.amount,
-                    revenue=m.revenue,
-                    unload_cost=instance.visit_by_id[min(dests)].move_cost,
-                )
-            )
+            key = mid if len(parts) == 1 else f"{mid}@{min(dests)}"
+            members.append(Member(key, m, dests))
     return members
 
 
@@ -200,17 +184,17 @@ def build_compact_pricing(
     xvars: dict[str, int] = {}
     gate_arcs: dict[str, frozenset[tuple[str, str]]] = {}
     for mem in members:
+        m = mem.demand
         arcs = frozenset(
-            (i, j) for (i, j) in reach.arc_set(mem.origin, mem.destinations)
-            if (i, j) in yvars
+            (i, j) for (i, j) in reach.arc_set(m.origin, mem.destinations) if (i, j) in yvars
         )
         if not arcs:
             continue
         gate_arcs[mem.key] = arcs
-        cap = ship.capacity_rf if mem.cargo_type == "rf" else ship.capacity_dc
-        coef = mem.revenue - ins.visit_by_id[mem.origin].move_cost - mem.unload_cost
+        cap = ship.capacity_rf if m.cargo_type == "rf" else ship.capacity_dc
         xvars[mem.key] = model.add_var(
-            0.0, min(mem.amount, cap), obj=coef, name=f"x[{mem.key}]"
+            0.0, min(m.amount, cap), obj=delivery_coef(ins, m.id, min(mem.destinations)),
+            name=f"x[{mem.key}]",
         )
         reachable_members.append(mem)
     member_by_key = {m.key: m for m in members}
@@ -254,7 +238,7 @@ def build_compact_pricing(
     # load-node capacity rows: everything picked up at k departs aboard
     load_nodes: dict[str, tuple[list[str], list[tuple[str, str, str]]]] = {}
     for mem in reachable_members:
-        load_nodes.setdefault(mem.origin, ([], []))[0].append(mem.key)
+        load_nodes.setdefault(mem.demand.origin, ([], []))[0].append(mem.key)
     for key in evars:
         load_nodes.setdefault(key[1], ([], []))[1].append(key)
     for k in sorted(load_nodes):
@@ -269,7 +253,7 @@ def build_compact_pricing(
         for y, c in outflow.items():
             total[y] = -ship.capacity_dc
         model.add_constr(total, LE, 0.0, f"load_dc[{k}]")
-        rf = {xvars[d]: 1.0 for d in dkeys if member_by_key[d].cargo_type == "rf"}
+        rf = {xvars[d]: 1.0 for d in dkeys if member_by_key[d].demand.cargo_type == "rf"}
         if rf:
             for y in outflow:
                 rf[y] = -ship.capacity_rf
@@ -278,14 +262,14 @@ def build_compact_pricing(
     # origin / destination gates per member
     for mem in reachable_members:
         _add_gates(
-            model, yvars, xvars[mem.key], gate_arcs[mem.key], mem.origin, mem.destinations,
+            model, yvars, xvars[mem.key], gate_arcs[mem.key], mem.demand.origin, mem.destinations,
             f"gate[{mem.key}]",
         )
 
     # shared availability for split families
     by_parent: dict[str, list[str]] = {}
     for mem in reachable_members:
-        by_parent.setdefault(mem.demand, []).append(mem.key)
+        by_parent.setdefault(mem.demand.id, []).append(mem.key)
     split_parents = 0
     for parent, keys in sorted(by_parent.items()):
         if len(keys) > 1:
@@ -328,29 +312,24 @@ def _capacity_cut_rows(
 ) -> dict[tuple[str, str], lp.Constraint]:
     """The capacity cut rows at each node some member or empty pair can
     depart loaded, by node, then scope ("dc": total, empties included; "rf":
-    laden reefer only).  Membership ignores exclusions, so a carried cut
-    stays valid when a pricing round sees the full graph again."""
+    laden reefer only); a scope nothing can fill there gets no row.
+    Membership ignores exclusions, so a carried cut stays valid when a
+    pricing round sees the full graph again."""
     aboard: dict[str, list[tuple[int | None, str]]] = {}  # node -> (variable, cargo type)
     for key, mem in sorted(members.items()):
-        for i in {i for i, _ in reach.carry_arc_set(mem.origin, mem.destinations)}:
-            aboard.setdefault(i, []).append((xvars.get(key), mem.cargo_type))
+        for i in {i for i, _ in reach.carry_arc_set(mem.demand.origin, mem.destinations)}:
+            aboard.setdefault(i, []).append((xvars.get(key), mem.demand.cargo_type))
     for key, arcs in sorted(pair_arcs.items()):
         for i in {i for i, _ in arcs}:
             aboard.setdefault(i, []).append((evars.get(key), "dc"))  # empties use no plugs
     rows = {}
     for node in sorted(n for n in aboard if reach.can_reach(ship.start_visit, n)):
         for scope, cap in (("dc", ship.capacity_dc), ("rf", ship.capacity_rf)):
-            coeffs = {
-                var: 1.0 for var, q in aboard[node]
-                if var is not None and (scope == "dc" or q == "rf")
-            }
-            rows[(node, scope)] = lp.Constraint(coeffs, LE, cap, f"lazy[{scope},{node}]")
+            held = [var for var, q in aboard[node] if scope == "dc" or q == "rf"]
+            if held:
+                coeffs = {var: 1.0 for var in held if var is not None}
+                rows[(node, scope)] = lp.Constraint(coeffs, LE, cap, f"lazy[{scope},{node}]")
     return rows
-
-
-def capacity_cut(ctx: CompactModel, node: str, scope: str) -> lp.Constraint:
-    """The row of the capacity cut keyed (node, scope)."""
-    return ctx.cut_rows[(node, scope)]
 
 
 def leg_loads(instance: Instance, path, flows, empty_flows) -> list[tuple[float, float]]:
@@ -406,14 +385,14 @@ def replay_column(ctx: CompactModel, x) -> tuple[tuple[str, ...], list[DemandFlo
         if val <= FLOW_EPS:
             continue
         mem = ctx.members[key]
-        o = pos.get(mem.origin)
+        o = pos.get(mem.demand.origin)
         if o is None:
             raise RuntimeError(f"member {key} loaded off-path")
         stops = sorted(p for d in mem.destinations if (p := pos.get(d)) is not None and p > o)
         if not stops:
             raise RuntimeError(f"member {key} has no destination on path")
         dest = path[stops[0]]
-        flows[(mem.demand, dest)] = flows.get((mem.demand, dest), 0.0) + val
+        flows[(mem.demand.id, dest)] = flows.get((mem.demand.id, dest), 0.0) + val
     empty_flows = [
         EmptyFlow(q, ctx.ship.id, src, dst, float(x[var]))
         for (q, src, dst), var in sorted(ctx.evars.items())

@@ -119,6 +119,21 @@ def expired(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
 
+def _checked_coeffs(coeffs, size: int, owner: str, target: str) -> dict[int, float]:
+    """coeffs with zeros dropped; an index outside range(size) or a
+    non-finite value is a ValueError naming owner, the variable or row, and
+    target, what its indices refer to."""
+    clean = {}
+    for k, c in coeffs.items():
+        if not 0 <= k < size:
+            raise ValueError(f"{owner} references unknown {target} {k}")
+        if not math.isfinite(c):
+            raise ValueError(f"{owner} has non-finite coefficient")
+        if c != 0.0:
+            clean[int(k)] = float(c)
+    return clean
+
+
 @dataclass
 class Constraint:
     coeffs: dict[int, float]
@@ -163,14 +178,7 @@ class LinearModel:
             raise ValueError(f"variable {name or len(self.lb)}: lb {lb} > ub {ub}")
         if not math.isfinite(obj):
             raise ValueError("objective coefficient must be finite")
-        clean = {}
-        for i, c in (column or {}).items():
-            if not 0 <= i < len(self.rows):
-                raise ValueError(f"variable {name!r} references unknown row {i}")
-            if not math.isfinite(c):
-                raise ValueError(f"variable {name!r} has non-finite coefficient")
-            if c != 0.0:
-                clean[int(i)] = float(c)
+        clean = _checked_coeffs(column or {}, len(self.rows), f"variable {name!r}", "row")
         j = len(self.lb)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
@@ -187,14 +195,7 @@ class LinearModel:
             raise ValueError(f"unknown sense {sense!r}")
         if not math.isfinite(rhs):
             raise ValueError("rhs must be finite")
-        clean = {}
-        for j, c in coeffs.items():
-            if not 0 <= j < len(self.lb):
-                raise ValueError(f"row {name!r} references unknown variable {j}")
-            if not math.isfinite(c):
-                raise ValueError(f"row {name!r} has non-finite coefficient")
-            if c != 0.0:
-                clean[int(j)] = float(c)
+        clean = _checked_coeffs(coeffs, len(self.lb), f"row {name!r}", "variable")
         self.rows.append(Constraint(clean, sense, float(rhs), name or f"c{len(self.rows)}"))
         self._structure += 1
         return len(self.rows) - 1

@@ -1,9 +1,11 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from lsfrp.cli import main
-from lsfrp.io import parse_solution, write_instance
+from lsfrp.cli import build_parser, main
+from lsfrp.io import GeneratorParams, generate_random, parse_solution, write_instance
 
 from fixtures import T1_OPT, empty_repos19, shared_corridor, t1
 
@@ -229,6 +231,27 @@ def test_generate_invalid_params_name_the_field(tmp_path, capsys, flags, field):
                  "--seed", "3", "--out", str(tmp_path / "x.json"), *flags])
     assert code == 64
     assert field in capsys.readouterr().err
+
+
+def test_generate_has_one_flag_per_generator_field():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest: a for a in sub.choices["generate"]._actions if a.dest != "help"}
+    assert set(options) == {f.name for f in fields(GeneratorParams)} | {"out"}
+    assert all(len(a.option_strings) == 1 for a in options.values())
+    for f in fields(GeneratorParams):
+        assert options[f.name].default == f.default, f.name
+
+
+def test_generate_writes_the_generators_instance(tmp_path):
+    p = tmp_path / "g.json"
+    assert main(["generate", "--ships", "3", "--visits", "12", "--density", "0.35",
+                 "--capacity-range", "25,60", "--amount-range", "10,45", "--empty-points", "4",
+                 "--seed", "5", "--out", str(p)]) == 0
+    params = GeneratorParams(
+        ships=3, visits=12, arc_density=0.35, capacity_dc_range=(25, 60),
+        amount_range=(10, 45), empty_points=4, seed=5,
+    )
+    assert p.read_bytes() == write_instance(generate_random(params))
 
 
 def test_generate_table1_shape(tmp_path, capsys):

@@ -110,11 +110,11 @@ def test_initial_columns_isolated_start():
     assert not cols[0].is_dummy
 
 
-def test_initial_columns_shared_corridor_second_ship_dummy():
+def test_initial_columns_shared_corridor_second_ship_has_none():
+    # the master's dummy columns cover the ship the greedy start leaves out
     cols = _greedy(shared_corridor())
-    assert len(cols) == 2
-    dummies = [c for c in cols if c.is_dummy]
-    assert len(dummies) == 1
+    assert len(cols) == 1
+    assert not cols[0].is_dummy
 
 
 def test_price_ship_zero_duals_returns_best_column():

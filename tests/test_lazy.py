@@ -19,7 +19,6 @@ from lsfrp.lazy import (
     CompactPricing,
     add_violated_cuts,
     build_compact_pricing,
-    capacity_cut,
     capacity_violations,
     replay_column,
     run_colgen_lazy,
@@ -137,7 +136,7 @@ def test_split_map_is_the_builders_members():
                 continue
             built: dict[str, list[frozenset[str]]] = {}
             for mem in ctx.members.values():
-                built.setdefault(mem.demand, []).append(mem.destinations)
+                built.setdefault(mem.demand.id, []).append(mem.destinations)
             expected = split_demand_triples(ins, ship.id, reach)
             assert built == expected, (k, ship.id)
             split += sum(len(parts) > 1 for parts in expected.values())
@@ -195,7 +194,8 @@ def test_unequal_unload_costs_split_the_demand():
     assert split_demand_triples(ins, "s1")["m"] == [frozenset({"d1"}), frozenset({"d2"})]
     ctx = build_compact_pricing(ins, "s1", reach=build_reach_index(ins))
     assert set(ctx.xvars) == {"m@d1", "m@d2"}
-    assert {ctx.members[k].unload_cost for k in ctx.xvars} == {7, 3}
+    # revenue 50 less unload costs 7 and 3
+    assert {ctx.model.obj[var] for var in ctx.xvars.values()} == {43, 47}
 
 
 # -- cut separation -----------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_overload_emits_dc_cut_at_second_origin():
     ctx, mip = _solve_compact(ins, "s1")
     assert mip.objective == pytest.approx(OVERLOAD1_OPT)
     assert ctx.cuts == [("oB", "dc")]
-    cut = capacity_cut(ctx, "oB", "dc")
+    cut = ctx.cut_rows[("oB", "dc")]
     assert cut.name == "lazy[dc,oB]" and cut.rhs == 50
     assert cut.coeffs == {ctx.xvars["mA"]: 1.0, ctx.xvars["mB"]: 1.0}
     assert ctx.model.rows[-1] == cut
@@ -225,7 +225,7 @@ def test_reefer_overload_emits_rf_cut_only():
     assert mip.objective == pytest.approx(REEFER_OPT)
     scopes = {scope for _, scope in ctx.cuts}
     assert scopes == {"rf"}
-    assert capacity_cut(ctx, *ctx.cuts[0]).rhs == 5
+    assert ctx.cut_rows[ctx.cuts[0]].rhs == 5
 
 
 def test_candidate_skipping_origins_yields_no_cuts():
@@ -256,7 +256,7 @@ def test_cut_rows_flag_exactly_the_replayed_overloads(monkeypatch):
             demand_flows=flows, empty_flows=empties,
         )
         assert bool(keys) == bool(capacity_violations(ctx.instance, sol)), path
-        assert all(lp._violation(capacity_cut(ctx, *key), x) > lp.TOL_FEAS for key in keys)
+        assert all(lp._violation(ctx.cut_rows[key], x) > lp.TOL_FEAS for key in keys)
         assert not set(keys) & set(ctx.cuts)
         seen["candidates"] += 1
         seen["overloaded"] += bool(keys)
@@ -397,7 +397,33 @@ def test_gamma_matches_final_pool_rows(monkeypatch):
     ctx = engine.contexts["s1"]
     assert sol.diagnostics.total_cuts_dc == sum(1 for _, scope in ctx.cuts if scope == "dc")
     # the model's cut keys restate its last rows, in row order
-    assert ctx.cuts and ctx.model.rows[-len(ctx.cuts):] == [capacity_cut(ctx, *k) for k in ctx.cuts]
+    assert ctx.cuts and ctx.model.rows[-len(ctx.cuts):] == [ctx.cut_rows[k] for k in ctx.cuts]
+
+
+def test_every_stored_cut_row_has_a_coefficient():
+    # a scope nothing can fill at a node (no reefer member aboard, say) stores no row
+    hand = [
+        t1, chain4, overload1, reefer_overload, fig3_split, gap_2ship,
+        mixed_type_fractional, empty_repos19, shared_corridor, isolated_start,
+    ]
+    instances = [make() for make in hand] + [
+        generate_random(GeneratorParams(
+            ships=1 + k % 3, ship_types=1 + k % 2, visits=8 + k % 6, demands=4 + k % 7,
+            reefer_fraction=0.2 * (k % 4), empty_points=2 * (k % 3), seed=500 + k,
+        ))
+        for k in range(40)
+    ]
+    rows = 0
+    for k, ins in enumerate(instances):
+        reach = build_reach_index(ins)
+        for ship in ins.ships:
+            ctx = build_compact_pricing(ins, ship.id, reach=reach)
+            if ctx is None:
+                continue
+            for key, row in ctx.cut_rows.items():
+                assert row.coeffs, (k, ship.id, key)
+                rows += 1
+    assert rows > 400
 
 
 # -- persistent pricing models --------------------------------------------------------
@@ -412,7 +438,7 @@ def _fresh_compact_value(ins, reach, ship_id, prices, excluded, cuts):
     if ctx is None:
         return None
     for key in cuts:  # the fresh model numbers its variables differently
-        cut = capacity_cut(ctx, *key)
+        cut = ctx.cut_rows[key]
         ctx.model.add_constr(cut.coeffs, cut.sense, cut.rhs, cut.name)
     ctx.cuts.extend(cuts)
     mip = lp.solve_mip(ctx.model, on_candidate=partial(add_violated_cuts, ctx))
