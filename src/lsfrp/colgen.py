@@ -26,8 +26,15 @@ the loop or by a pricing solve that ran out of time;
 ``run_column_generation`` turns it into a "time_limit" result carrying
 the counters and model sizes gathered so far.
 
-When the relaxed master ends fractional, branch-and-price branches on
-(visit, ship) usage: whether ship s calls at visit v.
+The master owns its artificials: one per ship in its convexity row and
+one per required (visit, ship) row, each far costlier than any routing, so
+a ship without a column rides its artificial and a settled master that
+still uses one has no disjoint routing.  Columns are real paths only.
+
+Branch-and-price is one best-bound search whose first node is the root:
+every node runs its own pricing loop, and a node whose relaxed master
+ends fractional branches on (visit, ship) usage, whether ship s calls at
+visit v.
 """
 
 from __future__ import annotations
@@ -57,11 +64,10 @@ from .solution import (
 class Column:
     ship: str
     path: tuple[str, ...]  # start .. sink
-    nodes: frozenset[str]  # visits used, sink excluded; empty for dummies
+    nodes: frozenset[str]  # visits used, sink excluded
     flows: list[DemandFlow] = field(default_factory=list)
     empty_flows: list[EmptyFlow] = field(default_factory=list)
     profit: float = 0.0  # raw single-ship profit, duals stripped
-    is_dummy: bool = False
 
 
 @dataclass
@@ -80,9 +86,10 @@ class _BranchState:
     required: tuple[tuple[str, str], ...] = ()  # (visit, ship) must be used
 
 
-def dummy_profit(instance: Instance) -> float:
-    """Cost of the artificial direct source->sink column; strictly dominated
-    by any real routing so it only appears when no disjoint routing exists."""
+def artificial_profit(instance: Instance) -> float:
+    """Objective coefficient of a master artificial; strictly dominated by
+    any real routing, so an artificial stays in use only when no disjoint
+    routing exists."""
     total = 0.0
     for a in instance.arcs:
         for _, c in a.sail_cost:
@@ -96,17 +103,6 @@ def dummy_profit(instance: Instance) -> float:
     return -(total * 10.0) - 1.0
 
 
-def make_dummy(instance: Instance, ship_id: str) -> Column:
-    ship = instance.ship_by_id[ship_id]
-    return Column(
-        ship=ship_id,
-        path=(ship.start_visit, instance.sink),
-        nodes=frozenset(),
-        profit=dummy_profit(instance),
-        is_dummy=True,
-    )
-
-
 # -- restricted master problem ----------------------------------------------------
 
 
@@ -116,9 +112,11 @@ class RestrictedMaster:
 
     Rows: one convexity row per ship, one node-once row per visit (empty,
     with dual 0, until a column calls there), and one row per required
-    (visit, ship) pair, kept feasible by an artificial until pricing covers
-    it.  Columns enter with ``add_var(column=...)`` at zero, so the last
-    optimal basis stays primal feasible and each solve starts from it.
+    (visit, ship) pair.  An artificial in each required and each convexity
+    row keeps the master feasible before pricing covers the row, so it
+    solves with no column at all.  Columns enter with
+    ``add_var(column=...)`` at zero, so the last optimal basis stays primal
+    feasible and each solve starts from it.
     """
 
     def __init__(self, instance: Instance, state: _BranchState):
@@ -127,9 +125,12 @@ class RestrictedMaster:
         self.ship_rows = {s.id: model.add_constr({}, EQ, 1.0, f"conv[{s.id}]") for s in instance.ships}
         self.visit_rows = {v.id: model.add_constr({}, LE, 1.0, f"once[{v.id}]") for v in instance.visits}
         self.req_rows: dict[tuple[str, str], int] = {}
+        penalty = artificial_profit(instance)
         for node, sid in state.required:
-            art = model.add_var(0.0, 1.0, obj=dummy_profit(instance), name=f"art[{node},{sid}]")
+            art = model.add_var(0.0, 1.0, obj=penalty, name=f"art[{node},{sid}]")
             self.req_rows[(node, sid)] = model.add_constr({art: 1.0}, GE, 1.0, f"req[{node},{sid}]")
+        for sid, row in self.ship_rows.items():
+            model.add_var(0.0, lp.INF, obj=penalty, name=f"art[{sid}]", column={row: 1.0})
         self.model = model
         self.zvars: list[int] = []  # model variable of each column, in column order
         self.basis: lp.LpBasis | None = None
@@ -152,9 +153,6 @@ def solve_rmp(master: RestrictedMaster, columns: list[Column]) -> tuple[lp.LpSol
     order, with the master duals."""
     for col in columns[len(master.zvars):]:
         master.add(col)
-    for sid, row in master.ship_rows.items():
-        if not master.model.rows[row].coeffs:
-            raise ValueError(f"ship {sid!r} has no column")
     sol = lp.solve_lp(master.model, warm=master.basis)
     if sol.status != lp.OPTIMAL:
         raise RuntimeError(f"relaxed master is {sol.status}")
@@ -308,9 +306,7 @@ class ArcFlowPricing(PricingEngine):
 # -- heuristic initial columns -------------------------------------------------------
 
 
-def initial_columns(
-    instance: Instance, engine, order: list, deadline: float | None = None
-) -> list[Column]:
+def initial_columns(engine, order: list, deadline: float | None = None) -> list[Column]:
     """Greedy start: the ships in the given order (ascending path count in
     a run), each priced with zero duals on the graph minus nodes already
     claimed; a ship left without a column gets none here."""
@@ -353,10 +349,7 @@ def price_ship(
 
 def _log_progress(log, diag, sol, columns):
     if log is not None:
-        log(
-            f"cg iter={diag.rmp_iterations} columns={sum(1 for c in columns if not c.is_dummy)} "
-            f"bound={sol.objective:.9g}"
-        )
+        log(f"cg iter={diag.rmp_iterations} columns={len(columns)} bound={sol.objective:.9g}")
 
 
 def _cg_loop(instance, columns, engine, state, log, deadline, diag, order):
@@ -399,29 +392,24 @@ def _cg_loop(instance, columns, engine, state, log, deadline, diag, order):
             return sol, duals
 
 
-def _fractional_pairs(columns, z):
-    """Aggregate (visit, ship) usage; fractional entries drive branching."""
+def _fractional_pair(columns, z) -> tuple[str, str] | None:
+    """The (visit, ship) pair to branch on: the fractional usage nearest
+    one half, ties to the least pair; None when every usage is integral."""
     usage: dict[tuple[str, str], float] = {}
     for k, col in enumerate(columns):
-        if z[k] <= lp.TOL_INT:
-            continue
-        for node in col.nodes:
-            usage[(node, col.ship)] = usage.get((node, col.ship), 0.0) + z[k]
-    out = []
-    for key, val in usage.items():
-        frac = val - math.floor(val)
-        if lp.TOL_INT < frac < 1 - lp.TOL_INT:
-            out.append((abs(frac - 0.5), key, val))
-    out.sort(key=lambda item: (item[0], item[1]))
-    return out
+        if z[k] > lp.TOL_INT:
+            for node in col.nodes:
+                usage[(node, col.ship)] = usage.get((node, col.ship), 0.0) + z[k]
+    fractional = [
+        (abs(frac - 0.5), key) for key, val in usage.items()
+        if lp.TOL_INT < (frac := val - math.floor(val)) < 1 - lp.TOL_INT
+    ]
+    return min(fractional, default=(None, None))[1]
 
 
-def _is_integral(z: list[float]) -> bool:
-    return all(abs(v - round(v)) <= lp.TOL_INT for v in z)
-
-
-def _settled_columns(columns, z) -> list[Column]:
-    """One column per ship once every (visit, ship) usage is integral.
+def _settle(instance, columns, z) -> list[Column] | None:
+    """One column per ship once every (visit, ship) usage is integral; None
+    when a ship rides only its artificial.
 
     A ship's columns in use then all call at the same visits, so they have
     the same master rows, and an optimal master gives them the same profit:
@@ -431,92 +419,63 @@ def _settled_columns(columns, z) -> list[Column]:
     for k, col in enumerate(columns):
         if z[k] > lp.TOL_INT and (col.ship not in pick or col.profit > columns[pick[col.ship]].profit):
             pick[col.ship] = k
+    if len(pick) < len(instance.ships):
+        return None
     return [columns[k] for k in sorted(pick.values())]
 
 
-def _assemble(method, chosen, diag) -> Solution:
-    if any(c.is_dummy for c in chosen):
-        return Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
-    sol = Solution(method=method, status=OPTIMAL, diagnostics=diag)
-    total = 0.0
-    for col in chosen:
-        sol.ship_paths[col.ship] = col.path
-        sol.demand_flows.extend(col.flows)
-        sol.empty_flows.extend(col.empty_flows)
-        total += col.profit
-    sol.objective = total
-    sol.bound = total
-    return sol
-
-
 def _branch_and_price(instance, engine, method, log, deadline, diag) -> Solution:
-    """Heuristic start, the root pricing loop, and (visit, ship) branching
-    when the root master is fractional; raises ColgenTimeout at the
-    deadline."""
-    if not instance.ships:
-        return Solution(method=method, status=OPTIMAL, objective=0.0, bound=0.0, diagnostics=diag)
+    """Greedy start, then best-bound branch-and-price from the root: each
+    node runs its own pricing loop and, when its master is fractional,
+    branches on (visit, ship) usage; raises ColgenTimeout at the deadline."""
     # ascending path count for the greedy start, descending for pricing;
     # ties keep the instance's ship order, reversed when pricing
     order = sorted(instance.ships, key=lambda s: path_count(instance, s.id))
-    columns = [make_dummy(instance, s.id) for s in instance.ships]
-    columns.extend(initial_columns(instance, engine, order, deadline))
-    diag.columns_generated = sum(1 for c in columns if not c.is_dummy)
+    columns = initial_columns(engine, order, deadline)
+    diag.columns_generated = len(columns)
     order.reverse()
 
-    root_sol, _ = _cg_loop(instance, columns, engine, _BranchState(), log, deadline, diag, order)
-    z = [float(root_sol.x[k]) for k in range(len(columns))]
-    if _is_integral(z):
-        sol = _assemble(method, _settled_columns(columns, z), diag)
-        sol.meta["root_master_integral"] = True
-        return sol
-
-    # branch on fractional (visit, ship) usage; the root node branches
-    # from the master solution it already has, every other node runs
-    # its own pricing loop first
-    best: Solution | None = None
+    best = Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
     best_obj = -math.inf
     counter = 0
-    heap: list[tuple[float, int, _BranchState, lp.LpSolution | None]] = [
-        (-root_sol.objective, 0, _BranchState(), root_sol)
-    ]
+    heap: list[tuple[float, int, _BranchState]] = [(-math.inf, counter, _BranchState())]
     while heap:
-        neg_bound, _, state, node_sol = heapq.heappop(heap)
+        neg_bound, _, state = heapq.heappop(heap)
         if -neg_bound <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
             continue
         if lp.expired(deadline):
             raise ColgenTimeout()
         diag.bnb_nodes += 1
-        if node_sol is None:
-            node_sol, _ = _cg_loop(instance, columns, engine, state, log, deadline, diag, order)
+        node_sol, _ = _cg_loop(instance, columns, engine, state, log, deadline, diag, order)
+        z = [float(v) for v in node_sol.x]
+        if diag.bnb_nodes == 1:
+            best.meta["root_master_integral"] = all(abs(v - round(v)) <= lp.TOL_INT for v in z)
         if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
             continue
-        z = [float(node_sol.x[k]) for k in range(len(columns))]
-        pairs = _fractional_pairs(columns, z)
-        if not pairs:
-            cand = _assemble(method, _settled_columns(columns, z), diag)
-            if cand.status == OPTIMAL and cand.objective > best_obj:
-                if cand.objective < node_sol.objective - lp.TOL_GAP * (1 + abs(cand.objective)):
+        pair = _fractional_pair(columns, z)
+        if pair is None:
+            chosen = _settle(instance, columns, z)
+            if chosen is not None and (total := sum((c.profit for c in chosen), 0.0)) > best_obj:
+                if total < node_sol.objective - lp.TOL_GAP * (1 + abs(total)):
                     raise RuntimeError("branching incomplete: settled node below its bound")
-                best, best_obj = cand, cand.objective
+                best = Solution(
+                    method=method, status=OPTIMAL, objective=total, bound=total,
+                    ship_paths={c.ship: c.path for c in chosen},
+                    demand_flows=[f for c in chosen for f in c.flows],
+                    empty_flows=[f for c in chosen for f in c.empty_flows],
+                    diagnostics=diag, meta=best.meta,
+                )
+                best_obj = total
             continue
-        _, (node, sid), _ = pairs[0]
-        off = _BranchState(
-            excluded=state.excluded | {(node, sid)}, required=state.required
-        )
+        node, sid = pair
         # requiring (node, sid) shuts the node for every other ship
         others = frozenset((node, s.id) for s in instance.ships if s.id != sid)
-        on = _BranchState(
-            excluded=state.excluded | others,
-            required=state.required + ((node, sid),),
-        )
-        counter += 1
-        heapq.heappush(heap, (-node_sol.objective, counter, off, None))
-        counter += 1
-        heapq.heappush(heap, (-node_sol.objective, counter, on, None))
-
-    if best is None:
-        return Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
-    best.meta["root_master_integral"] = False
+        for child in (
+            _BranchState(excluded=state.excluded | {pair}, required=state.required),
+            _BranchState(excluded=state.excluded | others, required=state.required + (pair,)),
+        ):
+            counter += 1
+            heapq.heappush(heap, (-node_sol.objective, counter, child))
     return best
 
 
@@ -525,9 +484,9 @@ def run_column_generation(
     engine: type[PricingEngine] = ArcFlowPricing,
 ) -> Solution:
     """Full column generation with the given pricing engine class, whose
-    ``method`` names the result: heuristic start, pricing loop, integrality
-    check, and (visit, ship) branching when the master is fractional.  log,
-    if given, receives one machine-parsable progress line per master solve.
+    ``method`` names the result: heuristic start, then branch-and-price,
+    whose first node is the root master's pricing loop.  log, if given,
+    receives one machine-parsable progress line per master solve.
 
     Every status leaves through one exit, which fills in the engine's
     counters and model sizes and the wall time: a time limit reports what

@@ -86,13 +86,19 @@ def _string(obj: dict, key: str, where: str) -> str:
 def _number(obj: dict, key: str, where: str, kind=float) -> float:
     """The field obj[key] as a float; it must be a finite kind (see
     _typed), or a ParseError names it."""
-    value = _typed(_need(obj, key, where), kind, f"{where}.{key}")
+    return _finite(_need(obj, key, where), kind, f"{where}.{key}")
+
+
+def _finite(value, kind, where: str) -> float:
+    """value as a float; it must be a finite kind (see _typed), or a
+    ParseError names where."""
+    value = _typed(value, kind, where)
     try:
         if math.isfinite(value):
             return float(value)
     except OverflowError:
         pass
-    raise ParseError(f"{where}.{key}: {value!r} is not finite")
+    raise ParseError(f"{where}: {value!r} is not finite")
 
 
 def _typed(value, kind, where: str):
@@ -300,13 +306,10 @@ def parse_solution(data: bytes | str) -> Solution:
             raise ParseError(f"ship_paths.{s} must be a list of visits")
         for i, v in enumerate(p):
             _typed(v, str, f"ship_paths.{s}[{i}]")
-    scalars = {k: doc.get(k) for k in ("objective", "bound")}
-    for k, v in scalars.items():
-        if v is not None:
-            _typed(v, float, k)
+    scalars = {k: None if doc.get(k) is None else _finite(doc[k], float, k) for k in ("objective", "bound")}
     return Solution(
-        method=doc.get("method", ""),
-        status=doc.get("status", ""),
+        method=_typed(doc.get("method", ""), str, "method"),
+        status=_typed(doc.get("status", ""), str, "status"),
         objective=scalars["objective"],
         bound=scalars["bound"],
         ship_paths={s: tuple(p) for s, p in paths.items()},

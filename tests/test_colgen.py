@@ -7,14 +7,14 @@ from lsfrp.colgen import (
     MasterDuals,
     RestrictedMaster,
     _BranchState,
+    artificial_profit,
     initial_columns,
-    make_dummy,
     price_ship,
     run_column_generation,
     solve_rmp,
 )
 from lsfrp.formulations import build_ship_revised, solve_arcflow
-from lsfrp.instance import build_reach_index, path_count
+from lsfrp.instance import Demand, Instance, Visit, build_reach_index, make_arc, path_count
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import CompactPricing
 from lsfrp.oracle import brute_force_solve
@@ -45,7 +45,7 @@ def _solve_fresh(ins, cols, state=None):
 def _greedy(ins, engine=None):
     """Greedy start columns in a run's ship order: ascending path count."""
     engine = engine or ArcFlowPricing(ins, build_reach_index(ins))
-    return initial_columns(ins, engine, sorted(ins.ships, key=lambda s: path_count(ins, s.id)))
+    return initial_columns(engine, sorted(ins.ships, key=lambda s: path_count(ins, s.id)))
 
 
 def test_rmp_disjoint_columns_all_selected():
@@ -60,28 +60,27 @@ def test_rmp_disjoint_columns_all_selected():
     assert set(duals.pi) == {"s0", "s1"}
 
 
-def test_rmp_shared_node_forces_dummy():
+def test_rmp_shared_node_forces_artificial():
     ins = shared_corridor()
     cols = [
-        make_dummy(ins, "s1"),
-        make_dummy(ins, "s2"),
         _col("s1", ("a", "c", "tau"), {"a", "c"}, 10.0),
         _col("s2", ("b", "c", "tau"), {"b", "c"}, 8.0),
     ]
     # the relaxed master's optimum here is integral
     sol, _ = _solve_fresh(ins, cols)
     assert sol.status == lp.OPTIMAL
-    chosen = [k for k in range(4) if sol.x[k] > 0.5]
-    # exactly one real column survives, the other ship rides its dummy
-    assert len(chosen) == 2
-    reals = [k for k in chosen if k >= 2]
-    assert len(reals) == 1 and cols[reals[0]].profit == 10.0
+    # exactly one column survives, the other ship rides its artificial
+    chosen = [k for k in range(2) if sol.x[k] > 0.5]
+    assert chosen == [0]
+    assert sol.objective == pytest.approx(10.0 + artificial_profit(ins))
 
 
-def test_rmp_requires_column_per_ship():
+def test_rmp_ship_without_column_rides_its_artificial():
     ins = shared_corridor()
-    with pytest.raises(ValueError):
-        _solve_fresh(ins, [make_dummy(ins, "s1")])
+    sol, duals = _solve_fresh(ins, [])
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(2 * artificial_profit(ins))
+    assert duals.pi == pytest.approx({"s1": artificial_profit(ins), "s2": artificial_profit(ins)})
 
 
 def test_rmp_t1_picks_best_path_column():
@@ -100,21 +99,18 @@ def test_initial_columns_t1():
     cols = _greedy(ins)
     assert len(cols) == 1
     assert cols[0].profit == pytest.approx(T1_OPT)
-    assert not cols[0].is_dummy
 
 
 def test_initial_columns_isolated_start():
     cols = _greedy(isolated_start())
     assert len(cols) == 1
     assert cols[0].path == ("a", "tau")
-    assert not cols[0].is_dummy
 
 
 def test_initial_columns_shared_corridor_second_ship_has_none():
-    # the master's dummy columns cover the ship the greedy start leaves out
+    # the master's artificials cover the ship the greedy start leaves out
     cols = _greedy(shared_corridor())
     assert len(cols) == 1
-    assert not cols[0].is_dummy
 
 
 def test_price_ship_zero_duals_returns_best_column():
@@ -154,8 +150,39 @@ def test_run_t1():
     sol = run_column_generation(t1())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(T1_OPT)
-    assert sol.diagnostics.bnb_nodes == 0
+    assert sol.diagnostics.bnb_nodes == 1
     assert sol.meta["root_master_integral"]
+
+
+@pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
+def test_integral_root_is_the_only_node(monkeypatch, method):
+    from lsfrp import colgen
+    from lsfrp.cli import run_method
+
+    loops = []
+    real = colgen._cg_loop
+    monkeypatch.setattr(colgen, "_cg_loop", lambda *args: loops.append(1) or real(*args))
+    sol = run_method(t1(), method)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(T1_OPT)
+    assert sol.meta["root_master_integral"]
+    assert len(loops) == sol.diagnostics.bnb_nodes == 1
+
+
+@pytest.mark.parametrize("method", ["reduced", "reduced-tight", "revised", "colgen", "colgen-lazy", "oracle"])
+def test_empty_fleet_is_optimal_at_zero(method):
+    from lsfrp.cli import run_method
+
+    # two visits and one demand, but no ship to carry it
+    ins = Instance(
+        [], [Visit("v0"), Visit("v1")], "tau",
+        [make_arc("v0", "v1", {"T0": 0}), make_arc("v1", "tau", {"T0": 0})],
+        [Demand("m1", "v0", frozenset({"v1"}), "dc", 10, 5)],
+    )
+    sol = run_method(ins, method)
+    assert (sol.status, sol.objective, sol.bound) == (OPTIMAL, 0.0, 0.0)
+    # every search counts its root; the oracle enumerates and searches nothing
+    assert sol.diagnostics.bnb_nodes == (0 if method == "oracle" else 1)
 
 
 def test_run_no_disjoint_routing():
@@ -178,8 +205,7 @@ def test_rmp_objective_nondecreasing_and_termination_certificate():
     ins = generate_random(GeneratorParams(ships=3, visits=11, demands=8, seed=77))
     reach = build_reach_index(ins)
     engine = ArcFlowPricing(ins, reach)
-    columns = [make_dummy(ins, s.id) for s in ins.ships]
-    columns += [c for c in _greedy(ins, engine) if not c.is_dummy]
+    columns = _greedy(ins, engine)
     objs = []
     while True:
         sol, duals = _solve_fresh(ins, columns)
@@ -215,8 +241,6 @@ def test_columns_are_simple_paths():
     reach = build_reach_index(ins)
     engine = ArcFlowPricing(ins, reach)
     for col in _greedy(ins, engine):
-        if col.is_dummy:
-            continue
         inner = col.path[:-1]
         assert len(set(inner)) == len(inner)
         assert col.nodes == frozenset(inner)
@@ -431,7 +455,7 @@ def test_growing_master_matches_one_shot_master(monkeypatch, branched):
             required=((node, col.ship),),
         )
     starts = record_seeded_starts(monkeypatch)
-    columns = [make_dummy(ins, s.id) for s in ins.ships]
+    columns = []
     master = RestrictedMaster(ins, state)
     banned = 0
     for col in sequence:

@@ -135,10 +135,13 @@ def test_parse_names_the_malformed_instance_entry(key, index, name, value, where
          "demand_flows[0].ship: None is not a string"),
         (lambda doc: {**doc, "empty_flows": [{"cargo_type": "dc", "ship": "s1", "from": 1, "to": "b",
                                               "amount": 1}]}, "empty_flows[0].from: 1 is not a string"),
+        (lambda doc: {**doc, "method": 5}, "method: 5 is not a string"),
+        (lambda doc: {**doc, "status": [1]}, "status: [1] is not a string"),
+        (lambda doc: {**doc, "objective": 1e999}, "objective: inf is not finite"),
     ],
     ids=["top-level", "flow-field", "flow-entry", "empty-flow-amount", "ship-path", "diagnostics",
          "objective", "bound", "diagnostics-field", "cut-counts", "ship-path-entry", "flow-ship",
-         "empty-flow-from"],
+         "empty-flow-from", "method", "status", "objective-infinite"],
 )
 def test_parse_solution_names_the_malformed_entry(edit, where):
     doc = json.loads(write_solution(brute_force_solve(t1())).decode())
