@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .colgen import run_column_generation
 from .formulations import UnsupportedInstanceError, solve_arcflow
@@ -29,7 +30,7 @@ from .io import (
 from .lazy import run_colgen_lazy
 from .lp import NumericalBreakdownError
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, brute_force_solve
-from .solution import BREAKDOWN, OPTIMAL, REFUSED, TIME_LIMIT, Solution
+from .solution import BREAKDOWN, OPTIMAL, REFUSED, TIME_LIMIT, Diagnostics, Solution
 
 METHODS = ("reduced", "reduced-tight", "revised", "colgen", "colgen-lazy", "oracle")
 
@@ -55,26 +56,29 @@ def run_method(
     oracle_budget: int = DEFAULT_BUDGET,
     log=None,
 ) -> Solution:
-    """Dispatch one solve; statuses are normalized into the Solution."""
+    """Dispatch one solve; statuses are normalized into the Solution, and
+    its diagnostics.wall_time_sec is the time of this call."""
+    t0 = time.monotonic()
     try:
         if method == "oracle":
             try:
-                return brute_force_solve(instance, budget=oracle_budget)
+                sol = brute_force_solve(instance, budget=oracle_budget)
             except OracleBudgetError as exc:
                 sol = Solution(method="oracle", status=REFUSED)
                 sol.meta["refusal"] = str(exc)
-                return sol
-        if method in ("reduced", "reduced-tight", "revised"):
-            return solve_arcflow(instance, method, time_limit=time_limit)
-        if method == "colgen":
-            return run_column_generation(instance, time_limit, log)
-        if method == "colgen-lazy":
-            return run_colgen_lazy(instance, time_limit, log)
+        elif method in ("reduced", "reduced-tight", "revised"):
+            sol = solve_arcflow(instance, method, time_limit=time_limit)
+        elif method == "colgen":
+            sol = run_column_generation(instance, time_limit, log)
+        elif method == "colgen-lazy":
+            sol = run_colgen_lazy(instance, time_limit, log)
+        else:
+            raise _CliError(f"unknown method {method!r}")
     except NumericalBreakdownError as exc:
         sol = Solution(method=method, status=BREAKDOWN)
         sol.meta["refusal"] = f"numerical breakdown in the embedded solver: {exc}"
-        return sol
-    raise _CliError(f"unknown method {method!r}")
+    sol.diagnostics.wall_time_sec = time.monotonic() - t0
+    return sol
 
 
 def _exit_code_for(solution: Solution) -> int:
@@ -128,7 +132,6 @@ def cmd_solve(args) -> int:
                 "method": args.method,
                 "empty_revenue": args.empty_revenue,
                 "time_limit": args.time_limit,
-                "seed": args.seed,
             },
         }
     )
@@ -144,75 +147,33 @@ def cmd_solve(args) -> int:
 # -- compare ------------------------------------------------------------------------
 
 
-@dataclass
-class ReportRow:
-    label: str
-    method: str
-    status: str
-    objective: float | None
-    wall_time_sec: float
-    columns: int
-    bnb_nodes: int
-    cuts_dc: int
-    cuts_rf: int
-    rows: int
-    cols: int
-    nonzeros: int
-    mismatch: bool = False
+DIAGNOSTICS = [f.name for f in fields(Diagnostics)]
+CSV_COLUMNS = ["label", "method", "status", "objective", *DIAGNOSTICS, "mismatch"]
 
 
-CSV_COLUMNS = [f.name for f in fields(ReportRow)]
+def _cells(label: str, method: str, sol: Solution) -> list[str]:
+    """A compare row but its mismatch cell: the run, then every Diagnostics
+    field in declaration order, a per-ship count as its total."""
+    cells = [label, method, sol.status, "" if sol.objective is None else f"{sol.objective:.9g}"]
+    for name in DIAGNOSTICS:
+        value = getattr(sol.diagnostics, name)
+        if isinstance(value, dict):
+            value = sum(value.values())
+        cells.append(f"{value:.4f}" if isinstance(value, float) else str(value))
+    return cells
 
 
-def _report_row(label: str, method: str, sol: Solution, elapsed: float) -> ReportRow:
-    d = sol.diagnostics
-    return ReportRow(
-        label=label,
-        method=method,
-        status=sol.status,
-        objective=sol.objective,
-        wall_time_sec=round(elapsed, 4),
-        columns=d.columns_generated,
-        bnb_nodes=d.bnb_nodes,
-        cuts_dc=d.total_cuts_dc,
-        cuts_rf=d.total_cuts_rf,
-        rows=d.model_rows,
-        cols=d.model_cols,
-        nonzeros=d.model_nonzeros,
-    )
+def _render_text(rows: list[tuple[list[str], bool]]) -> str:
+    table = [CSV_COLUMNS] + [cells + ["MISMATCH" if bad else ""] for cells, bad in rows]
+    widths = [max(len(t[c]) for t in table) for c in range(len(CSV_COLUMNS))]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(t, widths)).rstrip() + "\n" for t in table)
 
 
-def _render_text(rows: list[ReportRow]) -> str:
-    headers = ["method", "status", "objective", "time(s)", "cols", "nodes",
-               "cuts_dc", "cuts_rf", "rows", "vars", "nnz", ""]
-    table = []
-    for r in rows:
-        table.append([
-            r.label, r.status,
-            "-" if r.objective is None else f"{r.objective:.4f}",
-            f"{r.wall_time_sec:.3f}", str(r.columns), str(r.bnb_nodes),
-            str(r.cuts_dc), str(r.cuts_rf), str(r.rows), str(r.cols),
-            str(r.nonzeros), "MISMATCH" if r.mismatch else "",
-        ])
-    widths = [max(len(headers[c]), *(len(t[c]) for t in table)) if table else len(headers[c])
-              for c in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for t in table:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(t, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(rows: list[ReportRow]) -> str:
+def _render_csv(rows: list[tuple[list[str], bool]]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([
-            r.label, r.method, r.status,
-            "" if r.objective is None else f"{r.objective:.9g}",
-            f"{r.wall_time_sec:.4f}", r.columns, r.bnb_nodes, r.cuts_dc,
-            r.cuts_rf, r.rows, r.cols, r.nonzeros, int(r.mismatch),
-        ])
+    writer.writerows(cells + [int(bad)] for cells, bad in rows)
     return buf.getvalue()
 
 
@@ -227,32 +188,27 @@ def cmd_compare(args) -> int:
         raise _CliError("no methods given")
     revenues = args.empty_revenue if args.empty_revenue else [None]
 
-    rows: list[ReportRow] = []
-    mismatch = False
+    rows: list[tuple[list[str], bool]] = []  # (cells, mismatch)
     for rev in revenues:
         instance = _load_instance(args.instance, rev)
-        group: list[ReportRow] = []
+        ref = None  # the objective of the group's first optimal run
         for m in methods:
             label = m if rev is None else f"{m}@rev={rev:g}"
-            t0 = time.monotonic()
             try:
                 sol = run_method(instance, m, args.time_limit, args.oracle_budget)
             except UnsupportedInstanceError as exc:
                 raise _CliError(f"{m}: {exc}")
-            group.append(_report_row(label, m, sol, time.monotonic() - t0))
-        solved = [r for r in group if r.status == OPTIMAL and r.objective is not None]
-        if len(solved) > 1:
-            ref = solved[0].objective
-            for r in solved[1:]:
-                if abs(r.objective - ref) > MISMATCH_TOL * (1 + abs(ref)):
-                    r.mismatch = True
-                    mismatch = True
-        rows.extend(group)
+            bad = False
+            if sol.status == OPTIMAL and sol.objective is not None:
+                if ref is None:
+                    ref = sol.objective
+                else:
+                    bad = abs(sol.objective - ref) > MISMATCH_TOL * (1 + abs(ref))
+            rows.append((_cells(label, m, sol), bad))
 
-    text = _render_text(rows)
-    sys.stdout.write(text)
+    sys.stdout.write(_render_text(rows))
     _emit(_render_csv(rows).encode("utf-8"), args.csv)
-    if mismatch:
+    if any(bad for _, bad in rows):
         print("objective MISMATCH across methods", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
@@ -289,12 +245,12 @@ def cmd_generate(args) -> int:
 
 
 def _at_least_zero(kind):
-    """argparse type for a limit or money flag: a kind that is at least 0
-    (not nan)."""
+    """argparse type for a limit or money flag: a kind that is finite and
+    at least 0."""
 
     def parse(text: str):
         value = kind(text)
-        if not value >= 0:
+        if not (math.isfinite(value) and value >= 0):
             raise argparse.ArgumentTypeError(f"{text!r} is not a number >= 0")
         return value
 
@@ -320,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override empty-equipment revenue (cents per TEU, both types)")
     p_solve.add_argument("--time-limit", type=_at_least_zero(float), default=None)
     p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--seed", type=int, default=0, help="echoed into solution metadata")
     p_solve.add_argument("--oracle-budget", type=_at_least_zero(int), default=DEFAULT_BUDGET)
     p_solve.add_argument("--verbose", action="store_true",
                          help="print column-generation progress lines to stderr")

@@ -231,23 +231,22 @@ class PricingModel:
 
 class PricingEngine:
     """The ships' pricing models, each built by the engine's ``build`` on
-    its ship's first call whose exclusions leave the start open; None for a
-    ship without a start arc.  ``method`` names the column generation
-    method the engine prices for."""
+    its ship's first call whose exclusions leave the start open (every
+    validated start has an arc, so every build yields a model).
+    ``method`` names the column generation method the engine prices for."""
 
     method: str
 
     def __init__(self, instance: Instance, reach: ReachIndex):
         self.instance = instance
         self.reach = reach
-        self.models: dict[str, PricingModel | None] = {}
+        self.models: dict[str, PricingModel] = {}
 
-    def build(self, ship: Ship) -> PricingModel | None:
+    def build(self, ship: Ship) -> PricingModel:
         raise NotImplementedError
 
     def model(self, ship_id: str, excluded: frozenset[str]) -> PricingModel | None:
-        """The ship's pricing model, or None when its start is excluded or
-        it has none."""
+        """The ship's pricing model, or None when its start is excluded."""
         ship = self.instance.ship_by_id[ship_id]
         if ship.start_visit in excluded:
             return None
@@ -258,7 +257,7 @@ class PricingEngine:
     def fill_diagnostics(self, diag: Diagnostics) -> None:
         """Pricing B&B nodes, and the rows, columns and nonzeros of the
         models built so far, each averaged over them and rounded."""
-        built = [m for m in self.models.values() if m is not None]
+        built = list(self.models.values())
         diag.pricing_bnb_nodes = sum(m.nodes for m in built)
         if built:
             diag.model_rows, diag.model_cols, diag.model_nonzeros = (
@@ -277,11 +276,8 @@ class ArcFlowPricing(PricingEngine):
         _reject_empties(instance)
         super().__init__(instance, reach)
 
-    def build(self, ship: Ship) -> PricingModel | None:
-        built = build_ship_revised(self.instance, self.reach, ship)
-        if built is None:
-            return None
-        model, vars_ = built
+    def build(self, ship: Ship) -> PricingModel:
+        model, vars_ = build_ship_revised(self.instance, self.reach, ship)
         # a reader closing over self would make a reference cycle (engine,
         # model, reader) that only the cyclic garbage collector frees
         ins = self.instance
@@ -489,11 +485,10 @@ def run_column_generation(
     receives one machine-parsable progress line per master solve.
 
     Every status leaves through one exit, which fills in the engine's
-    counters and model sizes and the wall time: a time limit reports what
-    was built and counted before it.
+    counters and model sizes: a time limit reports what was built and
+    counted before it.
     """
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     pricing = engine(instance, build_reach_index(instance))
     diag = Diagnostics()
     try:
@@ -501,5 +496,4 @@ def run_column_generation(
     except ColgenTimeout:
         sol = Solution(method=engine.method, status=TIME_LIMIT, diagnostics=diag)
     pricing.fill_diagnostics(diag)
-    diag.wall_time_sec = time.monotonic() - t0
     return sol

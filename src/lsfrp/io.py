@@ -36,7 +36,7 @@ class ParseError(ValueError):
 
 
 def _canonical(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _money_out(value: float, where: str) -> int:
@@ -284,7 +284,8 @@ def write_solution(solution: Solution) -> bytes:
 
 
 def _diagnostics(value) -> Diagnostics:
-    """Diagnostics from its object; each field must have its default's type."""
+    """Diagnostics from its object; each field must have its default's
+    type, and a float field must be finite."""
     diag = _mapping(value, "diagnostics")
     checked = {}
     for f in fields(Diagnostics):
@@ -293,6 +294,8 @@ def _diagnostics(value) -> Diagnostics:
             if f.default_factory is dict:  # per-ship cut counts
                 counts = _mapping(diag[f.name], where)
                 checked[f.name] = {k: _typed(n, int, f"{where}.{k}") for k, n in counts.items()}
+            elif isinstance(f.default, float):
+                checked[f.name] = _finite(diag[f.name], float, where)
             else:
                 checked[f.name] = _typed(diag[f.name], type(f.default), where)
     return Diagnostics(**checked)

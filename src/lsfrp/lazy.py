@@ -416,10 +416,8 @@ class CompactPricing(PricingEngine):
         super().__init__(instance, reach)
         self.contexts: dict[str, CompactModel] = {}  # ship -> its compact model, once built
 
-    def build(self, ship: Ship) -> PricingModel | None:
+    def build(self, ship: Ship) -> PricingModel:
         ctx = build_compact_pricing(self.instance, ship.id, reach=self.reach)
-        if ctx is None:
-            return None
         self.contexts[ship.id] = ctx
         return PricingModel(ctx.model, ctx.yvars, self.instance, ship, partial(replay_column, ctx))
 

@@ -1,11 +1,13 @@
 import argparse
+import csv
 import json
 from dataclasses import fields
 
 import pytest
 
-from lsfrp.cli import build_parser, main
+from lsfrp.cli import METHODS, build_parser, main, run_method
 from lsfrp.io import GeneratorParams, generate_random, parse_solution, write_instance
+from lsfrp.solution import REFUSED, Diagnostics
 
 from fixtures import T1_OPT, empty_repos19, shared_corridor, t1
 
@@ -49,9 +51,9 @@ def test_solve_bad_flags_usage_exit():
 @pytest.mark.parametrize("command, method_flag", [("solve", "--method"), ("compare", "--methods")])
 @pytest.mark.parametrize(
     "flag, value",
-    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--oracle-budget", "-3"),
-     ("--empty-revenue", "-500"), ("--empty-revenue", "nan"), ("--empty-revenue", "inf"),
-     ("--empty-revenue", "1.5")],
+    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--time-limit", "inf"),
+     ("--oracle-budget", "-3"), ("--empty-revenue", "-500"), ("--empty-revenue", "nan"),
+     ("--empty-revenue", "inf"), ("--empty-revenue", "1.5")],
 )
 def test_bad_limit_flags_are_usage_errors(t1_path, capsys, command, method_flag, flag, value):
     assert main([command, "--instance", t1_path, method_flag, "oracle", flag, value]) == 64
@@ -161,6 +163,37 @@ def test_compare_all_methods_agree(t1_path, tmp_path, capsys):
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0].startswith("label,method,status,objective")
     assert len(rows) == 7  # header + five methods + oracle
+
+
+def test_compare_prints_every_diagnostics_field(t1_path, tmp_path, capsys):
+    report, out = tmp_path / "report.csv", tmp_path / "sol.json"
+    assert main(["compare", "--instance", t1_path, "--methods", "colgen-lazy", "--csv", str(report)]) == 0
+    text = capsys.readouterr().out
+    with open(report, newline="", encoding="utf-8") as fh:
+        header, row = csv.reader(fh)
+    names = [f.name for f in fields(Diagnostics)]
+    assert header == ["label", "method", "status", "objective", *names, "mismatch"]
+    # the text table shows the same cells, the mismatch cell blank
+    assert [line.split() for line in text.splitlines()] == [header, row[:-1]]
+    assert main(["solve", "--instance", t1_path, "--method", "colgen-lazy", "--out", str(out)]) == 0
+    diag = parse_solution(out.read_bytes()).diagnostics
+    assert diag.rmp_iterations > 0 and diag.pricing_bnb_nodes > 0
+    cells = dict(zip(header, row))
+    for name in names:
+        if name != "wall_time_sec":
+            value = getattr(diag, name)
+            assert cells[name] == str(sum(value.values()) if isinstance(value, dict) else value), name
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_method_times_every_result(method):
+    assert run_method(t1(), method).diagnostics.wall_time_sec > 0.0
+
+
+def test_run_method_times_an_oracle_refusal():
+    sol = run_method(t1(), "oracle", oracle_budget=0)
+    assert sol.status == REFUSED
+    assert sol.diagnostics.wall_time_sec > 0.0
 
 
 def test_compare_empty_revenue_pair(tmp_path, capsys):

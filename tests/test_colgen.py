@@ -266,7 +266,6 @@ def test_time_limit_before_pricing_reports_model_sizes(engine):
     assert sol.status == TIME_LIMIT
     diag = sol.diagnostics
     assert diag.model_rows > 0 and diag.model_cols > 0 and diag.model_nonzeros > 0
-    assert diag.wall_time_sec > 0.0
 
 
 def test_progress_log_lines_machine_parsable():

@@ -138,10 +138,12 @@ def test_parse_names_the_malformed_instance_entry(key, index, name, value, where
         (lambda doc: {**doc, "method": 5}, "method: 5 is not a string"),
         (lambda doc: {**doc, "status": [1]}, "status: [1] is not a string"),
         (lambda doc: {**doc, "objective": 1e999}, "objective: inf is not finite"),
+        (lambda doc: {**doc, "diagnostics": {"wall_time_sec": 1e999}},
+         "diagnostics.wall_time_sec: inf is not finite"),
     ],
     ids=["top-level", "flow-field", "flow-entry", "empty-flow-amount", "ship-path", "diagnostics",
          "objective", "bound", "diagnostics-field", "cut-counts", "ship-path-entry", "flow-ship",
-         "empty-flow-from", "method", "status", "objective-infinite"],
+         "empty-flow-from", "method", "status", "objective-infinite", "diagnostics-infinite"],
 )
 def test_parse_solution_names_the_malformed_entry(edit, where):
     doc = json.loads(write_solution(brute_force_solve(t1())).decode())
