@@ -30,7 +30,8 @@ from .io import (
 from .lazy import run_colgen_lazy
 from .lp import NumericalBreakdownError
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, brute_force_solve
-from .solution import BREAKDOWN, OPTIMAL, REFUSED, TIME_LIMIT, Diagnostics, Solution
+from .solution import BREAKDOWN, INFEASIBLE, NO_DISJOINT_ROUTING, OPTIMAL, REFUSED, TIME_LIMIT
+from .solution import Diagnostics, Solution
 
 METHODS = ("reduced", "reduced-tight", "revised", "colgen", "colgen-lazy", "oracle")
 
@@ -191,25 +192,29 @@ def cmd_compare(args) -> int:
     rows: list[tuple[list[str], bool]] = []  # (cells, mismatch)
     for rev in revenues:
         instance = _load_instance(args.instance, rev)
-        ref = None  # the objective of the group's first optimal run
+        ref = None  # the answer of the group's first run with one
         for m in methods:
             label = m if rev is None else f"{m}@rev={rev:g}"
             try:
                 sol = run_method(instance, m, args.time_limit, args.oracle_budget)
             except UnsupportedInstanceError as exc:
                 raise _CliError(f"{m}: {exc}")
-            bad = False
-            if sol.status == OPTIMAL and sol.objective is not None:
-                if ref is None:
-                    ref = sol.objective
-                else:
-                    bad = abs(sol.objective - ref) > MISMATCH_TOL * (1 + abs(ref))
+            # the run's answer, if it has one: its optimum, or that no disjoint
+            # routing exists, which the arc-flow methods report as infeasible
+            answers = {OPTIMAL: sol.objective, INFEASIBLE: INFEASIBLE, NO_DISJOINT_ROUTING: INFEASIBLE}
+            answer, bad = answers.get(sol.status), False
+            if ref is None:
+                ref = answer
+            elif answer is not None and INFEASIBLE in (ref, answer):
+                bad = ref != answer
+            elif answer is not None:
+                bad = abs(answer - ref) > MISMATCH_TOL * (1 + abs(ref))
             rows.append((_cells(label, m, sol), bad))
 
     sys.stdout.write(_render_text(rows))
     _emit(_render_csv(rows).encode("utf-8"), args.csv)
     if any(bad for _, bad in rows):
-        print("objective MISMATCH across methods", file=sys.stderr)
+        print("answer MISMATCH across methods", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 

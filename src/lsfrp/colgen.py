@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from . import lp
 from .formulations import _reject_empties, build_ship_revised, evaluate_objective, extract_solution
-from .instance import Instance, ReachIndex, Ship, build_reach_index, path_count
+from .instance import Instance, Ship, build_reach_index, path_count
 from .lp import EQ, GE, LE, LinearModel
 from .solution import (
     NO_DISJOINT_ROUTING,
@@ -237,9 +237,8 @@ class PricingEngine:
 
     method: str
 
-    def __init__(self, instance: Instance, reach: ReachIndex):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.reach = reach
         self.models: dict[str, PricingModel] = {}
 
     def build(self, ship: Ship) -> PricingModel:
@@ -272,12 +271,12 @@ class ArcFlowPricing(PricingEngine):
 
     method = "colgen"
 
-    def __init__(self, instance: Instance, reach: ReachIndex):
+    def __init__(self, instance: Instance):
         _reject_empties(instance)
-        super().__init__(instance, reach)
+        super().__init__(instance)
 
     def build(self, ship: Ship) -> PricingModel:
-        model, vars_ = build_ship_revised(self.instance, self.reach, ship)
+        model, vars_ = build_ship_revised(self.instance, ship)
         # a reader closing over self would make a reference cycle (engine,
         # model, reader) that only the cyclic garbage collector frees
         ins = self.instance
@@ -489,7 +488,8 @@ def run_column_generation(
     counted before it.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    pricing = engine(instance, build_reach_index(instance))
+    build_reach_index(instance)  # validates the instance
+    pricing = engine(instance)
     diag = Diagnostics()
     try:
         sol = _branch_and_price(instance, pricing, engine.method, log, deadline, diag)

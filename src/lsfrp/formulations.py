@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 
 from . import lp
-from .instance import Instance, ReachIndex, build_reach_index
+from .instance import Instance, build_reach_index
 from .lp import EQ, GE, LE, LinearModel
 from .solution import (
     INFEASIBLE,
@@ -103,7 +103,6 @@ def _cargo_objective(instance: Instance, demand_id: str, i: str, j: str) -> floa
 def add_ship_arcs(
     model: LinearModel,
     instance: Instance,
-    reach: ReachIndex,
     ship,
     node_price: dict[str, float] | None = None,
     excluded: frozenset[str] = frozenset(),
@@ -111,6 +110,7 @@ def add_ship_arcs(
     """A ship's binary arc variables y[(i, j)]: every arc whose tail the ship
     can reach from its start, less those touching an excluded visit.  Each
     costs its sail cost, the port fee of its head and the head's node price."""
+    reach = build_reach_index(instance)
     node_price = node_price or {}
     sink = instance.sink
     yvars = {}
@@ -174,7 +174,6 @@ def add_path_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]
 def add_cargo(
     model: LinearModel,
     instance: Instance,
-    reach: ReachIndex,
     yvars: dict[str, dict],
     pooled: bool = False,
     link: bool = True,
@@ -189,6 +188,7 @@ def add_cargo(
     capacities and an availability gate at each origin; then come the
     flow/absorption rows and, with link=True, the link rows
     x <= ub(x) * (sum over the carrier's ships of their arc variable)."""
+    reach = build_reach_index(instance)
     if pooled:
         carriers = [((), list(yvars), sorted(instance.demand_by_id))]
     else:
@@ -306,39 +306,34 @@ def _add_node_once_rows(model: LinearModel, instance: Instance, yvars: dict[str,
 # -- the models -------------------------------------------------------------------
 
 
-def build_reduced(
-    instance: Instance, reach: ReachIndex | None = None, tighten: bool = False
-) -> tuple[LinearModel, ArcFlowVars]:
+def build_reduced(instance: Instance, tighten: bool = False) -> tuple[LinearModel, ArcFlowVars]:
     """Reduced MIP: node-once rows, then every ship's path rows and one
     cargo block with every ship pooled; tighten=True adds its link rows."""
-    reach = reach or build_reach_index(instance)  # validates the instance
+    build_reach_index(instance)  # validates the instance
     _reject_empties(instance)
     model = LinearModel("reduced" + ("-tight" if tighten else ""))
-    yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
+    yvars = {s.id: add_ship_arcs(model, instance, s) for s in instance.ships}
     _add_node_once_rows(model, instance, yvars)
     add_path_rows(model, instance, yvars)
-    xvars = add_cargo(model, instance, reach, yvars, pooled=True, link=tighten)
+    xvars = add_cargo(model, instance, yvars, pooled=True, link=tighten)
     return model, ArcFlowVars(yvars, xvars)
 
 
-def build_revised(
-    instance: Instance, reach: ReachIndex | None = None
-) -> tuple[LinearModel, ArcFlowVars]:
+def build_revised(instance: Instance) -> tuple[LinearModel, ArcFlowVars]:
     """Revised MIP: node-once rows, then every ship's path rows and cargo
     block, with cargo variables disaggregated per ship."""
-    reach = reach or build_reach_index(instance)  # validates the instance
+    build_reach_index(instance)  # validates the instance
     _reject_empties(instance)
     model = LinearModel("revised")
-    yvars = {s.id: add_ship_arcs(model, instance, reach, s) for s in instance.ships}
+    yvars = {s.id: add_ship_arcs(model, instance, s) for s in instance.ships}
     _add_node_once_rows(model, instance, yvars)
     add_path_rows(model, instance, yvars)
-    xvars = add_cargo(model, instance, reach, yvars)
+    xvars = add_cargo(model, instance, yvars)
     return model, ArcFlowVars(yvars, xvars)
 
 
 def build_ship_revised(
     instance: Instance,
-    reach: ReachIndex,
     ship,
     node_price: dict[str, float] | None = None,
     excluded: frozenset[str] = frozenset(),
@@ -346,22 +341,20 @@ def build_ship_revised(
     """The revised model of one ship without the node-once rows: the
     arc-flow pricing model.  None when no arc leaves the ship's start."""
     model = LinearModel(f"price[{ship.id}]")
-    yvars = {ship.id: add_ship_arcs(model, instance, reach, ship, node_price, excluded)}
+    yvars = {ship.id: add_ship_arcs(model, instance, ship, node_price, excluded)}
     if not leaves_start(instance, ship, yvars[ship.id]):
         return None
     add_path_rows(model, instance, yvars)
-    xvars = add_cargo(model, instance, reach, yvars)
+    xvars = add_cargo(model, instance, yvars)
     return model, ArcFlowVars(yvars, xvars)
 
 
-def build_arcflow(
-    instance: Instance, method: str, reach: ReachIndex | None = None
-) -> tuple[LinearModel, ArcFlowVars]:
+def build_arcflow(instance: Instance, method: str) -> tuple[LinearModel, ArcFlowVars]:
     """The arc-flow MIP a method names: reduced, reduced-tight or revised."""
     if method in ("reduced", "reduced-tight"):
-        return build_reduced(instance, reach, tighten=method == "reduced-tight")
+        return build_reduced(instance, tighten=method == "reduced-tight")
     if method == "revised":
-        return build_revised(instance, reach)
+        return build_revised(instance)
     raise ValueError(f"unknown arc-flow method {method!r}")
 
 
@@ -466,7 +459,8 @@ def evaluate_objective(instance: Instance, solution: Solution) -> float:
 def solve_arcflow(instance: Instance, method: str, time_limit: float | None = None) -> Solution:
     """Solve via one of the arc-flow MIPs: reduced, reduced-tight, revised."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    model, vars_ = build_arcflow(instance, method, build_reach_index(instance))
+    build_reach_index(instance)  # validates the instance
+    model, vars_ = build_arcflow(instance, method)
     mip = lp.solve_mip(model, deadline=deadline)
     rows, cols, nnz = model.size_triple()
     diag = Diagnostics(bnb_nodes=mip.nodes, model_rows=rows, model_cols=cols, model_nonzeros=nnz)

@@ -5,8 +5,8 @@ arcs are feasible sailings, and one artificial sink collects every ship at
 the end of its repositioning window.  All monetary fields are plain floats
 (files store them as integer cents, see lsfrp.io).
 
-This module owns validation, reachability precomputation and the per-ship
-derived sets used by every solver.
+This module owns validation, reachability precomputation (one ReachIndex per
+instance, kept on it) and the per-ship derived sets used by every solver.
 """
 
 from __future__ import annotations
@@ -143,6 +143,7 @@ class Instance:
 
         # computed eagerly: the instance is immutable and shareable afterwards
         self._topo = self._compute_topo()
+        self._reach: ReachIndex | None = None  # built on first use, by build_reach_index
 
     # -- basic graph helpers -------------------------------------------------
 
@@ -248,7 +249,11 @@ def validate(instance: Instance) -> ValidationReport:
             rep.add(f"visit {v.id!r} has negative move_cost")
 
     caps_by_type: dict[str, tuple[float, float]] = {}
+    starter: dict[str, str] = {}  # start visit -> first ship; node-once rows miss a shared start
     for s in instance.ships:
+        if s.start_visit in starter:
+            rep.add(f"ships {starter[s.start_visit]!r} and {s.id!r} share start visit {s.start_visit!r}")
+        starter.setdefault(s.start_visit, s.id)
         if s.start_visit not in instance.visit_by_id:
             rep.add(f"ship {s.id!r} starts at undefined visit {s.start_visit!r}")
         elif not instance.out_arcs[s.start_visit]:
@@ -348,7 +353,10 @@ class ReachIndex:
 
     def __init__(self, instance: Instance):
         ensure_valid(instance)
-        self.instance = instance
+        # the graph, not the instance, which keeps this index: no reference cycle
+        self.node_ids = instance.node_ids
+        self.out_arcs = instance.out_arcs
+        self.sink = instance.sink
         self._idx = {n: i for i, n in enumerate(instance.node_ids)}
         self.fwd = _reach_masks(instance)
 
@@ -380,7 +388,7 @@ class ReachIndex:
         stack = [src] if src not in blocked else []
         while stack:
             n = stack.pop()
-            for a in self.instance.out_arcs[n]:
+            for a in self.out_arcs[n]:
                 if a.dst not in seen:
                     seen.add(a.dst)
                     if a.dst not in blocked:
@@ -391,8 +399,7 @@ class ReachIndex:
         """Arcs a demand with this origin/destination set can travel across:
         the tail must be reachable from the origin and some destination must
         be reachable from the head (endpoints i=origin and j in d included)."""
-        sink = self.instance.sink
-        tails = (i for i in self.instance.node_ids if i != sink and self.can_reach(origin, i))
+        tails = (i for i in self.node_ids if i != self.sink and self.can_reach(origin, i))
         return self._arcs_toward(tails, set(destinations))
 
     def carry_arc_set(self, origin: str, destinations: Iterable[str]) -> frozenset[tuple[str, str]]:
@@ -407,14 +414,18 @@ class ReachIndex:
         some destination is reachable."""
         arcs = set()
         for i in tails:
-            for a in self.instance.out_arcs[i]:
-                if a.dst != self.instance.sink and any(self.can_reach(a.dst, d) for d in dests):
+            for a in self.out_arcs[i]:
+                if a.dst != self.sink and any(self.can_reach(a.dst, d) for d in dests):
                     arcs.add((i, a.dst))
         return frozenset(arcs)
 
 
 def build_reach_index(instance: Instance) -> ReachIndex:
-    return ReachIndex(instance)
+    """The instance's one reach index, built and kept on the first call; an
+    invalid instance raises InvalidInstanceError on every call."""
+    if instance._reach is None:
+        instance._reach = ReachIndex(instance)
+    return instance._reach
 
 
 def path_count(instance: Instance, ship_id: str) -> int:

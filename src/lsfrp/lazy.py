@@ -82,9 +82,7 @@ def _interleaved(reach: ReachIndex, m, pool) -> bool:
     return False
 
 
-def split_demand_triples(
-    instance: Instance, ship_id: str, reach: ReachIndex | None = None
-) -> dict[str, list[frozenset[str]]]:
+def split_demand_triples(instance: Instance, ship_id: str) -> dict[str, list[frozenset[str]]]:
     """Split map for one ship's pricing model: demand id -> destination sets,
     one per variable, over the demands the ship can move.
 
@@ -94,7 +92,7 @@ def split_demand_triples(
     covers all its destinations.  The pricing model's members are built
     from this map, so it is the one splitting rule.
     """
-    reach = reach or build_reach_index(instance)
+    reach = build_reach_index(instance)
     movable = reach.movable[ship_id]
     pool = [instance.demand_by_id[mid] for mid in sorted(movable)]
     out: dict[str, list[frozenset[str]]] = {}
@@ -107,11 +105,11 @@ def split_demand_triples(
     return out
 
 
-def _members_for_ship(instance: Instance, reach: ReachIndex, ship_id: str) -> list[Member]:
+def _members_for_ship(instance: Instance, ship_id: str) -> list[Member]:
     """The ship's compact flow variables, one per destination set of its
     split map; a split demand's members are keyed "demand@destination"."""
     members: list[Member] = []
-    for mid, parts in split_demand_triples(instance, ship_id, reach).items():
+    for mid, parts in split_demand_triples(instance, ship_id).items():
         m = instance.demand_by_id[mid]
         for dests in parts:
             key = mid if len(parts) == 1 else f"{mid}@{min(dests)}"
@@ -158,8 +156,6 @@ def build_compact_pricing(
     instance: Instance,
     ship_id: str,
     node_price: dict[str, float] | None = None,
-    *,
-    reach: ReachIndex,
     excluded: frozenset[str] = frozenset(),
 ) -> CompactModel | None:
     """Per-ship compact pricing model: path rows, load-node capacities,
@@ -173,13 +169,14 @@ def build_compact_pricing(
     ship = ins.ship_by_id[ship_id]
     if ship.start_visit in excluded:
         return None
+    reach = build_reach_index(ins)
     model = LinearModel(f"compact[{ship_id}]")
-    yvars = add_ship_arcs(model, ins, reach, ship, node_price, excluded)
+    yvars = add_ship_arcs(model, ins, ship, node_price, excluded)
     if not leaves_start(ins, ship, yvars):
         return None
     add_path_rows(model, ins, {ship_id: yvars})
 
-    members = _members_for_ship(ins, reach, ship_id)
+    members = _members_for_ship(ins, ship_id)
     reachable_members = []
     xvars: dict[str, int] = {}
     gate_arcs: dict[str, frozenset[tuple[str, str]]] = {}
@@ -412,12 +409,12 @@ class CompactPricing(PricingEngine):
 
     method = "colgen-lazy"
 
-    def __init__(self, instance: Instance, reach: ReachIndex):
-        super().__init__(instance, reach)
+    def __init__(self, instance: Instance):
+        super().__init__(instance)
         self.contexts: dict[str, CompactModel] = {}  # ship -> its compact model, once built
 
     def build(self, ship: Ship) -> PricingModel:
-        ctx = build_compact_pricing(self.instance, ship.id, reach=self.reach)
+        ctx = build_compact_pricing(self.instance, ship.id)
         self.contexts[ship.id] = ctx
         return PricingModel(ctx.model, ctx.yvars, self.instance, ship, partial(replay_column, ctx))
 

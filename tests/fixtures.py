@@ -223,6 +223,16 @@ def shared_corridor() -> Instance:
     return Instance(ships, visits, "tau", arcs, [])
 
 
+def shared_start() -> Instance:
+    """Two ships that start at the same visit, which validation rejects: the
+    arc-flow node-once rows count entries, and no arc enters a start."""
+    ships = [Ship("s0", "o", 10, 0, "T0"), Ship("s1", "o", 10, 0, "T0")]
+    visits = [Visit("o"), Visit("a", time_index=1), Visit("b", time_index=1)]
+    arcs = [make_arc("o", "a", {"T0": 1}), make_arc("o", "b", {"T0": 1})]
+    arcs += [make_arc(v, "tau", Z0) for v in ("o", "a", "b")]
+    return Instance(ships, visits, "tau", arcs, [Demand("m1", "a", frozenset({"b"}), "dc", 5, 10)])
+
+
 def isolated_start() -> Instance:
     """Single ship whose only option is the direct start->sink arc."""
     ships = [Ship("s1", "a", 10, 0, "T0")]
@@ -299,9 +309,9 @@ def split_nothing(monkeypatch) -> None:
     what splitting is for."""
     from lsfrp import lazy
 
-    def whole(instance: Instance, ship_id: str, reach=None):
-        reach = reach or build_reach_index(instance)
-        return {mid: [instance.demand_by_id[mid].destinations] for mid in sorted(reach.movable[ship_id])}
+    def whole(instance: Instance, ship_id: str):
+        movable = build_reach_index(instance).movable[ship_id]
+        return {mid: [instance.demand_by_id[mid].destinations] for mid in sorted(movable)}
 
     monkeypatch.setattr(lazy, "split_demand_triples", whole)
 

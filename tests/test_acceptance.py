@@ -21,7 +21,6 @@ from lsfrp import lp
 from lsfrp.cli import main
 from lsfrp.colgen import run_column_generation
 from lsfrp.formulations import build_ship_revised, solve_arcflow
-from lsfrp.instance import build_reach_index
 from lsfrp.io import GeneratorParams, generate_random, write_instance
 from lsfrp.lazy import build_compact_pricing, capacity_violations, run_colgen_lazy
 from lsfrp.oracle import brute_force_solve
@@ -245,10 +244,9 @@ def test_criterion_8_model_size_ordering():
         )
         n_aprime = sum(1 for a in ins.arcs if a.dst != ins.sink)
         assert n_aprime >= 100, f"seed {seed} too sparse: {n_aprime}"
-        reach = build_reach_index(ins)
         for s in ins.ships:
-            arc_model, _ = build_ship_revised(ins, reach, s)
-            compact = build_compact_pricing(ins, s.id, reach=reach).model
+            arc_model, _ = build_ship_revised(ins, s)
+            compact = build_compact_pricing(ins, s.id).model
             ar, ac, az = arc_model.size_triple()
             cr, cc, cz = compact.size_triple()
             assert ar >= 2 * cr and ac >= 2 * cc and az >= 2 * cz, (

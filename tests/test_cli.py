@@ -6,10 +6,10 @@ from dataclasses import fields
 import pytest
 
 from lsfrp.cli import METHODS, build_parser, main, run_method
-from lsfrp.io import GeneratorParams, generate_random, parse_solution, write_instance
-from lsfrp.solution import REFUSED, Diagnostics
+from lsfrp.io import GeneratorParams, ParseError, generate_random, parse_instance, parse_solution, write_instance
+from lsfrp.solution import NO_DISJOINT_ROUTING, REFUSED, Diagnostics
 
-from fixtures import T1_OPT, empty_repos19, shared_corridor, t1
+from fixtures import T1_OPT, empty_repos19, shared_corridor, shared_start, t1
 
 
 @pytest.fixture
@@ -122,11 +122,27 @@ def test_oracle_budget_refusal_exit(t1_path):
     assert code == 3
 
 
-def test_no_disjoint_routing_exit(tmp_path):
+def test_no_disjoint_routing_exit(tmp_path, capsys):
     p = tmp_path / "clash.json"
     p.write_bytes(write_instance(shared_corridor()))
     code = main(["solve", "--instance", str(p), "--method", "colgen", "--out", str(tmp_path / "o.json")])
     assert code == 3
+    # infeasible (arc-flow) and no_disjoint_routing (the others) are one answer
+    assert main(["compare", "--instance", str(p), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "infeasible" in out and "no_disjoint_routing" in out and "MISMATCH" not in out
+
+
+def test_ships_sharing_a_start_are_rejected(tmp_path, capsys):
+    from lsfrp.instance import validate
+
+    assert "ships 's0' and 's1' share start visit 'o'" in validate(shared_start()).violations
+    with pytest.raises(ParseError, match="share start visit"):
+        parse_instance(write_instance(shared_start()))
+    p = tmp_path / "shared.json"
+    p.write_bytes(write_instance(shared_start()))
+    assert main(["solve", "--instance", str(p), "--method", "revised"]) == 64
+    assert "share start visit" in capsys.readouterr().err
 
 
 def test_empty_revenue_monotone(tmp_path):
@@ -302,16 +318,24 @@ def test_compare_flags_mismatch(t1_path, monkeypatch, capsys):
 
     real = cli.run_method
 
-    def skewed(instance, method, time_limit=None, oracle_budget=10**6):
-        sol = real(instance, method, time_limit, oracle_budget)
-        if method == "revised" and sol.objective is not None:
-            sol.objective += 5.0
-        return sol
+    def shifted(sol):
+        sol.objective += 5.0
 
-    monkeypatch.setattr(cli, "run_method", skewed)
-    code = main(["compare", "--instance", t1_path, "--methods", "reduced,revised"])
-    assert code == 1
-    assert "MISMATCH" in capsys.readouterr().out
+    def no_routing(sol):
+        sol.status, sol.objective = NO_DISJOINT_ROUTING, None
+
+    for skew in (shifted, no_routing):  # revised's answer: another optimum, or none
+
+        def skewed(instance, method, time_limit=None, oracle_budget=10**6, skew=skew):
+            sol = real(instance, method, time_limit, oracle_budget)
+            if method == "revised" and sol.objective is not None:
+                skew(sol)
+            return sol
+
+        monkeypatch.setattr(cli, "run_method", skewed)
+        code = main(["compare", "--instance", t1_path, "--methods", "reduced,revised"])
+        assert code == 1
+        assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_time_limit_exit_codes(t1_path, tmp_path):

@@ -14,7 +14,7 @@ from lsfrp.colgen import (
     solve_rmp,
 )
 from lsfrp.formulations import build_ship_revised, solve_arcflow
-from lsfrp.instance import Demand, Instance, Visit, build_reach_index, make_arc, path_count
+from lsfrp.instance import Demand, Instance, Visit, make_arc, path_count
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import CompactPricing
 from lsfrp.oracle import brute_force_solve
@@ -44,7 +44,7 @@ def _solve_fresh(ins, cols, state=None):
 
 def _greedy(ins, engine=None):
     """Greedy start columns in a run's ship order: ascending path count."""
-    engine = engine or ArcFlowPricing(ins, build_reach_index(ins))
+    engine = engine or ArcFlowPricing(ins)
     return initial_columns(engine, sorted(ins.ships, key=lambda s: path_count(ins, s.id)))
 
 
@@ -115,8 +115,7 @@ def test_initial_columns_shared_corridor_second_ship_has_none():
 
 def test_price_ship_zero_duals_returns_best_column():
     ins = t1()
-    reach = build_reach_index(ins)
-    engine = ArcFlowPricing(ins, reach)
+    engine = ArcFlowPricing(ins)
     duals = MasterDuals(pi={"s1": 0.0}, mu={})
     col = price_ship(ins, "s1", duals, engine)
     assert col is not None
@@ -125,8 +124,7 @@ def test_price_ship_zero_duals_returns_best_column():
 
 def test_price_ship_at_optimal_duals_returns_none():
     ins = t1()
-    reach = build_reach_index(ins)
-    engine = ArcFlowPricing(ins, reach)
+    engine = ArcFlowPricing(ins)
     # optimal master duals for T1: the whole profit priced into the ship
     duals = MasterDuals(pi={"s1": T1_OPT}, mu={})
     assert price_ship(ins, "s1", duals, engine) is None
@@ -134,8 +132,7 @@ def test_price_ship_at_optimal_duals_returns_none():
 
 def test_price_ship_penalized_node_avoided():
     ins = t1()
-    reach = build_reach_index(ins)
-    engine = ArcFlowPricing(ins, reach)
+    engine = ArcFlowPricing(ins)
     # prohibitive price on v1 diverts pricing; reduced cost must still clear
     duals = MasterDuals(pi={"s1": -1.0}, mu={"v1": 1000.0})
     col = price_ship(ins, "s1", duals, engine)
@@ -203,8 +200,7 @@ def test_mixed_type_branching_reaches_oracle():
 
 def test_rmp_objective_nondecreasing_and_termination_certificate():
     ins = generate_random(GeneratorParams(ships=3, visits=11, demands=8, seed=77))
-    reach = build_reach_index(ins)
-    engine = ArcFlowPricing(ins, reach)
+    engine = ArcFlowPricing(ins)
     columns = _greedy(ins, engine)
     objs = []
     while True:
@@ -238,8 +234,7 @@ def test_colgen_matches_revised_on_random_instances():
 
 def test_columns_are_simple_paths():
     ins = generate_random(GeneratorParams(ships=3, visits=12, demands=6, seed=91))
-    reach = build_reach_index(ins)
-    engine = ArcFlowPricing(ins, reach)
+    engine = ArcFlowPricing(ins)
     for col in _greedy(ins, engine):
         inner = col.path[:-1]
         assert len(set(inner)) == len(inner)
@@ -283,27 +278,25 @@ def test_progress_log_lines_machine_parsable():
 
 
 def test_pricing_bnb_nodes_reported(monkeypatch):
-    from lsfrp import colgen, lazy
+    from lsfrp import instance, lazy
     from lsfrp.io import parse_solution, write_solution
 
     ins = generate_random(GeneratorParams(ships=3, visits=11, demands=8, seed=88))
     reach_builds = []
-    for module in (colgen, lazy):
-        real = module.build_reach_index
-        monkeypatch.setattr(
-            module, "build_reach_index", lambda i, real=real: reach_builds.append(1) or real(i)
-        )
+    real_init = instance.ReachIndex.__init__
+    monkeypatch.setattr(
+        instance.ReachIndex, "__init__", lambda self, i: reach_builds.append(i) or real_init(self, i)
+    )
     for run in (
         lambda: run_column_generation(ins),
         lambda: lazy.run_colgen_lazy(ins),
     ):
-        reach_builds.clear()
         sol = run()
         assert sol.status == OPTIMAL
-        assert len(reach_builds) == 1
         assert sol.diagnostics.pricing_bnb_nodes >= len(ins.ships)
         back = parse_solution(write_solution(sol))
         assert back.diagnostics.pricing_bnb_nodes == sol.diagnostics.pricing_bnb_nodes
+    assert reach_builds == [ins]  # both runs read the instance's one index
 
 
 @pytest.mark.parametrize("engine", [ArcFlowPricing, CompactPricing], ids=["arcflow", "compact"])
@@ -400,12 +393,11 @@ def test_branching_settles_fractional_master(monkeypatch, method, params, optimu
 )
 def test_persistent_arcflow_engine_matches_fresh_models(monkeypatch, params):
     ins = generate_random(params)
-    reach = build_reach_index(ins)
-    engine = ArcFlowPricing(ins, reach)
+    engine = ArcFlowPricing(ins)
     warm = record_warm_roots(monkeypatch)
     for ship_id, prices, excluded in pricing_calls(ins, params.seed, 15):
         ship = ins.ship_by_id[ship_id]
-        built = build_ship_revised(ins, reach, ship, prices, excluded)
+        built = build_ship_revised(ins, ship, prices, excluded)
         expected = None
         if built is not None:
             mip = lp.solve_mip(built[0])

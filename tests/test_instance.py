@@ -131,8 +131,52 @@ def test_reach_index_requires_valid_instance():
         "tau",
         [make_arc("v1", "tau", Z0)],
     )
-    with pytest.raises(InvalidInstanceError):
-        build_reach_index(ins)
+    for _ in range(2):  # an invalid instance keeps no index, and raises again
+        with pytest.raises(InvalidInstanceError):
+            build_reach_index(ins)
+        assert ins._reach is None
+
+
+def test_reach_index_is_built_once_per_instance():
+    ins = t1()
+    reach = build_reach_index(ins)
+    assert build_reach_index(ins) is reach
+    # a copy with another empty revenue is another instance, with its own index
+    other = ins.with_empty_revenue({"dc": 5.0})
+    assert build_reach_index(other) is not reach
+    assert build_reach_index(other).demand_arcs == reach.demand_arcs
+
+
+def test_every_method_reads_one_reach_index(monkeypatch):
+    from lsfrp import instance
+    from lsfrp.cli import METHODS, run_method
+
+    builds = []
+    real = instance.ReachIndex.__init__
+    monkeypatch.setattr(instance.ReachIndex, "__init__", lambda self, i: builds.append(i) or real(self, i))
+    ins = t1()
+    for method in METHODS:
+        assert run_method(ins, method).status == "optimal", method
+    assert builds == [ins]
+
+
+def test_solved_instance_freed_without_the_cyclic_collector():
+    import gc
+    import weakref
+
+    from lsfrp.cli import METHODS, run_method
+
+    gc.disable()
+    try:
+        ins = t1()
+        for method in METHODS:
+            run_method(ins, method)
+        assert ins._reach is not None
+        freed = weakref.ref(ins)
+        del ins
+        assert freed() is None  # reference counting alone: no cycle holds it
+    finally:
+        gc.enable()
 
 
 def test_path_count_examples():

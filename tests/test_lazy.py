@@ -10,7 +10,6 @@ from lsfrp.instance import (
     Instance,
     Ship,
     Visit,
-    build_reach_index,
     enumerate_paths,
     make_arc,
 )
@@ -117,8 +116,7 @@ def test_builder_splits_without_criterion_three():
         ],
     )
     assert split_demand_triples(ins, "s1")["mA"] == [frozenset({"a1"}), frozenset({"a2"})]
-    reach = build_reach_index(ins)
-    assert set(build_compact_pricing(ins, "s1", reach=reach).xvars) == {"mA@a1", "mA@a2", "mB"}
+    assert set(build_compact_pricing(ins, "s1").xvars) == {"mA@a1", "mA@a2", "mB"}
 
 
 def test_split_map_is_the_builders_members():
@@ -129,15 +127,14 @@ def test_split_map_is_the_builders_members():
     instances += [generate_random(GeneratorParams(ships=2, seed=k)) for k in range(60)]
     split = 0
     for k, ins in enumerate(instances):
-        reach = build_reach_index(ins)
         for ship in ins.ships:
-            ctx = build_compact_pricing(ins, ship.id, reach=reach)
+            ctx = build_compact_pricing(ins, ship.id)
             if ctx is None:
                 continue
             built: dict[str, list[frozenset[str]]] = {}
             for mem in ctx.members.values():
                 built.setdefault(mem.demand.id, []).append(mem.destinations)
-            expected = split_demand_triples(ins, ship.id, reach)
+            expected = split_demand_triples(ins, ship.id)
             assert built == expected, (k, ship.id)
             split += sum(len(parts) > 1 for parts in expected.values())
     assert split >= 100
@@ -148,8 +145,7 @@ def test_split_map_is_the_builders_members():
 
 def test_compact_t1_optimum_no_cuts():
     ins = t1()
-    reach = build_reach_index(ins)
-    ctx = build_compact_pricing(ins, "s1", reach=reach)
+    ctx = build_compact_pricing(ins, "s1")
     cuts = []
     mip = lp.solve_mip(ctx.model, on_candidate=lambda x: [])
     assert mip.status == lp.OPTIMAL
@@ -161,10 +157,9 @@ def test_compact_model_smaller_than_arcflow():
     from lsfrp.formulations import build_ship_revised
 
     ins = generate_random(GeneratorParams(ships=2, visits=12, demands=10, seed=8))
-    reach = build_reach_index(ins)
     for s in ins.ships:
-        arc_model, _ = build_ship_revised(ins, reach, s)
-        compact = build_compact_pricing(ins, s.id, reach=reach).model
+        arc_model, _ = build_ship_revised(ins, s)
+        compact = build_compact_pricing(ins, s.id).model
         ar, ac, az = arc_model.size_triple()
         cr, cc, cz = compact.size_triple()
         assert cr <= ar and cc <= ac and cz <= az
@@ -172,8 +167,7 @@ def test_compact_model_smaller_than_arcflow():
 
 def test_empty_pair_vars_only_for_reachable_pairs():
     ins = empty_repos19()
-    reach = build_reach_index(ins)
-    ctx = build_compact_pricing(ins, "s1", reach=reach)
+    ctx = build_compact_pricing(ins, "s1")
     assert set(ctx.evars) == {("dc", "u", "w")}  # deficit unreachable pairs absent
 
 
@@ -192,7 +186,7 @@ def test_unequal_unload_costs_split_the_demand():
         [Demand("m", "o", frozenset({"d1", "d2"}), "dc", 10, 50)],
     )
     assert split_demand_triples(ins, "s1")["m"] == [frozenset({"d1"}), frozenset({"d2"})]
-    ctx = build_compact_pricing(ins, "s1", reach=build_reach_index(ins))
+    ctx = build_compact_pricing(ins, "s1")
     assert set(ctx.xvars) == {"m@d1", "m@d2"}
     # revenue 50 less unload costs 7 and 3
     assert {ctx.model.obj[var] for var in ctx.xvars.values()} == {43, 47}
@@ -202,8 +196,7 @@ def test_unequal_unload_costs_split_the_demand():
 
 
 def _solve_compact(ins, ship_id):
-    reach = build_reach_index(ins)
-    ctx = build_compact_pricing(ins, ship_id, reach=reach)
+    ctx = build_compact_pricing(ins, ship_id)
     mip = lp.solve_mip(ctx.model, on_candidate=partial(add_violated_cuts, ctx))
     return ctx, mip
 
@@ -232,8 +225,7 @@ def test_candidate_skipping_origins_yields_no_cuts():
     import numpy as np
 
     ins = overload1()
-    reach = build_reach_index(ins)
-    ctx = build_compact_pricing(ins, "s1", reach=reach)
+    ctx = build_compact_pricing(ins, "s1")
     # corridor path with nothing loaded: the replay stays below capacity
     x = np.zeros(ctx.model.num_vars)
     path = ("s0", "oA", "oB", "dA", "dB", "tau")
@@ -415,9 +407,8 @@ def test_every_stored_cut_row_has_a_coefficient():
     ]
     rows = 0
     for k, ins in enumerate(instances):
-        reach = build_reach_index(ins)
         for ship in ins.ships:
-            ctx = build_compact_pricing(ins, ship.id, reach=reach)
+            ctx = build_compact_pricing(ins, ship.id)
             if ctx is None:
                 continue
             for key, row in ctx.cut_rows.items():
@@ -431,10 +422,10 @@ def test_every_stored_cut_row_has_a_coefficient():
 TIGHT = dict(capacity_dc_range=(25, 60), amount_range=(10, 45))
 
 
-def _fresh_compact_value(ins, reach, ship_id, prices, excluded, cuts):
+def _fresh_compact_value(ins, ship_id, prices, excluded, cuts):
     """Value of a freshly built model carrying the given cut keys, solved
     cold with the same separation callback; None when no column exists."""
-    ctx = build_compact_pricing(ins, ship_id, prices, reach=reach, excluded=excluded)
+    ctx = build_compact_pricing(ins, ship_id, prices, excluded=excluded)
     if ctx is None:
         return None
     for key in cuts:  # the fresh model numbers its variables differently
@@ -458,13 +449,12 @@ def _fresh_compact_value(ins, reach, ship_id, prices, excluded, cuts):
 )
 def test_persistent_compact_engine_matches_fresh_models(monkeypatch, params):
     ins = generate_random(params)
-    reach = build_reach_index(ins)
-    engine = CompactPricing(ins, reach)
+    engine = CompactPricing(ins)
     warm = record_warm_roots(monkeypatch)
     for ship_id, prices, excluded in pricing_calls(ins, params.seed, 15):
         built = engine.contexts.get(ship_id)
         expected = _fresh_compact_value(
-            ins, reach, ship_id, prices, excluded, built.cuts if built else []
+            ins, ship_id, prices, excluded, built.cuts if built else []
         )
         col, value = engine.price(ship_id, prices, excluded)
         assert (col is None) == (expected is None)
@@ -482,9 +472,8 @@ def _cut_checks(ins):
     """(name, left-hand side, rhs) of every capacity cut row the model
     stores, evaluated at the oracle's cargo plan on each start->sink path
     of each ship."""
-    reach = build_reach_index(ins)
     for ship in ins.ships:
-        ctx = build_compact_pricing(ins, ship.id, reach=reach)
+        ctx = build_compact_pricing(ins, ship.id)
         if ctx is None:
             continue
         for path in enumerate_paths(ins, ship.start_visit):

@@ -305,7 +305,6 @@ def _random_bounded_lp(rng):
 
 def _pricing_models():
     from lsfrp.formulations import build_ship_revised
-    from lsfrp.instance import build_reach_index
     from lsfrp.io import GeneratorParams, generate_random
     from lsfrp.lazy import build_compact_pricing
 
@@ -313,12 +312,11 @@ def _pricing_models():
         ins = generate_random(
             GeneratorParams(ships=2, visits=10, demands=8, capacity_dc_range=(25, 60), seed=seed)
         )
-        reach = build_reach_index(ins)
         rng = random.Random(seed)
         prices = {v.id: rng.uniform(0.0, 40.0) for v in ins.visits}
         for ship in ins.ships:
-            yield build_ship_revised(ins, reach, ship, prices)[0]
-            yield build_compact_pricing(ins, ship.id, prices, reach=reach).model
+            yield build_ship_revised(ins, ship, prices)[0]
+            yield build_compact_pricing(ins, ship.id, prices).model
 
 
 def _kkt_ok(model, overrides, sol, tol=1e-6):

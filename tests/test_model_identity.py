@@ -16,7 +16,6 @@ import random
 import numpy as np
 
 from lsfrp.formulations import build_reduced, build_revised, build_ship_revised
-from lsfrp.instance import build_reach_index
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import build_compact_pricing
 
@@ -135,18 +134,17 @@ def digests() -> dict[str, str]:
     out = {}
     for label, params in INSTANCES.items():
         ins = generate_random(params)
-        reach = build_reach_index(ins)
         if not ins.empty_points:
-            out[f"{label}/reduced"] = model_digest(build_reduced(ins, reach)[0])
-            out[f"{label}/reduced-tight"] = model_digest(build_reduced(ins, reach, tighten=True)[0])
-            out[f"{label}/revised"] = model_digest(build_revised(ins, reach)[0])
+            out[f"{label}/reduced"] = model_digest(build_reduced(ins)[0])
+            out[f"{label}/reduced-tight"] = model_digest(build_reduced(ins, tighten=True)[0])
+            out[f"{label}/revised"] = model_digest(build_revised(ins)[0])
         for ship, variant, prices, excluded in _pricing_options(ins, params.seed):
             if not ins.empty_points:
-                built = build_ship_revised(ins, reach, ship, prices, excluded)
+                built = build_ship_revised(ins, ship, prices, excluded)
                 out[f"{label}/arcflow/{ship.id}/{variant}"] = model_digest(
                     None if built is None else built[0]
                 )
-            ctx = build_compact_pricing(ins, ship.id, prices, reach=reach, excluded=excluded)
+            ctx = build_compact_pricing(ins, ship.id, prices, excluded=excluded)
             out[f"{label}/compact/{ship.id}/{variant}"] = model_digest(
                 None if ctx is None else ctx.model
             )
