@@ -20,26 +20,27 @@ class, which names the method in its ``method`` attribute ("colgen" for
 no other switches.
 
 One time limit covers a whole run: it becomes an absolute
-``time.monotonic()`` deadline that the master loop checks and that every
-pricing solve receives.  Its one signal is ``ColgenTimeout``, raised by
-the loop or by a pricing solve that ran out of time;
-``run_column_generation`` turns it into a "time_limit" result carrying
-the counters and model sizes gathered so far.
+``time.monotonic()`` deadline that the search, the master loop and every
+pricing solve check.  Its one signal is ``lp.DeadlineExpired``, raised by
+the loop or by a pricing solve that ran out of time.  Inside the search
+it ends branch-and-price with the settled incumbent, if any, and the
+search's bound; in the greedy start ``run_column_generation`` catches it.
+Either way the "time_limit" result carries the counters and model sizes
+gathered so far.
 
 The master owns its artificials: one per ship in its convexity row and
 one per required (visit, ship) row, each far costlier than any routing, so
 a ship without a column rides its artificial and a settled master that
 still uses one has no disjoint routing.  Columns are real paths only.
 
-Branch-and-price is one best-bound search whose first node is the root:
-every node runs its own pricing loop, and a node whose relaxed master
-ends fractional branches on (visit, ship) usage, whether ship s calls at
-visit v.
+Branch-and-price is ``lp.best_bound_search``, the search ``lp.solve_mip``
+runs too, and its first node is the root: every node runs its own pricing
+loop, and a node whose relaxed master ends fractional branches on (visit,
+ship) usage, whether ship s calls at visit v.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from collections.abc import Callable
@@ -170,11 +171,6 @@ def solve_rmp(master: RestrictedMaster, columns: list[Column]) -> tuple[lp.LpSol
 # -- pricing engines ----------------------------------------------------------------
 
 
-class ColgenTimeout(RuntimeError):
-    """The run's deadline passed: in the master loop, or in a pricing
-    solve."""
-
-
 class PricingModel:
     """One ship's pricing MIP, built once with no prices and no exclusions:
     the one place where a ship is priced.
@@ -207,7 +203,7 @@ class PricingModel:
     ) -> tuple[Column | None, float]:
         """Best column under the node prices and exclusions, with its model
         value less the start's node price; (None, -inf) when no column
-        exists.  A solve that runs out of time raises ColgenTimeout."""
+        exists.  A solve that runs out of time raises lp.DeadlineExpired."""
         model, ins, ship = self.model, self.instance, self.ship
         for ((i, j), k), base in zip(self.yvars.items(), self.base):
             price = 0.0 if j == ins.sink else node_price.get(j, 0.0)
@@ -218,7 +214,7 @@ class PricingModel:
             self.basis = mip.root_basis
         self.nodes += mip.nodes
         if mip.status == lp.TIME_LIMIT:
-            raise ColgenTimeout("pricing ran out of time")
+            raise lp.DeadlineExpired("pricing ran out of time")
         if mip.status != lp.OPTIMAL:
             return None, -math.inf
         path, flows, empty_flows = self.read(mip.x)
@@ -334,9 +330,7 @@ def price_ship(
     prices = {v.id: duals.node_price(v.id, ship_id) for v in instance.visits}
     pi = duals.pi.get(ship_id, 0.0)
     col, value = engine.price(ship_id, prices, excluded, deadline=deadline)
-    if col is not None and value - pi > rc_tol:
-        return col
-    return None
+    return col if col is not None and value - pi > rc_tol else None
 
 
 # -- main driver ----------------------------------------------------------------------
@@ -349,8 +343,7 @@ def _log_progress(log, diag, sol, columns):
 
 def _cg_loop(instance, columns, engine, state, log, deadline, diag, order):
     """Price-and-resolve, over the ships in the given order, until a full
-    pass adds no column; returns the final relaxed master solution and its
-    duals.
+    pass adds no column; returns the final relaxed master solution.
 
     A ship is not priced again under the node prices, convexity dual and
     tolerance of its last call that found no column: the pricing problem
@@ -365,7 +358,7 @@ def _cg_loop(instance, columns, engine, state, log, deadline, diag, order):
         improved = False
         for ship in order:
             if lp.expired(deadline):
-                raise ColgenTimeout()
+                raise lp.DeadlineExpired()
             rc_tol = lp.TOL_GAP * (1.0 + abs(sol.objective))
             inputs = (
                 duals.pi.get(ship.id, 0.0), rc_tol,
@@ -384,7 +377,7 @@ def _cg_loop(instance, columns, engine, state, log, deadline, diag, order):
                 diag.rmp_iterations += 1
                 _log_progress(log, diag, sol, columns)
         if not improved:
-            return sol, duals
+            return sol
 
 
 def _fractional_pair(columns, z) -> tuple[str, str] | None:
@@ -402,13 +395,14 @@ def _fractional_pair(columns, z) -> tuple[str, str] | None:
     return min(fractional, default=(None, None))[1]
 
 
-def _settle(instance, columns, z) -> list[Column] | None:
-    """One column per ship once every (visit, ship) usage is integral; None
-    when a ship rides only its artificial.
+def _settle(instance, columns, z, bound) -> tuple[float, list[Column]] | None:
+    """One column per ship once every (visit, ship) usage is integral, with
+    their total profit; None when a ship rides only its artificial.
 
     A ship's columns in use then all call at the same visits, so they have
     the same master rows, and an optimal master gives them the same profit:
-    the most profitable one alone is worth the mix.
+    the most profitable one alone is worth the mix, and the total is the
+    master's value, bound.
     """
     pick: dict[str, int] = {}
     for k, col in enumerate(columns):
@@ -416,62 +410,57 @@ def _settle(instance, columns, z) -> list[Column] | None:
             pick[col.ship] = k
     if len(pick) < len(instance.ships):
         return None
-    return [columns[k] for k in sorted(pick.values())]
+    chosen = [columns[k] for k in sorted(pick.values())]
+    total = sum((c.profit for c in chosen), 0.0)
+    if total < bound - lp.TOL_GAP * (1 + abs(total)):
+        raise RuntimeError("branching incomplete: settled node below its bound")
+    return total, chosen
 
 
 def _branch_and_price(instance, engine, method, log, deadline, diag) -> Solution:
-    """Greedy start, then best-bound branch-and-price from the root: each
-    node runs its own pricing loop and, when its master is fractional,
-    branches on (visit, ship) usage; raises ColgenTimeout at the deadline."""
+    """Greedy start, then ``lp.best_bound_search`` from the root: each node
+    runs its own pricing loop and, when its master is fractional, branches
+    on (visit, ship) usage.  Past the deadline the greedy start raises
+    lp.DeadlineExpired, and the search returns its incumbent and bound."""
     # ascending path count for the greedy start, descending for pricing;
     # ties keep the instance's ship order, reversed when pricing
     order = sorted(instance.ships, key=lambda s: path_count(instance, s.id))
     columns = initial_columns(engine, order, deadline)
     diag.columns_generated = len(columns)
     order.reverse()
+    meta: dict = {}
 
-    best = Solution(method=method, status=NO_DISJOINT_ROUTING, diagnostics=diag)
-    best_obj = -math.inf
-    counter = 0
-    heap: list[tuple[float, int, _BranchState]] = [(-math.inf, counter, _BranchState())]
-    while heap:
-        neg_bound, _, state = heapq.heappop(heap)
-        if -neg_bound <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
-            continue
-        if lp.expired(deadline):
-            raise ColgenTimeout()
-        diag.bnb_nodes += 1
-        node_sol, _ = _cg_loop(instance, columns, engine, state, log, deadline, diag, order)
-        z = [float(v) for v in node_sol.x]
-        if diag.bnb_nodes == 1:
-            best.meta["root_master_integral"] = all(abs(v - round(v)) <= lp.TOL_INT for v in z)
-        if node_sol.objective <= best_obj + lp.TOL_GAP * (1 + abs(best_obj)):
-            continue
+    def solve(state, best):
+        node_sol = _cg_loop(instance, columns, engine, state, log, deadline, diag, order)
+        if not meta:  # node 1, the root
+            meta["root_master_integral"] = all(abs(v - round(v)) <= lp.TOL_INT for v in node_sol.x)
+        return node_sol.objective, node_sol
+
+    def branch(state, node_sol, open_nodes):
+        z = node_sol.x.tolist()
         pair = _fractional_pair(columns, z)
         if pair is None:
-            chosen = _settle(instance, columns, z)
-            if chosen is not None and (total := sum((c.profit for c in chosen), 0.0)) > best_obj:
-                if total < node_sol.objective - lp.TOL_GAP * (1 + abs(total)):
-                    raise RuntimeError("branching incomplete: settled node below its bound")
-                best = Solution(
-                    method=method, status=OPTIMAL, objective=total, bound=total,
-                    ship_paths={c.ship: c.path for c in chosen},
-                    demand_flows=[f for c in chosen for f in c.flows],
-                    empty_flows=[f for c in chosen for f in c.empty_flows],
-                    diagnostics=diag, meta=best.meta,
-                )
-                best_obj = total
-            continue
+            return [], _settle(instance, columns, z, node_sol.objective)
         node, sid = pair
         # requiring (node, sid) shuts the node for every other ship
         others = frozenset((node, s.id) for s in instance.ships if s.id != sid)
-        for child in (
+        return [
             _BranchState(excluded=state.excluded | {pair}, required=state.required),
             _BranchState(excluded=state.excluded | others, required=state.required + (pair,)),
-        ):
-            counter += 1
-            heapq.heappush(heap, (-node_sol.objective, counter, child))
-    return best
+        ], None
+
+    found = lp.best_bound_search(_BranchState(), solve, branch, deadline)
+    diag.bnb_nodes = found.nodes
+    chosen = found.x or []
+    status = {lp.OPTIMAL: OPTIMAL, lp.TIME_LIMIT: TIME_LIMIT}.get(found.status, NO_DISJOINT_ROUTING)
+    return Solution(
+        method=method, status=status, objective=None if found.x is None else found.objective,
+        bound=None if status == NO_DISJOINT_ROUTING else found.bound,
+        ship_paths={c.ship: c.path for c in chosen},
+        demand_flows=[f for c in chosen for f in c.flows],
+        empty_flows=[f for c in chosen for f in c.empty_flows],
+        diagnostics=diag, meta=meta,
+    )
 
 
 def run_column_generation(
@@ -485,7 +474,7 @@ def run_column_generation(
 
     Every status leaves through one exit, which fills in the engine's
     counters and model sizes: a time limit reports what was built and
-    counted before it.
+    counted before it, and within the search also its incumbent and bound.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     build_reach_index(instance)  # validates the instance
@@ -493,7 +482,7 @@ def run_column_generation(
     diag = Diagnostics()
     try:
         sol = _branch_and_price(instance, pricing, engine.method, log, deadline, diag)
-    except ColgenTimeout:
+    except lp.DeadlineExpired:  # in the greedy start
         sol = Solution(method=engine.method, status=TIME_LIMIT, diagnostics=diag)
     pricing.fill_diagnostics(diag)
     return sol

@@ -1,8 +1,9 @@
 """Self-contained LP/MIP kernel.
 
 A dense bounded-variable simplex (explicit basis inverse, a bounded dual
-loop, then a primal loop with a Bland safeguard) and a deterministic
-best-bound branch-and-bound driver with a lazy-cut callback.  Everything
+loop, then a primal loop with a Bland safeguard) and one deterministic
+best-bound search, which runs both ``solve_mip``'s branch and bound with a
+lazy-cut callback and column generation's branch-and-price.  Everything
 downstream of the instance model solves through this module; an external
 solver could be slotted in behind the same two entry points, but the
 embedded simplex is the default and the one the test suite exercises.
@@ -260,6 +261,9 @@ class LpSolution:
 
 @dataclass
 class MipSolution:
+    """The result of a best-bound search; x is its incumbent, a point of
+    the model in ``solve_mip``."""
+
     status: str
     x: np.ndarray | None = None
     objective: float = -INF
@@ -782,6 +786,62 @@ def slack_basis(model: LinearModel) -> LpBasis:
     return LpBasis(basic, state, inverse)
 
 
+# -- best-bound search ----------------------------------------------------------
+
+
+class DeadlineExpired(RuntimeError):
+    """A deadline passed: a node solve raises it to end a best-bound search."""
+
+
+def _dominated(bound: float, best: float) -> bool:
+    """Whether bound cannot beat the incumbent value best (never at -inf)."""
+    return bound <= best + TOL_GAP * (1 + abs(best))
+
+
+def best_bound_search(root, solve, branch, deadline: float | None) -> MipSolution:
+    """Deterministic best-bound search from the root node.
+
+    Open nodes wait on a heap of (-parent bound, insertion index, node), the
+    root's parent bound +inf; a popped node that cannot beat the incumbent
+    is dropped.  ``solve(node, best)`` returns the node's bound and
+    relaxation, or None when the node is infeasible or cannot beat the
+    incumbent value best.  A relaxation that can goes to ``branch(node,
+    relaxation, open_nodes)``, which returns the children, pushed with the
+    node's bound, and a solution found at the node as (value, solution), or
+    None.  The result's x is the incumbent, the best solution found.
+
+    deadline is an absolute ``time.monotonic()`` instant, checked before
+    every node.  Once it passes, or a node solve raises DeadlineExpired,
+    the search ends "time_limit" with its incumbent, if any, and the
+    largest of the open nodes' bounds, the incumbent's value and the
+    abandoned node's parent bound.
+    """
+    heap = [(-INF, 0, root)]
+    counter = nodes = 0
+    incumbent, best = None, -INF
+    while heap:
+        neg_bound, _, node = heapq.heappop(heap)
+        if _dominated(-neg_bound, best):
+            continue
+        try:
+            if expired(deadline):
+                raise DeadlineExpired()
+            nodes += 1
+            solved = solve(node, best)
+        except DeadlineExpired:
+            bound = max([-nb for nb, _, _ in heap] + [best, -neg_bound])
+            return MipSolution(TIME_LIMIT, incumbent, best, bound, nodes)
+        if solved is None or _dominated(solved[0], best):
+            continue
+        children, found = branch(node, solved[1], (entry[2] for entry in heap))
+        for child in children:
+            counter += 1
+            heapq.heappush(heap, (-solved[0], counter, child))
+        if found is not None and found[0] > best:
+            best, incumbent = found
+    return MipSolution(INFEASIBLE if incumbent is None else OPTIMAL, incumbent, best, best, nodes)
+
+
 # -- branch and bound -----------------------------------------------------------
 
 CandidateCallback = Callable[[np.ndarray], list[Constraint]]
@@ -802,7 +862,9 @@ def solve_mip(
     deadline: float | None = None,
     warm: LpBasis | None = None,
 ) -> MipSolution:
-    """Deterministic best-bound branch and bound.
+    """Deterministic best-bound branch and bound: ``best_bound_search`` over
+    nodes of column bound overrides, each solved as an LP with its lazy-cut
+    re-solves, branching on the most fractional integer column.
 
     on_candidate is invoked on every integer-feasible node solution; if it
     returns cuts they are appended to the caller's model as rows, in the
@@ -824,61 +886,28 @@ def solve_mip(
 
     deadline is an absolute ``time.monotonic()`` instant.  Once it passes,
     no further node starts and the LP in progress stops at its next pivot;
-    the result is then "time_limit" with the best incumbent found, if any,
-    and the best bound among the open nodes.
+    the result is then "time_limit" with the search's incumbent, if any,
+    and its bound.
     """
     int_idx = np.flatnonzero(np.array(model.is_int, dtype=bool))
     cuts_added = 0
-
-    best_x: np.ndarray | None = None
-    best_obj = -INF
-
-    # heap entries: (-parent bound, insertion index, overrides, parent basis);
-    # both children of a node share its basis, which solve_lp never writes to
-    counter = 0
-    heap: list[tuple[float, int, dict[int, tuple[float, float]], LpBasis | None]] = [
-        (-INF, 0, {}, warm)
-    ]
-    # the inverses open nodes hold: id -> number of open holders, and bytes
-    holders: dict[int, int] = {}
-    held = 0
-    nodes = 0
-    timed_out = False
-    abandoned_bound = -INF  # bound of a node dropped mid-solve on timeout
     root_basis: LpBasis | None = None
 
-    while heap and not timed_out:
-        neg_bound, _, overrides, warm = heapq.heappop(heap)
-        key = id(warm.inverse) if warm is not None else None
-        if key in holders:
-            holders[key] -= 1
-            if not holders[key]:
-                del holders[key]
-                held -= warm.inverse.nbytes
-        if -neg_bound <= best_obj + TOL_GAP * (1 + abs(best_obj)):
-            continue
-        if expired(deadline):
-            timed_out = True
-            abandoned_bound = -neg_bound
-            break
-        nodes += 1
-
+    # a node is (bound overrides, parent basis); both children of a node
+    # share its basis, which solve_lp never writes to
+    def solve(node, best):
+        nonlocal cuts_added, root_basis
+        overrides, warm = node
         while True:
             sol = solve_lp(model, overrides, deadline, warm)
             if sol.status == TIME_LIMIT:
-                timed_out = True
-                abandoned_bound = -neg_bound
-                break
-            if sol.status == BREAKDOWN:
-                raise NumericalBreakdownError("simplex breakdown inside branch and bound")
-            if sol.status == UNBOUNDED:
-                raise NumericalBreakdownError("unbounded relaxation inside branch and bound")
-            if sol.status == INFEASIBLE:
-                break
-            if sol.objective <= best_obj + TOL_GAP * (1 + abs(best_obj)):
-                break
+                raise DeadlineExpired()
+            if sol.status in (BREAKDOWN, UNBOUNDED):
+                raise NumericalBreakdownError(f"{sol.status} LP inside branch and bound")
+            if sol.status == INFEASIBLE or _dominated(sol.objective, best):
+                return None
             warm = sol.basis
-            if nodes == 1:
+            if not overrides:  # the root: every other node overrides a bound
                 root_basis = warm
 
             xi = sol.x[int_idx]
@@ -886,24 +915,7 @@ def solve_mip(
             if fractional.any():
                 # branch on most fractional, ties by lowest index
                 dist = np.where(fractional, np.abs(xi - np.floor(xi) - 0.5), INF)
-                j = int(int_idx[dist.argmin()])
-                xj = float(sol.x[j])
-                lo, hi = overrides.get(j, (model.lb[j], model.ub[j]))
-                down = dict(overrides)
-                down[j] = (lo, math.floor(xj))
-                up = dict(overrides)
-                up[j] = (math.ceil(xj), hi)
-                parent = warm
-                if held + warm.inverse.nbytes > _OPEN_INVERSE_BYTES:
-                    parent = LpBasis(warm.basic, warm.state)
-                else:
-                    holders[id(warm.inverse)] = 2
-                    held += warm.inverse.nbytes
-                counter += 1
-                heapq.heappush(heap, (-sol.objective, counter, down, parent))
-                counter += 1
-                heapq.heappush(heap, (-sol.objective, counter, up, parent))
-                break
+                return sol.objective, (sol, int(int_idx[dist.argmin()]))
 
             if on_candidate is not None:
                 new_cuts = on_candidate(sol.x)
@@ -918,15 +930,22 @@ def solve_mip(
                         model.add_constr(cut.coeffs, cut.sense, cut.rhs, cut.name)
                     cuts_added += len(new_cuts)
                     continue  # re-solve this node with the new cuts
-            if sol.objective > best_obj:
-                best_obj = sol.objective
-                best_x = sol.x.copy()
-            break
+            return sol.objective, (sol, None)
 
-    if timed_out:
-        open_bounds = [-nb for nb, _, _, _ in heap]
-        bound = max(open_bounds + [best_obj, abandoned_bound])
-        return MipSolution(TIME_LIMIT, best_x, best_obj, bound, nodes, cuts_added, root_basis)
-    if best_x is None:
-        return MipSolution(INFEASIBLE, None, -INF, -INF, nodes, cuts_added, root_basis)
-    return MipSolution(OPTIMAL, best_x, best_obj, best_obj, nodes, cuts_added, root_basis)
+    def branch(node, relaxation, open_nodes):
+        sol, j = relaxation
+        if j is None:
+            return [], (sol.objective, sol.x.copy())
+        overrides = node[0]
+        xj = float(sol.x[j])
+        lo, hi = overrides.get(j, (model.lb[j], model.ub[j]))
+        down, up = {**overrides, j: (lo, math.floor(xj))}, {**overrides, j: (math.ceil(xj), hi)}
+        parent = sol.basis
+        held = {id(b.inverse): b.inverse.nbytes for _, b in open_nodes if b.inverse is not None}
+        if sum(held.values()) + parent.inverse.nbytes > _OPEN_INVERSE_BYTES:
+            parent = LpBasis(parent.basic, parent.state)
+        return [(down, parent), (up, parent)], None
+
+    result = best_bound_search(({}, warm), solve, branch, deadline)
+    result.cuts_added, result.root_basis = cuts_added, root_basis
+    return result

@@ -44,14 +44,6 @@ class Diagnostics:
     model_nonzeros: int = 0
     wall_time_sec: float = 0.0
 
-    @property
-    def total_cuts_dc(self) -> int:
-        return sum(self.cuts_dc.values())
-
-    @property
-    def total_cuts_rf(self) -> int:
-        return sum(self.cuts_rf.values())
-
 
 @dataclass
 class Solution:

@@ -82,8 +82,8 @@ def suite():
         lz = run_colgen_lazy(ins)
         rec["colgen-lazy"] = lz.objective
         rec["lazy_solution"] = lz
-        rec["gamma_dc"] = lz.diagnostics.total_cuts_dc
-        rec["gamma_rf"] = lz.diagnostics.total_cuts_rf
+        rec["gamma_dc"] = sum(lz.diagnostics.cuts_dc.values())
+        rec["gamma_rf"] = sum(lz.diagnostics.cuts_rf.values())
         rec["lp_reduced"] = relaxation_value(ins, "reduced")
         rec["lp_tight"] = relaxation_value(ins, "reduced-tight")
         rec["lp_revised"] = relaxation_value(ins, "revised")

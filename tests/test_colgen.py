@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lsfrp import lp
@@ -13,7 +15,7 @@ from lsfrp.colgen import (
     run_column_generation,
     solve_rmp,
 )
-from lsfrp.formulations import build_ship_revised, solve_arcflow
+from lsfrp.formulations import build_ship_revised, evaluate_objective, solve_arcflow
 from lsfrp.instance import Demand, Instance, Visit, make_arc, path_count
 from lsfrp.io import GeneratorParams, generate_random
 from lsfrp.lazy import CompactPricing
@@ -244,8 +246,6 @@ def test_columns_are_simple_paths():
 
 
 def test_solution_objective_matches_reevaluation():
-    from lsfrp.formulations import evaluate_objective
-
     ins = generate_random(GeneratorParams(ships=3, visits=11, demands=8, seed=88))
     sol = run_column_generation(ins)
     assert sol.status == OPTIMAL
@@ -377,6 +377,43 @@ def test_branching_settles_fractional_master(monkeypatch, method, params, optimu
     assert sol.objective == pytest.approx(optimum)
     assert sol.meta["root_master_integral"] is False
     assert len(loops) == sol.diagnostics.bnb_nodes
+
+
+# a fractional root master (5540) whose node 2 settles 5324 and node 3 the
+# optimum, 5352, at one and at two BLAS threads
+TIMEOUT_TREE = GeneratorParams(ships=2, visits=12, demands=9, arc_density=0.35, seed=97)
+
+
+@pytest.mark.parametrize("method", ["colgen", "colgen-lazy"])
+@pytest.mark.parametrize("expiring_call", [1, 2, 3])
+def test_timed_out_branch_and_price_keeps_its_incumbent_and_bound(monkeypatch, method, expiring_call):
+    from lsfrp import colgen
+    from lsfrp.cli import EXIT_NO_SOLUTION, EXIT_TIME_LIMIT, _exit_code_for, run_method
+
+    ins = generate_random(TIMEOUT_TREE)
+    calls = []
+    real = colgen._cg_loop
+
+    def cg_loop(*args):
+        calls.append(1)
+        if len(calls) == expiring_call:
+            raise lp.DeadlineExpired()
+        return real(*args)
+
+    monkeypatch.setattr(colgen, "_cg_loop", cg_loop)
+    sol = run_method(ins, method)
+    assert sol.status == TIME_LIMIT
+    assert sol.diagnostics.bnb_nodes == expiring_call
+    if expiring_call == 1:  # the root abandoned: nothing settled, nothing bounded
+        assert sol.objective is None and not math.isfinite(sol.bound or math.inf)
+    elif expiring_call == 2:  # branched, nothing settled: the root's bound alone
+        assert sol.objective is None and sol.bound == pytest.approx(5540.0)
+    else:  # node 2 settled 5324; node 3 was abandoned under its parent's bound
+        assert sol.objective == pytest.approx(5324.0)
+        assert sol.bound == pytest.approx(5540.0) and sol.bound >= 5352.0
+        assert set(sol.ship_paths) == {s.id for s in ins.ships}
+        assert evaluate_objective(ins, sol) == pytest.approx(sol.objective)
+    assert _exit_code_for(sol) == (EXIT_NO_SOLUTION if sol.objective is None else EXIT_TIME_LIMIT)
 
 
 # -- persistent pricing models ----------------------------------------------------

@@ -278,14 +278,14 @@ def test_lazy_t1():
     sol = run_colgen_lazy(t1())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(T1_OPT)
-    assert sol.diagnostics.total_cuts_dc == 0
-    assert sol.diagnostics.total_cuts_rf == 0
+    assert sum(sol.diagnostics.cuts_dc.values()) == 0
+    assert sum(sol.diagnostics.cuts_rf.values()) == 0
 
 
 def test_lazy_overload_matches_oracle_with_cuts():
     sol = run_colgen_lazy(overload1())
     assert sol.objective == pytest.approx(OVERLOAD1_OPT)
-    assert sol.diagnostics.total_cuts_dc >= 1
+    assert sum(sol.diagnostics.cuts_dc.values()) >= 1
 
 
 def test_fig3_split_on_matches_oracle_split_off_below(monkeypatch):
@@ -387,7 +387,7 @@ def test_gamma_matches_final_pool_rows(monkeypatch):
     [engine] = engines
     assert sol.objective == pytest.approx(OVERLOAD1_OPT)
     ctx = engine.contexts["s1"]
-    assert sol.diagnostics.total_cuts_dc == sum(1 for _, scope in ctx.cuts if scope == "dc")
+    assert sum(sol.diagnostics.cuts_dc.values()) == sum(1 for _, scope in ctx.cuts if scope == "dc")
     # the model's cut keys restate its last rows, in row order
     assert ctx.cuts and ctx.model.rows[-len(ctx.cuts):] == [ctx.cut_rows[k] for k in ctx.cuts]
 

@@ -757,14 +757,16 @@ def test_slack_start_with_a_violated_row_seeds_warm_solve():
 
 def _record_open_nodes(monkeypatch):
     """Per push onto the B&B heap: (the pushed basis, the bytes of the
-    distinct inverses that open nodes hold once it is pushed)."""
+    distinct inverses that open nodes hold once it is pushed).  A heap
+    entry is (-parent bound, insertion index, node), and a node is
+    (bound overrides, parent basis)."""
     pushed = []
     real_push = lp_module.heapq.heappush
 
     def heappush(heap, item):
         real_push(heap, item)
-        inverses = {id(b.inverse): b.inverse.nbytes for *_, b in heap if b and b.inverse is not None}
-        pushed.append((item[3], sum(inverses.values())))
+        inverses = {id(b.inverse): b.inverse.nbytes for *_, (_, b) in heap if b and b.inverse is not None}
+        pushed.append((item[2][1], sum(inverses.values())))
 
     monkeypatch.setattr(lp_module.heapq, "heappush", heappush)
     return pushed
