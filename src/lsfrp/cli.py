@@ -2,8 +2,9 @@
 random instances.
 
 Exit codes: 0 proven optimum, 1 compare mismatch, 2 time limit hit with an
-incumbent, 3 infeasible / no disjoint routing / oracle refusal, 64 usage or
-input errors.
+incumbent, 3 every other status (no disjoint routing, a time limit without
+an incumbent, an oracle refusal, a numerical breakdown), 64 usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .io import (
 from .lazy import run_colgen_lazy
 from .lp import NumericalBreakdownError
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, brute_force_solve
-from .solution import BREAKDOWN, INFEASIBLE, NO_DISJOINT_ROUTING, OPTIMAL, REFUSED, TIME_LIMIT
-from .solution import Diagnostics, Solution
+from .solution import BREAKDOWN, NO_DISJOINT_ROUTING, OPTIMAL, REFUSED, TIME_LIMIT, Diagnostics, Solution
 
 METHODS = ("reduced", "reduced-tight", "revised", "colgen", "colgen-lazy", "oracle")
 
@@ -57,8 +57,9 @@ def run_method(
     oracle_budget: int = DEFAULT_BUDGET,
     log=None,
 ) -> Solution:
-    """Dispatch one solve; statuses are normalized into the Solution, and
-    its diagnostics.wall_time_sec is the time of this call."""
+    """Dispatch one solve; an oracle refusal or a numerical breakdown
+    becomes the Solution's status, and its diagnostics.wall_time_sec is the
+    time of this call."""
     t0 = time.monotonic()
     try:
         if method == "oracle":
@@ -199,13 +200,12 @@ def cmd_compare(args) -> int:
                 sol = run_method(instance, m, args.time_limit, args.oracle_budget)
             except UnsupportedInstanceError as exc:
                 raise _CliError(f"{m}: {exc}")
-            # the run's answer, if it has one: its optimum, or that no disjoint
-            # routing exists, which the arc-flow methods report as infeasible
-            answers = {OPTIMAL: sol.objective, INFEASIBLE: INFEASIBLE, NO_DISJOINT_ROUTING: INFEASIBLE}
-            answer, bad = answers.get(sol.status), False
+            # the run's answer, if it has one: its optimum, or that no disjoint routing exists
+            answer = {OPTIMAL: sol.objective, NO_DISJOINT_ROUTING: NO_DISJOINT_ROUTING}.get(sol.status)
+            bad = False
             if ref is None:
                 ref = answer
-            elif answer is not None and INFEASIBLE in (ref, answer):
+            elif answer is not None and NO_DISJOINT_ROUTING in (ref, answer):
                 bad = ref != answer
             elif answer is not None:
                 bad = abs(answer - ref) > MISMATCH_TOL * (1 + abs(ref))

@@ -47,18 +47,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import lp
-from .formulations import _reject_empties, build_ship_revised, evaluate_objective, extract_solution
+from .formulations import (
+    _reject_empties,
+    build_ship_revised,
+    evaluate_objective,
+    extract_solution,
+    search_outcome,
+)
 from .instance import Instance, Ship, build_reach_index, path_count
 from .lp import EQ, GE, LE, LinearModel
-from .solution import (
-    NO_DISJOINT_ROUTING,
-    OPTIMAL,
-    TIME_LIMIT,
-    DemandFlow,
-    Diagnostics,
-    EmptyFlow,
-    Solution,
-)
+from .solution import OPTIMAL, TIME_LIMIT, DemandFlow, Diagnostics, EmptyFlow, Solution
 
 
 @dataclass
@@ -452,10 +450,8 @@ def _branch_and_price(instance, engine, method, log, deadline, diag) -> Solution
     found = lp.best_bound_search(_BranchState(), solve, branch, deadline)
     diag.bnb_nodes = found.nodes
     chosen = found.x or []
-    status = {lp.OPTIMAL: OPTIMAL, lp.TIME_LIMIT: TIME_LIMIT}.get(found.status, NO_DISJOINT_ROUTING)
     return Solution(
-        method=method, status=status, objective=None if found.x is None else found.objective,
-        bound=None if status == NO_DISJOINT_ROUTING else found.bound,
+        method, *search_outcome(found),
         ship_paths={c.ship: c.path for c in chosen},
         demand_flows=[f for c in chosen for f in c.flows],
         empty_flows=[f for c in chosen for f in c.empty_flows],

@@ -28,20 +28,14 @@ points are rejected here and handled by the compact lazy solver.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from . import lp
 from .instance import Instance, build_reach_index
 from .lp import EQ, GE, LE, LinearModel
-from .solution import (
-    INFEASIBLE,
-    OPTIMAL,
-    TIME_LIMIT,
-    DemandFlow,
-    Diagnostics,
-    Solution,
-)
+from .solution import NO_DISJOINT_ROUTING, OPTIMAL, DemandFlow, Diagnostics, Solution
 
 
 # flows below this are treated as solver noise, far under any real TEU amount
@@ -456,23 +450,23 @@ def evaluate_objective(instance: Instance, solution: Solution) -> float:
 # -- solve drivers ----------------------------------------------------------------
 
 
+def search_outcome(found: lp.MipSolution) -> tuple[str, float | None, float | None]:
+    """A best-bound search's status, objective and bound as a Solution
+    states them: a search that ends with no point at all found no disjoint
+    routing, a search without an incumbent has no objective, and a bound
+    that is not finite is none."""
+    status = NO_DISJOINT_ROUTING if found.status == lp.INFEASIBLE else found.status
+    objective = None if found.x is None else found.objective
+    return status, objective, found.bound if math.isfinite(found.bound) else None
+
+
 def solve_arcflow(instance: Instance, method: str, time_limit: float | None = None) -> Solution:
     """Solve via one of the arc-flow MIPs: reduced, reduced-tight, revised."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    build_reach_index(instance)  # validates the instance
     model, vars_ = build_arcflow(instance, method)
     mip = lp.solve_mip(model, deadline=deadline)
+    sol = Solution(method, OPTIMAL) if mip.x is None else extract_solution(instance, vars_, mip.x, method)
+    sol.status, sol.objective, sol.bound = search_outcome(mip)
     rows, cols, nnz = model.size_triple()
-    diag = Diagnostics(bnb_nodes=mip.nodes, model_rows=rows, model_cols=cols, model_nonzeros=nnz)
-
-    if mip.status == lp.INFEASIBLE:
-        sol = Solution(method=method, status=INFEASIBLE, diagnostics=diag)
-    elif mip.x is None:  # timed out before any incumbent
-        sol = Solution(method=method, status=TIME_LIMIT, bound=mip.bound, diagnostics=diag)
-    else:
-        sol = extract_solution(instance, vars_, mip.x, method)
-        sol.objective = mip.objective
-        sol.bound = mip.bound
-        sol.status = OPTIMAL if mip.status == lp.OPTIMAL else TIME_LIMIT
-        sol.diagnostics = diag
+    sol.diagnostics = Diagnostics(bnb_nodes=mip.nodes, model_rows=rows, model_cols=cols, model_nonzeros=nnz)
     return sol

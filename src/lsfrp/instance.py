@@ -76,6 +76,8 @@ class EmptyPoint:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
+    # per-node reach bitmasks of the checked graph, once it is a DAG
+    reach: dict[str, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -304,7 +306,7 @@ def validate(instance: Instance) -> ValidationReport:
 
     # connectivity checks only make sense on a well-formed DAG
     if rep.ok:
-        fwd = _reach_masks(instance)
+        fwd = rep.reach = _reach_masks(instance)
         idx = {n: i for i, n in enumerate(instance.node_ids)}
         sink_bit = 1 << idx[instance.sink]
         from_starts = 0
@@ -317,20 +319,13 @@ def validate(instance: Instance) -> ValidationReport:
     return rep
 
 
-def ensure_valid(instance: Instance) -> None:
-    rep = validate(instance)
-    if not rep.ok:
-        raise InvalidInstanceError(rep)
-
-
 # -- reachability -------------------------------------------------------------
 
 
 def _reach_masks(instance: Instance) -> dict[str, int]:
-    """Per-node bitmask of the nodes it reaches (inclusive of the node itself)."""
+    """Per-node bitmask of the nodes it reaches (inclusive of the node
+    itself), on a graph that validate found acyclic."""
     order = instance.topological_order()
-    if order is None:
-        raise InvalidInstanceError(ValidationReport(["graph has a cycle"]))
     idx = {n: i for i, n in enumerate(instance.node_ids)}
     masks = {n: 1 << idx[n] for n in instance.node_ids}
     for n in reversed(order):
@@ -352,13 +347,15 @@ class ReachIndex:
     """
 
     def __init__(self, instance: Instance):
-        ensure_valid(instance)
+        report = validate(instance)
+        if not report.ok:
+            raise InvalidInstanceError(report)
         # the graph, not the instance, which keeps this index: no reference cycle
         self.node_ids = instance.node_ids
         self.out_arcs = instance.out_arcs
         self.sink = instance.sink
         self._idx = {n: i for i, n in enumerate(instance.node_ids)}
-        self.fwd = _reach_masks(instance)
+        self.fwd = report.reach  # the masks validation computed
 
         self.demand_arcs: dict[str, frozenset[tuple[str, str]]] = {}
         for m in instance.demands:

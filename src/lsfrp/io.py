@@ -255,19 +255,15 @@ def parse_instance(data: bytes | str) -> Instance:
 # -- solution files -------------------------------------------------------------
 
 
-def _finite_or_none(value):
-    if value is None or not math.isfinite(value):
-        return None
-    return value
-
-
 def write_solution(solution: Solution) -> bytes:
+    """The solution's file; a value that is not finite, which no solver
+    result holds, is a ValueError rather than a silent null."""
     payload = {
         "schema": SOLUTION_SCHEMA,
         "method": solution.method,
         "status": solution.status,
-        "objective": _finite_or_none(solution.objective),
-        "bound": _finite_or_none(solution.bound),
+        "objective": solution.objective,
+        "bound": solution.bound,
         "ship_paths": {s: list(p) for s, p in solution.ship_paths.items()},
         "demand_flows": [
             {"demand": f.demand, "ship": f.ship, "destination": f.destination, "amount": f.amount}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import lp
-from .instance import Instance, ensure_valid, enumerate_paths, path_count
+from .instance import Instance, build_reach_index, enumerate_paths, path_count
 from .lp import LE, LinearModel
 from .solution import NO_DISJOINT_ROUTING, OPTIMAL, DemandFlow, Diagnostics, EmptyFlow, Solution
 
@@ -35,7 +35,7 @@ def enumerate_disjoint_paths(
     """Yield every pairwise node-disjoint path assignment, one start->sink
     path per ship in ship order, lexicographic by ship index then path
     enumeration order."""
-    ensure_valid(instance)
+    build_reach_index(instance)  # validates the instance, once per instance
     product = 1
     for s in instance.ships:
         product *= max(path_count(instance, s.id), 1)

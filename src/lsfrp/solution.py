@@ -1,16 +1,23 @@
-"""Solver result container shared by every method."""
+"""Solver result container shared by every method.
+
+A solution has one status word per outcome, from every method:
+"optimal", "time_limit", "no_disjoint_routing" (no node-disjoint routing
+of the ships exists), "refused" (the oracle's enumeration budget is
+exceeded) or "breakdown" (the embedded LP kernel failed numerically).
+The first two and the last are the kernel's own words, so a search's
+status passes through untranslated.  ``objective`` is None without an
+incumbent and ``bound`` None without a finite bound; neither is ever
+infinite, so a solution file says exactly what the solve said.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# solver statuses
-OPTIMAL = "optimal"
-TIME_LIMIT = "time_limit"
-INFEASIBLE = "infeasible"
+from .lp import BREAKDOWN, OPTIMAL, TIME_LIMIT
+
 NO_DISJOINT_ROUTING = "no_disjoint_routing"
-REFUSED = "refused"  # oracle enumeration budget exceeded
-BREAKDOWN = "breakdown"  # the embedded LP kernel failed numerically
+REFUSED = "refused"
 
 
 @dataclass

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from lsfrp import lp
-from lsfrp.cli import main
+from lsfrp.cli import EXIT_TIME_LIMIT, _exit_code_for, main, run_method
 from lsfrp.colgen import run_column_generation
-from lsfrp.formulations import build_ship_revised, solve_arcflow
+from lsfrp.formulations import build_ship_revised, evaluate_objective, solve_arcflow
 from lsfrp.io import GeneratorParams, generate_random, write_instance
 from lsfrp.lazy import build_compact_pricing, capacity_violations, run_colgen_lazy
 from lsfrp.oracle import brute_force_solve
@@ -372,3 +372,41 @@ def test_criterion_10_lp_core_reference_suite():
         assert sol.status == lp.OPTIMAL
         assert sol.objective == pytest.approx(best, abs=1e-9)
     print("\nACCEPTANCE 10: PASS - 50 LPs match vertex enumeration, 50 knapsacks match exhaustion")
+
+
+# oracle-sized, without empty points; t1 joins them
+ANYTIME_PARAMS = [
+    GeneratorParams(ships=2, visits=10, demands=8, arc_density=0.5, seed=11),
+    GeneratorParams(ships=3, visits=16, demands=14, arc_density=0.35, seed=29),
+    GeneratorParams(ships=2, ship_types=2, visits=14, demands=12, arc_density=0.45,
+                    capacity_dc_range=(25, 60), amount_range=(10, 45), seed=14),
+]
+
+
+def test_criterion_11_anytime_bound_brackets_the_optimum():
+    """At every time limit, each method's bound is at least the oracle's
+    optimum and its objective at most that, recomputed from the routing;
+    exit code 2 means exactly a time limit with an incumbent."""
+    methods = ("reduced", "reduced-tight", "revised", "colgen", "colgen-lazy")
+    runs = incumbents = 0
+    for k, ins in enumerate([t1()] + [generate_random(p) for p in ANYTIME_PARAMS]):
+        optimum = brute_force_solve(ins).objective
+        slack = REL_TOL * (1 + abs(optimum))
+        for method, limit in itertools.product(methods, (0.0, 1e-4, 1e-3, 1e-2, None)):
+            sol = run_method(ins, method, limit)
+            where = (k, method, limit, sol.status, sol.objective, sol.bound)
+            runs += 1
+            assert sol.status in ("optimal", "time_limit"), where
+            if sol.objective is not None:
+                incumbents += 1
+                assert sol.objective <= optimum + slack, where
+                assert evaluate_objective(ins, sol) == pytest.approx(sol.objective, rel=REL_TOL), where
+                assert sol.bound is not None, where  # an incumbent's gap is finite
+            if sol.bound is not None:
+                assert sol.bound >= optimum - slack, where
+            if sol.status == "optimal":
+                assert _close(sol.objective, optimum) and _close(sol.bound, optimum), where
+            with_incumbent = sol.status == "time_limit" and sol.objective is not None
+            assert (_exit_code_for(sol) == EXIT_TIME_LIMIT) == with_incumbent, where
+    assert runs == 100
+    print(f"\nACCEPTANCE 11: PASS - {runs} runs at five limits bracket the optimum ({incumbents} with an incumbent)")

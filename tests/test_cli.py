@@ -127,10 +127,15 @@ def test_no_disjoint_routing_exit(tmp_path, capsys):
     p.write_bytes(write_instance(shared_corridor()))
     code = main(["solve", "--instance", str(p), "--method", "colgen", "--out", str(tmp_path / "o.json")])
     assert code == 3
-    # infeasible (arc-flow) and no_disjoint_routing (the others) are one answer
-    assert main(["compare", "--instance", str(p), "--oracle"]) == 0
+    assert main(["solve", "--instance", str(p), "--method", "revised"]) == 3
+    # every method reports the one outcome in the one word
+    csv_path = tmp_path / "clash.csv"
+    assert main(["compare", "--instance", str(p), "--oracle", "--csv", str(csv_path)]) == 0
     out = capsys.readouterr().out
-    assert "infeasible" in out and "no_disjoint_routing" in out and "MISMATCH" not in out
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert [r["method"] for r in rows] == list(METHODS)
+    assert all(r["status"] == NO_DISJOINT_ROUTING and r["mismatch"] == "0" for r in rows)
+    assert "infeasible" not in out and "MISMATCH" not in out
 
 
 def test_ships_sharing_a_start_are_rejected(tmp_path, capsys):

@@ -10,7 +10,7 @@ from lsfrp.formulations import (
 )
 from lsfrp.instance import EmptyPoint, Instance, InvalidInstanceError
 from lsfrp.io import GeneratorParams, generate_random
-from lsfrp.solution import INFEASIBLE, OPTIMAL, DemandFlow, Solution
+from lsfrp.solution import NO_DISJOINT_ROUTING, OPTIMAL, DemandFlow, Solution
 
 from fixtures import (
     GAP2_IP,
@@ -48,7 +48,8 @@ def test_zero_demand_instance_pure_routing():
 
 def test_shared_corridor_infeasible():
     sol = solve_arcflow(shared_corridor(), "reduced")
-    assert sol.status == INFEASIBLE
+    assert sol.status == NO_DISJOINT_ROUTING
+    assert sol.objective is None and sol.bound is None
 
 
 def test_empty_points_rejected_by_arcflow():

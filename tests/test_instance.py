@@ -154,10 +154,23 @@ def test_every_method_reads_one_reach_index(monkeypatch):
     builds = []
     real = instance.ReachIndex.__init__
     monkeypatch.setattr(instance.ReachIndex, "__init__", lambda self, i: builds.append(i) or real(self, i))
+    # the index validates the instance once and keeps validation's reach masks
+    calls = {"validate": 0, "_reach_masks": 0}
+
+    def counted(name, f):
+        def call(i):
+            calls[name] += 1
+            return f(i)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(instance, name, counted(name, getattr(instance, name)))
     ins = t1()
     for method in METHODS:
         assert run_method(ins, method).status == "optimal", method
     assert builds == [ins]
+    assert calls == {"validate": 1, "_reach_masks": 1}
 
 
 def test_solved_instance_freed_without_the_cyclic_collector():

@@ -1,8 +1,11 @@
 import json
+import math
 from dataclasses import fields
 
 import pytest
 
+from lsfrp import lp
+from lsfrp.cli import METHODS, run_method
 from lsfrp.instance import validate
 from lsfrp.io import (
     GeneratorParams,
@@ -14,9 +17,18 @@ from lsfrp.io import (
     write_solution,
 )
 from lsfrp.oracle import brute_force_solve
-from lsfrp.solution import OPTIMAL, DemandFlow, Diagnostics, Solution
+from lsfrp.solution import (
+    BREAKDOWN,
+    NO_DISJOINT_ROUTING,
+    OPTIMAL,
+    REFUSED,
+    TIME_LIMIT,
+    DemandFlow,
+    Diagnostics,
+    Solution,
+)
 
-from fixtures import t1, T1_OPT
+from fixtures import shared_corridor, t1, T1_OPT
 
 
 def test_instance_round_trip():
@@ -243,6 +255,53 @@ def test_solution_round_trip_and_objective_field():
     again = parse_solution(data)
     assert again.diagnostics == sol.diagnostics
     assert write_solution(again) == data
+
+
+def _root_expires(monkeypatch):
+    """Branch-and-price runs out of time in its root's pricing loop."""
+    from lsfrp import colgen
+
+    def expired(*args):
+        raise lp.DeadlineExpired()
+
+    monkeypatch.setattr(colgen, "_cg_loop", expired)
+
+
+def _kernel_breaks_down(monkeypatch):
+    monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: lp.LpSolution(BREAKDOWN))
+
+
+# (id, instance, method, run_method keywords, patch, status): every method
+# on a solvable and an unroutable instance, and every way a run ends short
+ROUND_TRIPS = [
+    *[(f"t1-{m}", t1, m, {}, None, OPTIMAL) for m in METHODS],
+    *[(f"corridor-{m}", shared_corridor, m, {}, None, NO_DISJOINT_ROUTING) for m in METHODS],
+    # a zero limit expires while the model is built, before the root node
+    *[(f"root-limit-{m}", t1, m, {"time_limit": 0.0}, None, TIME_LIMIT)
+      for m in ("reduced", "reduced-tight", "revised")],
+    *[(f"root-limit-{m}", t1, m, {}, _root_expires, TIME_LIMIT) for m in ("colgen", "colgen-lazy")],
+    ("greedy-start-limit-colgen", t1, "colgen", {"time_limit": 0.0}, None, TIME_LIMIT),
+    ("refused-oracle", t1, "oracle", {"oracle_budget": 1}, None, REFUSED),
+    ("breakdown-revised", t1, "revised", {}, _kernel_breaks_down, BREAKDOWN),
+]
+
+
+@pytest.mark.parametrize(
+    "make, method, kwargs, patch, status", [case[1:] for case in ROUND_TRIPS],
+    ids=[case[0] for case in ROUND_TRIPS],
+)
+def test_solution_file_says_what_the_solve_said(monkeypatch, make, method, kwargs, patch, status):
+    if patch is not None:
+        patch(monkeypatch)
+    sol = run_method(make(), method, **kwargs)
+    assert sol.status == status
+    assert sol.bound is None or math.isfinite(sol.bound)
+    assert parse_solution(write_solution(sol)) == sol
+
+
+def test_write_solution_rejects_a_value_that_is_not_finite():
+    with pytest.raises(ValueError):
+        write_solution(Solution(method="x", status=TIME_LIMIT, bound=math.inf))
 
 
 def test_empty_solution_serializes():
