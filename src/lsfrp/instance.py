@@ -5,6 +5,12 @@ arcs are feasible sailings, and one artificial sink collects every ship at
 the end of its repositioning window.  All monetary fields are plain floats
 (files store them as integer cents, see lsfrp.io).
 
+Ship, Visit, Arc, Demand and EmptyPoint are frozen, slotted records: they
+take no attribute beyond their fields and carry no per-object dict.  A
+parsed or generated instance holds each identifier as one shared string
+object (lsfrp.io interns them), so an arc end, a demand's origin and a
+ship's start are the visit's own id.
+
 This module owns validation, reachability precomputation (one ReachIndex per
 instance, kept on it) and the per-ship derived sets used by every solver.
 """
@@ -20,7 +26,7 @@ CARGO_TYPES = ("dc", "rf")  # dry container / reefer
 PATH_COUNT_CAP = 10**18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ship:
     id: str
     start_visit: str
@@ -29,7 +35,7 @@ class Ship:
     ship_type: str = "T0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Visit:
     id: str
     port_fee: float = 0.0  # charged when a ship enters; may be negative
@@ -37,7 +43,7 @@ class Visit:
     time_index: int = 0  # advisory; acyclicity is checked structurally
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     src: str
     dst: str
@@ -56,7 +62,7 @@ def make_arc(src: str, dst: str, sail_cost: dict[str, float] | None = None) -> A
     return Arc(src, dst, items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Demand:
     id: str
     origin: str
@@ -66,7 +72,7 @@ class Demand:
     revenue: float  # per TEU delivered
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmptyPoint:
     visit: str
     cargo_type: str

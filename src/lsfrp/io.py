@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .instance import (
@@ -79,8 +80,23 @@ def _need(obj: dict, key: str, where: str):
 
 
 def _string(obj: dict, key: str, where: str) -> str:
-    """The field obj[key], which must be a JSON string, or a ParseError names it."""
-    return _typed(_need(obj, key, where), str, f"{where}.{key}")
+    """The field obj[key] as _text reads it: one shared string, or a
+    ParseError naming the field."""
+    return _text(_need(obj, key, where), f"{where}.{key}")
+
+
+def _text(value, where: str) -> str:
+    """value, which must be a string, as its one shared object (see _name),
+    or a ParseError naming where."""
+    return _name(_typed(value, str, where))
+
+
+def _name(text: str) -> str:
+    """The one object for this text: every id, visit reference and type
+    that an instance holds is interned, so records naming one visit share
+    its id object, within an instance and across instances.  An interned
+    string is still freed once nothing refers to it."""
+    return sys.intern(text)
 
 
 def _number(obj: dict, key: str, where: str, kind=float) -> float:
@@ -182,6 +198,9 @@ def write_instance(instance: Instance) -> bytes:
 
 
 def parse_instance(data: bytes | str) -> Instance:
+    """The validated instance in an instance file, or a ParseError.  Its
+    records are frozen and slotted, and each identifier, visit reference
+    and type is one shared, interned string (see _name)."""
     doc = _document(data, INSTANCE_SCHEMA)
 
     visits = [
@@ -199,7 +218,7 @@ def parse_instance(data: bytes | str) -> Instance:
             start_visit=_string(s, "start_visit", where),
             capacity_dc=_number(s, "capacity_dc", where),
             capacity_rf=_number(s, "capacity_rf", where),
-            ship_type=_typed(s.get("ship_type", "T0"), str, f"{where}.ship_type"),
+            ship_type=_text(s.get("ship_type", "T0"), f"{where}.ship_type"),
         )
         for where, s in _entries(doc, "ships")
     ]
@@ -212,7 +231,7 @@ def parse_instance(data: bytes | str) -> Instance:
             make_arc(
                 _string(a, "from", where),
                 _string(a, "to", where),
-                {t: _number(cost, t, f"{where}.sail_cost", int) for t in cost},
+                {_text(t, f"{where}.sail_cost"): _number(cost, t, f"{where}.sail_cost", int) for t in cost},
             )
         )
     demands = []
@@ -224,9 +243,7 @@ def parse_instance(data: bytes | str) -> Instance:
             Demand(
                 id=_string(m, "id", where),
                 origin=_string(m, "origin", where),
-                destinations=frozenset(
-                    _typed(d, str, f"{where}.destinations[{k}]") for k, d in enumerate(dests)
-                ),
+                destinations=frozenset(_text(d, f"{where}.destinations[{k}]") for k, d in enumerate(dests)),
                 cargo_type=_string(m, "cargo_type", where),
                 amount=_number(m, "amount", where),
                 revenue=_number(m, "revenue_per_teu", where, int),
@@ -241,7 +258,7 @@ def parse_instance(data: bytes | str) -> Instance:
         for where, p in _entries(doc, "empty_points")
     ]
     revenue = _mapping(doc.get("empty_revenue", {}), "empty_revenue")
-    revenue = {q: _number(revenue, q, "empty_revenue", int) for q in revenue}
+    revenue = {_text(q, "empty_revenue"): _number(revenue, q, "empty_revenue", int) for q in revenue}
 
     instance = Instance(
         ships, visits, _string(doc, "sink", "instance"), arcs, demands, points, revenue
@@ -389,19 +406,20 @@ class GeneratorParams:
 
 def generate_random(params: GeneratorParams) -> Instance:
     """Build a layered time-space instance; identical params give identical
-    instances byte for byte."""
+    instances byte for byte.  As in parse_instance, each identifier is one
+    shared, interned string."""
     params.check()
     rng = random.Random(params.seed)
     sink = "tau"
-    types = [f"T{k}" for k in range(params.ship_types)] if params.ships else []
+    types = [_name(f"T{k}") for k in range(params.ship_types)] if params.ships else []
 
     # layered skeleton: ship starts, middle layers, every visit has a sink arc
     n_mid = params.visits - params.ships
     width = max(2, params.ships + 1)
     # at least two middle layers whenever possible so demands have room
     n_layers = max(1 if n_mid < 2 else 2, math.ceil(n_mid / width)) if n_mid else 0
-    layers: list[list[str]] = [[f"o{k}" for k in range(params.ships)]]
-    mid_ids = [f"v{k}" for k in range(n_mid)]
+    layers: list[list[str]] = [[_name(f"o{k}") for k in range(params.ships)]]
+    mid_ids = [_name(f"v{k}") for k in range(n_mid)]
     for li in range(n_layers):
         layers.append([m for i, m in enumerate(mid_ids) if i % n_layers == li])
 
@@ -425,7 +443,7 @@ def generate_random(params: GeneratorParams) -> Instance:
         caps[t] = (dc, rf)
     for k in range(params.ships):
         t = types[k % len(types)]
-        ships.append(Ship(f"s{k}", f"o{k}", caps[t][0], caps[t][1], t))
+        ships.append(Ship(_name(f"s{k}"), layers[0][k], caps[t][0], caps[t][1], t))
 
     def sail_costs() -> dict[str, float]:
         return {t: float(rng.randint(*params.sail_cost_range)) for t in sorted(types)} or {"T0": 0.0}
@@ -496,7 +514,7 @@ def generate_random(params: GeneratorParams) -> Instance:
         q = "rf" if rng.random() < params.reefer_fraction else "dc"
         demands.append(
             Demand(
-                id=f"m{k}",
+                id=_name(f"m{k}"),
                 origin=origin,
                 destinations=frozenset(dests),
                 cargo_type=q,

@@ -108,6 +108,18 @@ def test_criterion_1_cross_method_equality(suite):
     )
 
 
+@pytest.mark.parametrize("seed, optimum", [(1, 19812), (2, 21946), (3, 12073)])
+def test_ladder_l2_methods_agree_with_the_oracle(seed, optimum):
+    """Rung L2 of the instance ladder (3 ships, 25 visits, 20 demands), past
+    every other tier-1 instance.  `revised` is left out because it stalls
+    at L2 (ROADMAP item 1), and `reduced` because it takes seconds here."""
+    ins = generate_random(GeneratorParams(ships=3, visits=25, demands=20, arc_density=0.35, seed=seed))
+    for method in ("oracle", "colgen", "colgen-lazy", "reduced-tight"):
+        sol = run_method(ins, method)
+        assert (sol.status, sol.objective) == ("optimal", pytest.approx(optimum, rel=REL_TOL)), method
+        assert evaluate_objective(ins, sol) == pytest.approx(sol.objective, rel=REL_TOL), method
+
+
 def test_criterion_2_bound_dominance(suite):
     """LP(revised) <= LP(reduced+tight) <= LP(reduced); strict gap exists."""
     for rec in suite["records"]:

@@ -2,6 +2,7 @@ import pytest
 
 from lsfrp.instance import (
     Demand,
+    EmptyPoint,
     Instance,
     InvalidInstanceError,
     Ship,
@@ -91,6 +92,25 @@ def test_same_type_ships_must_share_capacities():
     )
     report = validate(ins)
     assert any("unequal capacities" in v for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Ship("s1", "v1", 10, 0, "T0"),
+        Visit("v1"),
+        make_arc("v1", "tau", Z0),
+        Demand("m1", "v1", frozenset({"v2"}), "dc", 5, 10),
+        EmptyPoint("v1", "dc", 5),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_are_slotted(record):
+    # no per-object dict, so an instance's many arcs and demands stay small,
+    # and no ad-hoc attribute, even past the frozen __setattr__
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "note", 1)
 
 
 def test_reach_index_t1():

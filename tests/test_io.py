@@ -6,7 +6,7 @@ import pytest
 
 from lsfrp import lp
 from lsfrp.cli import METHODS, run_method
-from lsfrp.instance import validate
+from lsfrp.instance import CARGO_TYPES, validate
 from lsfrp.io import (
     GeneratorParams,
     ParseError,
@@ -211,6 +211,41 @@ def test_generator_output_always_valid():
         ins = generate_random(p)
         report = validate(ins)
         assert report.ok, f"seed {seed}: {report}"
+
+
+SHARED_IDS = GeneratorParams(ships=3, ship_types=2, visits=14, demands=10, empty_points=4, seed=6)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda p: parse_instance(write_instance(generate_random(p))), generate_random],
+    ids=["parsed", "generated"],
+)
+def test_every_visit_reference_is_the_visits_id_object(make):
+    ins = make(SHARED_IDS)
+    assert ins.empty_points and ins.demands
+
+    def node(name):
+        return ins.sink if name == ins.sink else ins.visit_by_id[name].id
+
+    refs = [s.start_visit for s in ins.ships] + [p.visit for p in ins.empty_points]
+    refs += [end for a in ins.arcs for end in (a.src, a.dst)]
+    refs += [v for m in ins.demands for v in (m.origin, *m.destinations)]
+    assert [v for v in refs if v is not node(v)] == []
+    # sail-cost keys are the ships' type objects, cargo types the package's
+    types = {s.ship_type: s.ship_type for s in ins.ships}
+    assert [t for a in ins.arcs for t, _ in a.sail_cost if t is not types[t]] == []
+    cargo = {q: q for q in CARGO_TYPES}
+    kinds = [*ins.empty_revenue, *(m.cargo_type for m in ins.demands), *(p.cargo_type for p in ins.empty_points)]
+    assert [q for q in kinds if q is not cargo[q]] == []
+
+
+def test_ships_of_one_type_share_the_type_object_across_parsed_instances():
+    first, second = (
+        parse_instance(write_instance(generate_random(GeneratorParams(ships=2, seed=seed)))) for seed in (1, 2)
+    )
+    assert first.ships[0].ship_type == second.ships[0].ship_type
+    assert first.ships[0].ship_type is second.ships[0].ship_type
 
 
 def test_generator_zero_demands_pure_repositioning():

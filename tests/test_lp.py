@@ -443,6 +443,27 @@ def test_warm_resolves_match_highs():
                 assert warm.objective == pytest.approx(ref, rel=1e-7, abs=1e-7)
 
 
+def test_arcflow_root_lps_match_highs():
+    pytest.importorskip("scipy")
+    from lsfrp.formulations import build_arcflow
+    from lsfrp.io import GeneratorParams, generate_random
+
+    rng = random.Random(71)
+    for seed in range(40):
+        # every generated visit has a sink arc, so each root LP is feasible
+        ins = generate_random(GeneratorParams(
+            ships=rng.randint(1, 3), ship_types=rng.randint(1, 2), visits=rng.randint(8, 16),
+            demands=rng.randint(0, 12), arc_density=rng.uniform(0.3, 0.6),
+            capacity_dc_range=rng.choice([(25, 60), (60, 160)]), seed=seed,
+        ))
+        for method in ("reduced", "reduced-tight", "revised"):
+            model, _ = build_arcflow(ins, method)
+            status, ref = _highs_verdict(model, None)
+            sol = solve_lp(model)
+            assert (status, sol.status) == (OPTIMAL, OPTIMAL), (seed, method)
+            assert sol.objective == pytest.approx(ref, rel=1e-6), (seed, method)
+
+
 def test_warm_basis_is_read_only_and_shared():
     m = knap([10, 9, 8, 7], [5, 5, 4, 3], 9)
     root = solve_lp(m)
