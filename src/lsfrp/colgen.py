@@ -121,15 +121,15 @@ class RestrictedMaster:
     def __init__(self, instance: Instance, state: _BranchState):
         self.state = state
         model = LinearModel("rmp")
-        self.ship_rows = {s.id: model.add_constr({}, EQ, 1.0, f"conv[{s.id}]") for s in instance.ships}
-        self.visit_rows = {v.id: model.add_constr({}, LE, 1.0, f"once[{v.id}]") for v in instance.visits}
+        self.ship_rows = {s.id: model.add_constr({}, EQ, 1.0) for s in instance.ships}
+        self.visit_rows = {v.id: model.add_constr({}, LE, 1.0) for v in instance.visits}
         self.req_rows: dict[tuple[str, str], int] = {}
         penalty = artificial_profit(instance)
         for node, sid in state.required:
-            art = model.add_var(0.0, 1.0, obj=penalty, name=f"art[{node},{sid}]")
-            self.req_rows[(node, sid)] = model.add_constr({art: 1.0}, GE, 1.0, f"req[{node},{sid}]")
+            art = model.add_var(0.0, 1.0, obj=penalty)
+            self.req_rows[(node, sid)] = model.add_constr({art: 1.0}, GE, 1.0)
         for sid, row in self.ship_rows.items():
-            model.add_var(0.0, lp.INF, obj=penalty, name=f"art[{sid}]", column={row: 1.0})
+            model.add_var(0.0, lp.INF, obj=penalty, column={row: 1.0})
         self.model = model
         self.zvars: list[int] = []  # model variable of each column, in column order
         self.basis: lp.LpBasis | None = None
@@ -141,8 +141,7 @@ class RestrictedMaster:
         # nonbasic at a bound of 1 could price positive under optimal duals
         banned = any((v, col.ship) in self.state.excluded for v in col.nodes)
         self.zvars.append(self.model.add_var(
-            0.0, 0.0 if banned else lp.INF, obj=col.profit,
-            name=f"z{len(self.zvars)}", column=dict.fromkeys(rows, 1.0),
+            0.0, 0.0 if banned else lp.INF, obj=col.profit, column=dict.fromkeys(rows, 1.0),
         ))
 
 
@@ -153,6 +152,8 @@ def solve_rmp(master: RestrictedMaster, columns: list[Column]) -> tuple[lp.LpSol
     for col in columns[len(master.zvars):]:
         master.add(col)
     sol = lp.solve_lp(master.model, warm=master.basis)
+    if sol.status == lp.BREAKDOWN:
+        raise lp.NumericalBreakdownError("relaxed master LP broke down")
     if sol.status != lp.OPTIMAL:
         raise RuntimeError(f"relaxed master is {sol.status}")
     master.basis = sol.basis

@@ -116,10 +116,7 @@ def add_ship_arcs(
         cost = a.cost_for(ship.ship_type)
         fee = 0.0 if a.dst == sink else instance.visit_by_id[a.dst].port_fee
         price = 0.0 if a.dst == sink else node_price.get(a.dst, 0.0)
-        yvars[(a.src, a.dst)] = model.add_var(
-            0.0, 1.0, obj=-(cost + fee + price), integer=True,
-            name=f"y[{ship.id},{a.src},{a.dst}]",
-        )
+        yvars[(a.src, a.dst)] = model.add_var(0.0, 1.0, obj=-(cost + fee + price), integer=True)
     return yvars
 
 
@@ -138,14 +135,14 @@ def add_path_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]
         coeffs = {
             ys[(a.src, a.dst)]: 1.0 for a in instance.out_arcs[s.start_visit] if (a.src, a.dst) in ys
         }
-        model.add_constr(coeffs, EQ, 1.0, f"start[{s.id}]")
+        model.add_constr(coeffs, EQ, 1.0)
     coeffs = {}
     for ys in yvars.values():
         for a in instance.in_arcs[instance.sink]:
             j = ys.get((a.src, a.dst))
             if j is not None:
                 coeffs[j] = 1.0
-    model.add_constr(coeffs, EQ, float(len(ships)), "sink")
+    model.add_constr(coeffs, EQ, float(len(ships)))
     starts = {s.start_visit for s in ships}
     for s in ships:
         ys = yvars[s.id]
@@ -162,7 +159,7 @@ def add_path_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]
                 if j is not None:
                     coeffs[j] = coeffs.get(j, 0.0) - 1.0
             if coeffs:
-                model.add_constr(coeffs, EQ, 0.0, f"cons[{s.id},{v.id}]")
+                model.add_constr(coeffs, EQ, 0.0)
 
 
 def add_cargo(
@@ -206,27 +203,23 @@ def add_cargo(
                 if any((i, j) in yvars[sid] for sid in sids):
                     key = prefix + (mid, i, j)
                     keys.append(key)
-                    xvars[key] = model.add_var(
-                        0.0, ub, obj=_cargo_objective(instance, mid, i, j),
-                        name=f"x[{','.join(key)}]",
-                    )
+                    xvars[key] = model.add_var(0.0, ub, obj=_cargo_objective(instance, mid, i, j))
         carried.append(keys)
 
     # per-arc capacities, reefer and total
-    for (prefix, sids, _), keys in zip(carriers, carried):
+    for (_, sids, _), keys in zip(carriers, carried):
         loads: dict[tuple[str, str], list[tuple]] = {}
         for key in keys:
             loads.setdefault(key[-2:], []).append(key)
         for (i, j), on_arc in sorted(loads.items()):
-            tag = ",".join(prefix + (i, j))
             ships = sailing(sids, i, j)
             rf = {xvars[k]: 1.0 for k in on_arc if instance.demand_by_id[k[-3]].cargo_type == "rf"}
             if rf:
                 rf.update({y: -s.capacity_rf for s, y in ships})
-                model.add_constr(rf, LE, 0.0, f"cap_rf[{tag}]")
+                model.add_constr(rf, LE, 0.0)
             total = {xvars[k]: 1.0 for k in on_arc}
             total.update({y: -s.capacity_dc for s, y in ships})
-            model.add_constr(total, LE, 0.0, f"cap_dc[{tag}]")
+            model.add_constr(total, LE, 0.0)
 
     # availability gate at each origin
     for prefix, sids, demands in carriers:
@@ -239,7 +232,7 @@ def add_cargo(
                     coeffs[v] = 1.0
                 coeffs.update({y: -m.amount for _, y in sailing(sids, a.src, a.dst)})
             if coeffs:
-                model.add_constr(coeffs, LE, 0.0, f"avail[{','.join(prefix + (mid,))}]")
+                model.add_constr(coeffs, LE, 0.0)
 
     _add_cargo_conservation(model, instance, xvars)
 
@@ -250,7 +243,7 @@ def add_cargo(
                 v = xvars[key]
                 coeffs = {v: 1.0}
                 coeffs.update({y: -model.ub[v] for _, y in sailing(sids, *key[-2:])})
-                model.add_constr(coeffs, LE, 0.0, f"link[{','.join(key)}]")
+                model.add_constr(coeffs, LE, 0.0)
     return xvars
 
 
@@ -264,9 +257,7 @@ def _add_cargo_conservation(model, instance, xvars) -> None:
         nodes.setdefault(i, ([], []))[1].append(var)  # outflow at i
         nodes.setdefault(j, ([], []))[0].append(var)  # inflow at j
     for ck, nodes in sorted(by_commodity.items()):
-        mid = ck[-1]
-        m = instance.demand_by_id[mid]
-        tag = ",".join(ck)
+        m = instance.demand_by_id[ck[-1]]
         for node, (inflow, outflow) in sorted(nodes.items()):
             if node == m.origin:
                 continue
@@ -279,9 +270,9 @@ def _add_cargo_conservation(model, instance, xvars) -> None:
                 continue
             if node in m.destinations:
                 # cargo may ride through, but a destination never creates flow
-                model.add_constr(coeffs, GE, 0.0, f"absorb[{tag},{node}]")
+                model.add_constr(coeffs, GE, 0.0)
             else:
-                model.add_constr(coeffs, EQ, 0.0, f"flow[{tag},{node}]")
+                model.add_constr(coeffs, EQ, 0.0)
 
 
 def _add_node_once_rows(model: LinearModel, instance: Instance, yvars: dict[str, dict]) -> None:
@@ -294,7 +285,7 @@ def _add_node_once_rows(model: LinearModel, instance: Instance, yvars: dict[str,
                 if j is not None:
                     coeffs[j] = 1.0
         if coeffs:
-            model.add_constr(coeffs, LE, 1.0, f"once[{v.id}]")
+            model.add_constr(coeffs, LE, 1.0)
 
 
 # -- the models -------------------------------------------------------------------

@@ -136,20 +136,18 @@ class CompactModel:
     cuts: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _add_gates(
-    model: LinearModel, yvars, var: int, arcs, origin: str, destinations, name: str
-) -> None:
-    """Gate rows of one cargo variable, named after ``name`` ("stem[tag]"):
-    it moves only if the ship leaves origin, and enters one of the
-    destinations, along its arcs; the bound is the variable's own."""
-    stem, tag = name.split("[", 1)
+def _add_gates(model: LinearModel, yvars, var: int, arcs, origin: str, destinations) -> None:
+    """The two gate rows of cargo variable var, origin gate then
+    destination gate: it moves only if the ship leaves origin, and enters
+    one of the destinations, along its arcs; the bound is the variable's
+    own."""
     bound = model.ub[var]
     out_gate = {yvars[(i, j)]: -bound for (i, j) in arcs if i == origin}
     out_gate[var] = 1.0
-    model.add_constr(out_gate, LE, 0.0, f"{stem}_o[{tag}")
+    model.add_constr(out_gate, LE, 0.0)
     in_gate = {yvars[(i, j)]: -bound for (i, j) in arcs if j in destinations}
     in_gate[var] = 1.0
-    model.add_constr(in_gate, LE, 0.0, f"{stem}_d[{tag}")
+    model.add_constr(in_gate, LE, 0.0)
 
 
 def build_compact_pricing(
@@ -164,7 +162,12 @@ def build_compact_pricing(
 
     The engine builds each model once without prices or exclusions and
     re-prices it in place; node_price and excluded build a model already
-    priced, the reference that tests compare a re-priced model against."""
+    priced, the reference that tests compare a re-priced model against.
+
+    Its variables and rows carry no names: the returned ``CompactModel``
+    maps each arc, member and empty pair to its variable (``yvars``,
+    ``xvars``, ``evars``) and each (node, scope) to its cut row
+    (``cut_rows``)."""
     ins = instance
     ship = ins.ship_by_id[ship_id]
     if ship.start_visit in excluded:
@@ -191,7 +194,6 @@ def build_compact_pricing(
         cap = ship.capacity_rf if m.cargo_type == "rf" else ship.capacity_dc
         xvars[mem.key] = model.add_var(
             0.0, min(m.amount, cap), obj=delivery_coef(ins, m.id, min(mem.destinations)),
-            name=f"x[{mem.key}]",
         )
         reachable_members.append(mem)
     member_by_key = {m.key: m for m in members}
@@ -222,15 +224,14 @@ def build_compact_pricing(
             evars[key] = model.add_var(
                 0.0, min(sp.amount, -dp.amount, ship.capacity_dc),
                 obj=empty_coef(ins, q, sp.visit, dp.visit),
-                name=f"e[{q},{sp.visit},{dp.visit}]",
             )
             empty_gate_arcs[key] = pair_arcs
 
     # an empty pair moves only if the ship leaves its surplus and enters its
     # deficit along arcs the pair can travel
     for key, var in sorted(evars.items()):
-        q, src, dst = key
-        _add_gates(model, yvars, var, empty_gate_arcs[key], src, {dst}, f"egate[{q},{src},{dst}]")
+        _, src, dst = key
+        _add_gates(model, yvars, var, empty_gate_arcs[key], src, {dst})
 
     # load-node capacity rows: everything picked up at k departs aboard
     load_nodes: dict[str, tuple[list[str], list[tuple[str, str, str]]]] = {}
@@ -249,19 +250,16 @@ def build_compact_pricing(
         total.update({evars[e]: 1.0 for e in ekeys})
         for y, c in outflow.items():
             total[y] = -ship.capacity_dc
-        model.add_constr(total, LE, 0.0, f"load_dc[{k}]")
+        model.add_constr(total, LE, 0.0)
         rf = {xvars[d]: 1.0 for d in dkeys if member_by_key[d].demand.cargo_type == "rf"}
         if rf:
             for y in outflow:
                 rf[y] = -ship.capacity_rf
-            model.add_constr(rf, LE, 0.0, f"load_rf[{k}]")
+            model.add_constr(rf, LE, 0.0)
 
     # origin / destination gates per member
     for mem in reachable_members:
-        _add_gates(
-            model, yvars, xvars[mem.key], gate_arcs[mem.key], mem.demand.origin, mem.destinations,
-            f"gate[{mem.key}]",
-        )
+        _add_gates(model, yvars, xvars[mem.key], gate_arcs[mem.key], mem.demand.origin, mem.destinations)
 
     # shared availability for split families
     by_parent: dict[str, list[str]] = {}
@@ -271,10 +269,7 @@ def build_compact_pricing(
     for parent, keys in sorted(by_parent.items()):
         if len(keys) > 1:
             split_parents += 1
-            model.add_constr(
-                {xvars[k]: 1.0 for k in keys}, LE, ins.demand_by_id[parent].amount,
-                f"avail[{parent}]",
-            )
+            model.add_constr({xvars[k]: 1.0 for k in keys}, LE, ins.demand_by_id[parent].amount)
 
     # empty supply / deficit conservation
     by_src: dict[tuple[str, str], list] = {}
@@ -285,11 +280,11 @@ def build_compact_pricing(
     for p in surpluses:
         group = by_src.get((p.cargo_type, p.visit), [])
         if len(group) > 1:
-            model.add_constr({v: 1.0 for v in group}, LE, p.amount, f"sup[{p.cargo_type},{p.visit}]")
+            model.add_constr({v: 1.0 for v in group}, LE, p.amount)
     for p in deficits:
         group = by_dst.get((p.cargo_type, p.visit), [])
         if len(group) > 1:
-            model.add_constr({v: 1.0 for v in group}, LE, -p.amount, f"def[{p.cargo_type},{p.visit}]")
+            model.add_constr({v: 1.0 for v in group}, LE, -p.amount)
 
     return CompactModel(
         model=model,
@@ -325,7 +320,7 @@ def _capacity_cut_rows(
             held = [var for var, q in aboard[node] if scope == "dc" or q == "rf"]
             if held:
                 coeffs = {var: 1.0 for var in held if var is not None}
-                rows[(node, scope)] = lp.Constraint(coeffs, LE, cap, f"lazy[{scope},{node}]")
+                rows[(node, scope)] = lp.Constraint(coeffs, LE, cap)
     return rows
 
 

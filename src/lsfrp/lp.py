@@ -8,6 +8,13 @@ downstream of the instance model solves through this module; an external
 solver could be slotted in behind the same two entry points, but the
 embedded simplex is the default and the one the test suite exercises.
 
+A model carries numbers only.  A variable or a row is its index, the
+one ``add_var`` or ``add_constr`` returns; the model keeps no name per
+entry, and the builder that made it keeps the key map that says what each
+index means (``ArcFlowVars.y``/``.x``, ``CompactModel.xvars``/``.evars``/
+``.cut_rows``, ``RestrictedMaster.ship_rows``/``.visit_rows``/
+``.req_rows``).  The one label is the model's own ``name``.
+
 A solve reads its rows from the model and nowhere else.  Lazy cuts are
 model rows too: ``solve_mip`` appends each cut its callback returns with
 ``add_constr``, so the cuts hold at every later node and are still in the
@@ -140,11 +147,15 @@ class Constraint:
     coeffs: dict[int, float]
     sense: str
     rhs: float
-    name: str = ""
 
 
 class LinearModel:
-    """Sparse maximization model with bounded continuous/integer variables."""
+    """Sparse maximization model with bounded continuous/integer variables.
+
+    Variables and rows are numbered in the order they are added, and that
+    index is all a model knows of them; ``name`` labels the model as a
+    whole.  A bad entry is a ValueError naming it by index (``variable
+    17``, ``row 42``)."""
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -152,7 +163,6 @@ class LinearModel:
         self.ub: list[float] = []
         self.obj: list[float] = []
         self.is_int: list[bool] = []
-        self.var_names: list[str] = []
         self.rows: list[Constraint] = []
         # bumped by add_var/add_constr only: objective and bound edits keep
         # the cached structural block of _row_block valid
@@ -171,35 +181,34 @@ class LinearModel:
         ub: float = INF,
         obj: float = 0.0,
         integer: bool = False,
-        name: str = "",
         column: dict[int, float] | None = None,
     ) -> int:
         """Append a variable; column gives its coefficients in existing rows."""
-        if not lb <= ub:
-            raise ValueError(f"variable {name or len(self.lb)}: lb {lb} > ub {ub}")
-        if not math.isfinite(obj):
-            raise ValueError("objective coefficient must be finite")
-        clean = _checked_coeffs(column or {}, len(self.rows), f"variable {name!r}", "row")
         j = len(self.lb)
+        if not lb <= ub:
+            raise ValueError(f"variable {j}: lb {lb} > ub {ub}")
+        if not math.isfinite(obj):
+            raise ValueError(f"variable {j}: objective coefficient must be finite")
+        clean = _checked_coeffs(column or {}, len(self.rows), f"variable {j}", "row")
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.obj.append(float(obj))
         self.is_int.append(bool(integer))
-        self.var_names.append(name or f"x{j}")
         for i, c in clean.items():
             self.rows[i].coeffs[j] = c
         self._structure += 1
         return j
 
-    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float, name: str = "") -> int:
+    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
+        i = len(self.rows)
         if sense not in (LE, EQ, GE):
-            raise ValueError(f"unknown sense {sense!r}")
+            raise ValueError(f"row {i}: unknown sense {sense!r}")
         if not math.isfinite(rhs):
-            raise ValueError("rhs must be finite")
-        clean = _checked_coeffs(coeffs, len(self.lb), f"row {name!r}", "variable")
-        self.rows.append(Constraint(clean, sense, float(rhs), name or f"c{len(self.rows)}"))
+            raise ValueError(f"row {i}: rhs must be finite")
+        clean = _checked_coeffs(coeffs, len(self.lb), f"row {i}", "variable")
+        self.rows.append(Constraint(clean, sense, float(rhs)))
         self._structure += 1
-        return len(self.rows) - 1
+        return i
 
     def set_objective_coeff(self, j: int, value: float) -> None:
         self.obj[j] = float(value)
@@ -920,14 +929,14 @@ def solve_mip(
             if on_candidate is not None:
                 new_cuts = on_candidate(sol.x)
                 if new_cuts:
-                    for cut in new_cuts:
+                    for k, cut in enumerate(new_cuts):
                         v = _violation(cut, sol.x)
                         if v <= TOL_FEAS:
                             raise CutSoundnessError(
-                                f"cut {cut.name!r} not violated by candidate (violation {v:.3g})"
+                                f"cut {k} of the batch not violated by candidate (violation {v:.3g})"
                             )
                     for cut in new_cuts:
-                        model.add_constr(cut.coeffs, cut.sense, cut.rhs, cut.name)
+                        model.add_constr(cut.coeffs, cut.sense, cut.rhs)
                     cuts_added += len(new_cuts)
                     continue  # re-solve this node with the new cuts
             return sol.objective, (sol, None)

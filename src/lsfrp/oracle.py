@@ -80,12 +80,10 @@ def _cargo_lp(instance: Instance, ship, path: tuple[str, ...]):
         for p in stops:
             dest = path[p]
             coef = m.revenue - instance.visit_by_id[m.origin].move_cost - instance.visit_by_id[dest].move_cost
-            v = model.add_var(0.0, min(m.amount, cap), obj=coef, name=f"z[{m.id},{dest}]")
+            v = model.add_var(0.0, min(m.amount, cap), obj=coef)
             dvars.append((m.id, dest, o, p, v, m.cargo_type))
         if len(stops) > 1:  # a single variable's upper bound already caps availability
-            model.add_constr(
-                {v: 1.0 for (_, _, _, _, v, _) in dvars[-len(stops):]}, LE, m.amount, f"a[{m.id}]"
-            )
+            model.add_constr({v: 1.0 for (_, _, _, _, v, _) in dvars[-len(stops):]}, LE, m.amount)
 
     evars: list[tuple[str, str, str, int, int, int]] = []  # type, src, dst, load, drop, var
     surpluses = [p for p in instance.empty_points if p.amount > 0 and p.visit in pos]
@@ -100,21 +98,16 @@ def _cargo_lp(instance: Instance, ship, path: tuple[str, ...]):
                 - instance.visit_by_id[sp.visit].move_cost
                 - instance.visit_by_id[dp.visit].move_cost
             )
-            v = model.add_var(
-                0.0,
-                min(sp.amount, -dp.amount, ship.capacity_dc),
-                obj=coef,
-                name=f"e[{q},{sp.visit},{dp.visit}]",
-            )
+            v = model.add_var(0.0, min(sp.amount, -dp.amount, ship.capacity_dc), obj=coef)
             evars.append((q, sp.visit, dp.visit, pos[sp.visit], pos[dp.visit], v))
     for sp in surpluses:
         group = [v for (q, src, _, _, _, v) in evars if src == sp.visit and q == sp.cargo_type]
         if len(group) > 1:
-            model.add_constr({v: 1.0 for v in group}, LE, sp.amount, f"sup[{sp.visit}]")
+            model.add_constr({v: 1.0 for v in group}, LE, sp.amount)
     for dp in deficits:
         group = [v for (q, _, dst, _, _, v) in evars if dst == dp.visit and q == dp.cargo_type]
         if len(group) > 1:
-            model.add_constr({v: 1.0 for v in group}, LE, -dp.amount, f"def[{dp.visit}]")
+            model.add_constr({v: 1.0 for v in group}, LE, -dp.amount)
 
     # leg capacities: everything aboard between consecutive visits
     for leg in range(len(path) - 2):  # final leg enters the sink empty
@@ -129,13 +122,15 @@ def _cargo_lp(instance: Instance, ship, path: tuple[str, ...]):
             if load <= leg < drop:
                 total[v] = 1.0  # empties use total capacity only, laden reefer uses plugs
         if total:
-            model.add_constr(total, LE, ship.capacity_dc, f"leg_dc[{leg}]")
+            model.add_constr(total, LE, ship.capacity_dc)
         if rf:
-            model.add_constr(rf, LE, ship.capacity_rf, f"leg_rf[{leg}]")
+            model.add_constr(rf, LE, ship.capacity_rf)
 
     if model.num_vars == 0:
         return 0.0, [], []
     sol = lp.solve_lp(model)
+    if sol.status == lp.BREAKDOWN:
+        raise lp.NumericalBreakdownError("cargo LP on fixed path broke down")
     if sol.status != lp.OPTIMAL:
         raise RuntimeError(f"cargo LP on fixed path is {sol.status}")
     flows = [

@@ -5,9 +5,10 @@ from dataclasses import fields
 
 import pytest
 
+from lsfrp import lp
 from lsfrp.cli import METHODS, build_parser, main, run_method
 from lsfrp.io import GeneratorParams, ParseError, generate_random, parse_instance, parse_solution, write_instance
-from lsfrp.solution import NO_DISJOINT_ROUTING, REFUSED, Diagnostics
+from lsfrp.solution import BREAKDOWN, NO_DISJOINT_ROUTING, REFUSED, Diagnostics
 
 from fixtures import T1_OPT, empty_repos19, shared_corridor, shared_start, t1
 
@@ -215,6 +216,29 @@ def test_run_method_times_an_oracle_refusal():
     sol = run_method(t1(), "oracle", oracle_budget=0)
     assert sol.status == REFUSED
     assert sol.diagnostics.wall_time_sec > 0.0
+
+
+@pytest.mark.parametrize(
+    "method, model_name, named",
+    [("colgen", "rmp", "relaxed master"), ("colgen-lazy", "rmp", "relaxed master"),
+     ("oracle", "cargo", "cargo LP")],
+)
+def test_a_breakdown_in_the_master_or_the_cargo_lp_is_status_breakdown(
+    t1_path, tmp_path, monkeypatch, method, model_name, named
+):
+    real = lp.solve_lp
+
+    def breaks_down(model, *args, **kwargs):
+        if model.name == model_name:
+            return lp.LpSolution(lp.BREAKDOWN)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", breaks_down)
+    sol = run_method(t1(), method)
+    assert sol.status == BREAKDOWN
+    assert named in sol.meta["refusal"] and "breakdown" in sol.meta["refusal"]
+    code = main(["solve", "--instance", t1_path, "--method", method, "--out", str(tmp_path / "b.json")])
+    assert code == 3
 
 
 def test_compare_empty_revenue_pair(tmp_path, capsys):

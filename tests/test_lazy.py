@@ -207,7 +207,7 @@ def test_overload_emits_dc_cut_at_second_origin():
     assert mip.objective == pytest.approx(OVERLOAD1_OPT)
     assert ctx.cuts == [("oB", "dc")]
     cut = ctx.cut_rows[("oB", "dc")]
-    assert cut.name == "lazy[dc,oB]" and cut.rhs == 50
+    assert cut.rhs == 50
     assert cut.coeffs == {ctx.xvars["mA"]: 1.0, ctx.xvars["mB"]: 1.0}
     assert ctx.model.rows[-1] == cut
 
@@ -430,7 +430,7 @@ def _fresh_compact_value(ins, ship_id, prices, excluded, cuts):
         return None
     for key in cuts:  # the fresh model numbers its variables differently
         cut = ctx.cut_rows[key]
-        ctx.model.add_constr(cut.coeffs, cut.sense, cut.rhs, cut.name)
+        ctx.model.add_constr(cut.coeffs, cut.sense, cut.rhs)
     ctx.cuts.extend(cuts)
     mip = lp.solve_mip(ctx.model, on_candidate=partial(add_violated_cuts, ctx))
     if mip.status != lp.OPTIMAL:
@@ -469,7 +469,7 @@ def test_persistent_compact_engine_matches_fresh_models(monkeypatch, params):
 
 
 def _cut_checks(ins):
-    """(name, left-hand side, rhs) of every capacity cut row the model
+    """((node, scope), left-hand side, rhs) of every capacity cut row the model
     stores, evaluated at the oracle's cargo plan on each start->sink path
     of each ship."""
     for ship in ins.ships:
@@ -484,8 +484,8 @@ def _cut_checks(ins):
                 x[ctx.xvars[key]] += f.amount
             for f in empties:
                 x[ctx.evars[(f.cargo_type, f.src, f.dst)]] += f.amount
-            for cut in ctx.cut_rows.values():
-                yield cut.name, sum(c * x[j] for j, c in cut.coeffs.items()), cut.rhs
+            for key, cut in ctx.cut_rows.items():
+                yield key, sum(c * x[j] for j, c in cut.coeffs.items()), cut.rhs
 
 
 def test_every_capacity_cut_holds_on_every_enumerated_path(monkeypatch):
@@ -502,12 +502,12 @@ def test_every_capacity_cut_holds_on_every_enumerated_path(monkeypatch):
     ]
     checks = 0
     for ins in instances:
-        for name, lhs, rhs in _cut_checks(ins):
-            assert lhs <= rhs + 1e-7, name
+        for key, lhs, rhs in _cut_checks(ins):
+            assert lhs <= rhs + 1e-7, key
             checks += 1
     assert checks > 1000
     # control: unsplit, A's cargo dropped at dA1 still counts in the cut at oB
     split_nothing(monkeypatch)
-    violated = {(name, lhs, rhs) for name, lhs, rhs in _cut_checks(fig3_split())
+    violated = {(key, lhs, rhs) for key, lhs, rhs in _cut_checks(fig3_split())
                 if lhs > rhs + 1e-7}
-    assert violated == {("lazy[dc,oB]", 60.0, 40)}
+    assert violated == {(("oB", "dc"), 60.0, 40)}

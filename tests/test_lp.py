@@ -1,7 +1,9 @@
+import inspect
 import itertools
 import math
 import random
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -81,28 +83,41 @@ def test_model_validation():
     with pytest.raises(ValueError):
         m.add_var(0, 1, column={0: float("inf")})
     assert m.num_vars == 1 and m.rows[0].coeffs == {x: 1.0}
+    # a variable or a row is its index: the model keeps no name per entry
+    from fixtures import t1
+    from lsfrp.formulations import build_revised
+
+    assert [f.name for f in fields(Constraint)] == ["coeffs", "sense", "rhs"]
+    for method in (LinearModel.add_var, LinearModel.add_constr):
+        assert "name" not in inspect.signature(method).parameters, method.__name__
+    model, _ = build_revised(t1())
+    assert not hasattr(model, "var_names")
+    with pytest.raises(ValueError, match="variable 1: lb"):
+        m.add_var(2, 1)
+    with pytest.raises(ValueError, match="row 1 references unknown variable 7"):
+        m.add_constr({7: 1.0}, LE, 1.0)
 
 
 def lp_text(model: LinearModel) -> str:
     """Debug dump of a model in LP text format, for external verification."""
 
     def term(j: int, c: float) -> str:
-        return f"{'+' if c >= 0 else '-'} {abs(c):.12g} {model.var_names[j]}"
+        return f"{'+' if c >= 0 else '-'} {abs(c):.12g} x{j}"
 
     lines = [f"\\ model {model.name or 'unnamed'}", "Maximize"]
     objterms = " ".join(term(j, c) for j, c in enumerate(model.obj) if c != 0.0) or "0 x0"
     lines.append(f" obj: {objterms}")
     lines.append("Subject To")
-    for r in model.rows:
+    for i, r in enumerate(model.rows):
         body = " ".join(term(j, r.coeffs[j]) for j in sorted(r.coeffs))
         op = {LE: "<=", EQ: "=", GE: ">="}[r.sense]
-        lines.append(f" {r.name}: {body or '0 x0'} {op} {r.rhs:.12g}")
+        lines.append(f" c{i}: {body or '0 x0'} {op} {r.rhs:.12g}")
     lines.append("Bounds")
     for j in range(model.num_vars):
         lo = "-inf" if model.lb[j] == -INF else f"{model.lb[j]:.12g}"
         hi = "+inf" if model.ub[j] == INF else f"{model.ub[j]:.12g}"
-        lines.append(f" {lo} <= {model.var_names[j]} <= {hi}")
-    ints = [model.var_names[j] for j in range(model.num_vars) if model.is_int[j]]
+        lines.append(f" {lo} <= x{j} <= {hi}")
+    ints = [f"x{j}" for j in range(model.num_vars) if model.is_int[j]]
     if ints:
         lines.append("Generals")
         lines.append(" " + " ".join(ints))
@@ -112,11 +127,11 @@ def lp_text(model: LinearModel) -> str:
 
 def test_lp_dump_round_trips_visually():
     m = LinearModel("demo")
-    x = m.add_var(0, 2, obj=3.0, name="a")
-    y = m.add_var(0, 1, obj=-1.0, integer=True, name="b")
-    m.add_constr({x: 1.0, y: 2.0}, LE, 2.0, name="cap")
+    x = m.add_var(0, 2, obj=3.0)
+    y = m.add_var(0, 1, obj=-1.0, integer=True)
+    m.add_constr({x: 1.0, y: 2.0}, LE, 2.0)
     text = lp_text(m)
-    assert "Maximize" in text and "cap:" in text and "Generals" in text
+    assert "Maximize" in text and "c0:" in text and "Generals" in text
 
 
 def test_knapsack_example():
@@ -162,7 +177,7 @@ def test_callback_cut_rejects_candidate():
 
     def cb(vals):
         if vals[x] + vals[y] > 1.5:
-            return [Constraint({x: 1.0, y: 1.0}, LE, 1.0, "no_both")]
+            return [Constraint({x: 1.0, y: 1.0}, LE, 1.0)]
         return []
 
     sol = solve_mip(m, on_candidate=cb)
@@ -175,15 +190,15 @@ def test_callback_cut_rejects_candidate():
 def test_callback_unviolated_cut_is_hard_error():
     m = LinearModel()
     x = m.add_var(0, 1, obj=1.0, integer=True)
-    m.add_constr({x: 2.0}, LE, 3.0, "own")
+    m.add_constr({x: 2.0}, LE, 3.0)
 
     def cb(vals):
-        return [Constraint({x: 1.0}, LE, 0.5, "real_cut"), Constraint({x: 1.0}, LE, 5.0, "slack_cut")]
+        return [Constraint({x: 1.0}, LE, 0.5), Constraint({x: 1.0}, LE, 5.0)]
 
-    with pytest.raises(CutSoundnessError):
+    with pytest.raises(CutSoundnessError, match="cut 1 of the batch not violated"):
         solve_mip(m, on_candidate=cb)
     # the batch is checked whole before any of it becomes a row
-    assert m.rows == [Constraint({x: 2.0}, LE, 3.0, "own")]
+    assert m.rows == [Constraint({x: 2.0}, LE, 3.0)]
 
 
 def test_valid_cut_never_increases_optimum():
@@ -394,7 +409,7 @@ def _warm_cases(model):
     if support:
         coeffs = {j: 1.0 for j in support}
         activity = sum(root.x[j] for j in support)
-        cases.append((_appended(model, [Constraint(coeffs, LE, activity - 0.5, "cut")]), {}))
+        cases.append((_appended(model, [Constraint(coeffs, LE, activity - 0.5)]), {}))
     return root, cases
 
 
@@ -537,7 +552,7 @@ def _appended(model, rows):
     of the model covers a prefix of the copy's rows."""
     out = _rebuilt(model)
     for r in rows:
-        out.add_constr(r.coeffs, r.sense, r.rhs, r.name)
+        out.add_constr(r.coeffs, r.sense, r.rhs)
     return out
 
 
@@ -599,7 +614,7 @@ def test_root_basis_covers_the_root_cuts():
     # neither pair of neighbours may both be taken; the cuts are only found
     # at a candidate, they become the model's rows in the order returned,
     # and every cut the root adds is in its basis
-    cuts = [Constraint({0: 1.0, 1: 1.0}, LE, 1.0, "pair"), Constraint({1: 1.0, 2: 1.0}, LE, 1.0, "tail")]
+    cuts = [Constraint({0: 1.0, 1: 1.0}, LE, 1.0), Constraint({1: 1.0, 2: 1.0}, LE, 1.0)]
     m = LinearModel()
     for c in (3.0, 2.0, 1.0):
         m.add_var(0, 1, obj=c, integer=True)
@@ -670,7 +685,7 @@ def test_column_appends_resolve_warm_like_cold():
         if trial % 2:
             n = model.num_vars
             coeffs = {j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.6}
-            extra.append(Constraint(coeffs, rng.choice([LE, GE]), rng.randint(-2, 8), "row"))
+            extra.append(Constraint(coeffs, rng.choice([LE, GE]), rng.randint(-2, 8)))
         model = _appended(model, extra)
         warm = solve_lp(model, warm=root.basis)
         cold = solve_lp(model)
@@ -700,7 +715,7 @@ def test_column_appends_resolve_like_highs():
         extra = []
         if trial % 2:
             coeffs = {j: 1.0 for j in range(root.x.size) if root.x[j] > model.lb[j] + 1e-6}
-            extra.append(Constraint(coeffs, LE, rng.randint(0, 6), "row"))
+            extra.append(Constraint(coeffs, LE, rng.randint(0, 6)))
         model = _appended(model, extra)
         warm = solve_lp(model, warm=root.basis)
         ref = _highs_objective(model, None)
