@@ -407,17 +407,21 @@ def evaluate_objective(instance: Instance, solution: Solution) -> float:
     total = 0.0
     positions: dict[str, dict[str, int]] = {}
     for sid, path in solution.ship_paths.items():
-        ship = instance.ship_by_id[sid]
-        for i in range(len(path) - 1):
-            if (path[i], path[i + 1]) not in instance.arc_by_pair:
-                raise ValueError(f"ship {sid}: arc {path[i]}->{path[i + 1]} not in graph")
+        ship = instance.ship_by_id.get(sid)
+        if ship is None:
+            raise ValueError(f"path for unknown ship {sid}")
+        for src, dst in zip(path, path[1:]):
+            if instance.arc(src, dst) is None:
+                raise ValueError(f"ship {sid}: arc {src}->{dst} not in graph")
         total -= instance.path_cost(ship, path)
         positions[sid] = {node: k for k, node in enumerate(path)}
 
     for f in solution.demand_flows:
         if f.amount < -1e-9:
             raise ValueError(f"negative flow for demand {f.demand}")
-        m = instance.demand_by_id[f.demand]
+        m = instance.demand_by_id.get(f.demand)
+        if m is None:
+            raise ValueError(f"flow for unknown demand {f.demand}")
         pos = positions.get(f.ship)
         if pos is None or m.origin not in pos or f.destination not in pos:
             raise ValueError(
@@ -431,6 +435,8 @@ def evaluate_objective(instance: Instance, solution: Solution) -> float:
     for f in solution.empty_flows:
         if f.amount < -1e-9:
             raise ValueError("negative empty flow")
+        if f.cargo_type not in instance.empty_revenue:
+            raise ValueError(f"empty flow of unknown cargo type {f.cargo_type}")
         pos = positions.get(f.ship)
         if pos is None or f.src not in pos or f.dst not in pos or pos[f.src] >= pos[f.dst]:
             raise ValueError(f"empty flow {f.src}->{f.dst} not supported by ship {f.ship}")

@@ -109,6 +109,8 @@ class InvalidInstanceError(ValueError):
 class Instance:
     """Immutable problem instance with id-based lookup tables.
 
+    ``out_arcs`` and ``in_arcs`` are its one arc index, the arcs whose ends
+    are both known per node in input order; ``arc`` looks a hop up there.
     Construction never raises on semantic problems; run validate() to get
     the full list of violations before handing the instance to a solver.
     """
@@ -142,12 +144,10 @@ class Instance:
         self.node_ids = tuple(nodes)
         self.out_arcs: dict[str, list[Arc]] = {n: [] for n in nodes}
         self.in_arcs: dict[str, list[Arc]] = {n: [] for n in nodes}
-        self.arc_by_pair: dict[tuple[str, str], Arc] = {}
         for a in self.arcs:
             if a.src in self.out_arcs and a.dst in self.in_arcs:
                 self.out_arcs[a.src].append(a)
                 self.in_arcs[a.dst].append(a)
-                self.arc_by_pair.setdefault((a.src, a.dst), a)
 
         # computed eagerly: the instance is immutable and shareable afterwards
         self._topo = self._compute_topo()
@@ -185,14 +185,22 @@ class Instance:
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
 
-    def sail_cost(self, ship: Ship, src: str, dst: str) -> float:
-        return self.arc_by_pair[(src, dst)].cost_for(ship.ship_type)
+    def arc(self, src: str, dst: str) -> Arc | None:
+        """The first arc src->dst of the adjacency, or None."""
+        for a in self.out_arcs.get(src, ()):
+            if a.dst == dst:
+                return a
+        return None
 
     def path_cost(self, ship: Ship, path: list[str] | tuple[str, ...]) -> float:
-        """Sail costs plus port fees along a start->sink walk (fees on entry)."""
+        """Sail costs plus port fees along a start->sink walk (fees on entry);
+        a hop that is not an arc is a KeyError naming its pair."""
         cost = 0.0
-        for i in range(len(path) - 1):
-            cost += self.sail_cost(ship, path[i], path[i + 1])
+        for src, dst in zip(path, path[1:]):
+            a = self.arc(src, dst)
+            if a is None:
+                raise KeyError((src, dst))
+            cost += a.cost_for(ship.ship_type)
         for node in path[1:]:
             if node != self.sink:
                 cost += self.visit_by_id[node].port_fee

@@ -445,7 +445,7 @@ def generate_random(params: GeneratorParams) -> Instance:
         t = types[k % len(types)]
         ships.append(Ship(_name(f"s{k}"), layers[0][k], caps[t][0], caps[t][1], t))
 
-    def sail_costs() -> dict[str, float]:
+    def draw_sail_costs() -> dict[str, float]:
         return {t: float(rng.randint(*params.sail_cost_range)) for t in sorted(types)} or {"T0": 0.0}
 
     arc_pairs: list[tuple[str, str, dict[str, float]]] = []
@@ -454,7 +454,7 @@ def generate_random(params: GeneratorParams) -> Instance:
     def add_arc(u: str, v: str, cost: dict[str, float] | None = None) -> None:
         if (u, v) not in seen and u != v:
             seen.add((u, v))
-            arc_pairs.append((u, v, cost if cost is not None else sail_costs()))
+            arc_pairs.append((u, v, cost if cost is not None else draw_sail_costs()))
 
     for li in range(len(layers) - 1):
         src_layer, dst_layer = layers[li], layers[li + 1]

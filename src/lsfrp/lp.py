@@ -22,10 +22,11 @@ model when the search returns.  The kernel keeps only the dense m x n block
 A of the rows' coefficients, cached on the model until its next
 ``add_var``/``add_constr``, so bound and objective edits cost no rebuild.
 The slack columns, the I of ``[A | I]``, are never stored: four
-``_Simplex`` methods, the only readers of A, supply them.  The bounds and
-costs of every column of ``[A | I]`` are cached on the model beside A
-(``_column_vectors``) until its next edit of any kind; a solve with bound
-overrides patches a copy.
+``_Simplex`` methods, the only readers of A, supply them.  That block is
+the model's one cache.  Each solve reads the bounds and costs of the
+columns from the model's lists (``lb``, ``ub``, ``obj``) into arrays of
+its own, beside the slack bounds of the block, and writes its bound
+overrides there; a bound or cost edit is a plain write to the lists.
 
 Every solve starts from a basis and runs one path: the bounded dual loop
 moves the basic values into their bounds, then the primal loop reaches
@@ -168,10 +169,6 @@ class LinearModel:
         # the cached structural block of _row_block valid
         self._structure = 0
         self._block_cache: tuple[int, tuple] | None = None
-        # bumped by set_bounds/set_objective_coeff; with _structure it keys
-        # the cached vectors of _column_vectors
-        self._edits = 0
-        self._vector_cache: tuple[tuple[int, int], tuple] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -212,14 +209,12 @@ class LinearModel:
 
     def set_objective_coeff(self, j: int, value: float) -> None:
         self.obj[j] = float(value)
-        self._edits += 1
 
     def set_bounds(self, j: int, lb: float, ub: float) -> None:
         if not lb <= ub:
             raise ValueError(f"variable {j}: lb {lb} > ub {ub}")
         self.lb[j] = float(lb)
         self.ub[j] = float(ub)
-        self._edits += 1
 
     # -- inspection -----------------------------------------------------------
 
@@ -329,25 +324,6 @@ def _row_block(model: LinearModel):
     return block
 
 
-def _column_vectors(model: LinearModel):
-    """lb, ub and the costs c of every column of ``[A | I]``, cached on the
-    model until its next edit of any kind; read-only, like ``_row_block``."""
-    key = (model._structure, model._edits)
-    cache = model._vector_cache
-    if cache is not None and cache[0] == key:
-        return cache[1]
-    _, _, slack_lb, slack_ub = _row_block(model)
-    vectors = (
-        np.concatenate([np.array(model.lb, dtype=float), slack_lb]),
-        np.concatenate([np.array(model.ub, dtype=float), slack_ub]),
-        np.concatenate([np.array(model.obj, dtype=float), np.zeros(model.num_rows)]),
-    )
-    for arr in vectors:
-        arr.flags.writeable = False
-    model._vector_cache = (key, vectors)
-    return vectors
-
-
 class _Simplex:
     def __init__(
         self,
@@ -358,15 +334,16 @@ class _Simplex:
         self.model = model
         self.deadline = deadline
         self.n_struct, self.m = n, m = model.num_vars, model.num_rows
-        self.A, self.b = _row_block(model)[:2]
-        self.lb, self.ub, self.c_real = _column_vectors(model)
+        self.A, self.b, slack_lb, slack_ub = _row_block(model)
+        # bounds and costs of every column of [A | I], this solve's own
+        self.lb = np.concatenate([model.lb, slack_lb])
+        self.ub = np.concatenate([model.ub, slack_ub])
+        self.c_real = np.concatenate([model.obj, np.zeros(m)])
         # the model keeps lb <= ub, so only an override can break it
         self.trivially_infeasible = False
-        if overrides:
-            self.lb, self.ub = self.lb.copy(), self.ub.copy()
-            for j, (lo, hi) in overrides.items():
-                self.lb[j], self.ub[j] = lo, hi
-                self.trivially_infeasible |= lo > hi
+        for j, (lo, hi) in (overrides or {}).items():
+            self.lb[j], self.ub[j] = lo, hi
+            self.trivially_infeasible |= lo > hi
         self.n_total = n + m
         self.iterations = 0
         self.bland = False

@@ -240,7 +240,7 @@ def test_columns_are_simple_paths():
         assert len(set(inner)) == len(inner)
         assert col.nodes == frozenset(inner)
         for i in range(len(col.path) - 1):
-            assert (col.path[i], col.path[i + 1]) in ins.arc_by_pair
+            assert ins.arc(col.path[i], col.path[i + 1]) is not None
 
 
 def test_solution_objective_matches_reevaluation():

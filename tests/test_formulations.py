@@ -10,7 +10,7 @@ from lsfrp.formulations import (
 )
 from lsfrp.instance import EmptyPoint, Instance, InvalidInstanceError
 from lsfrp.io import GeneratorParams, generate_random
-from lsfrp.solution import NO_DISJOINT_ROUTING, OPTIMAL, DemandFlow, Solution
+from lsfrp.solution import NO_DISJOINT_ROUTING, OPTIMAL, DemandFlow, EmptyFlow, Solution
 
 from fixtures import (
     GAP2_IP,
@@ -104,9 +104,29 @@ def test_evaluate_objective_rejects_unsupported_flow():
 
 def test_evaluate_objective_rejects_bad_path():
     ins = t1()
-    sol = Solution(method="m", status=OPTIMAL, ship_paths={"s1": ("v0", "v9", "tau")})
-    with pytest.raises(Exception):
-        evaluate_objective(ins, sol)
+    # v9 is no node; v1 and tau are, but v1->tau is no arc
+    for path, hop in ((("v0", "v9", "tau"), "v0->v9"), (("v0", "v1", "tau"), "v1->tau")):
+        sol = Solution(method="m", status=OPTIMAL, ship_paths={"s1": path})
+        with pytest.raises(ValueError, match=f"arc {hop} not in graph"):
+            evaluate_objective(ins, sol)
+        with pytest.raises(KeyError):
+            ins.path_cost(ins.ships[0], path)
+
+
+@pytest.mark.parametrize(
+    "solution, unknown",
+    [
+        (Solution("m", OPTIMAL, ship_paths={"s9": ("v0", "tau")}), "ship s9"),
+        (Solution("m", OPTIMAL, ship_paths={"s1": ("v0", "v1", "v2", "tau")},
+                  demand_flows=[DemandFlow("m9", "s1", "v2", 1.0)]), "demand m9"),
+        (Solution("m", OPTIMAL, ship_paths={"s1": ("v0", "v1", "v2", "tau")},
+                  empty_flows=[EmptyFlow("xx", "s1", "v1", "v2", 1.0)]), "cargo type xx"),
+    ],
+    ids=["ship", "demand", "cargo_type"],
+)
+def test_evaluate_objective_names_unknown_ids(solution, unknown):
+    with pytest.raises(ValueError, match=f"unknown {unknown}"):
+        evaluate_objective(t1(), solution)
 
 
 def test_lp_gap_fixture():

@@ -63,6 +63,7 @@ def test_one_basis_seeds_resolves_under_any_overrides_in_any_order(data):
     assert root.status == OPTIMAL
     seed = root.basis
     before = [arr.copy() for arr in (seed.basic, seed.state, seed.inverse)]
+    columns = (list(model.lb), list(model.ub), list(model.obj))
     for overrides in data.draw(st.lists(bound_overrides(model), min_size=2, max_size=6)):
         warm = solve_lp(model, overrides, warm=seed)
         # each cold solve has a model of its own, so that nothing a solve
@@ -73,3 +74,5 @@ def test_one_basis_seeds_resolves_under_any_overrides_in_any_order(data):
             assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
     after = (seed.basic, seed.state, seed.inverse)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    # overrides go into each solve's own arrays, never into the model
+    assert (model.lb, model.ub, model.obj) == columns
