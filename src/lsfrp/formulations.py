@@ -402,45 +402,84 @@ def extract_solution(
 
 
 def evaluate_objective(instance: Instance, solution: Solution) -> float:
-    """Recompute the objective from raw instance data, independent of any
-    model: delivery profits minus sail costs and port fees."""
+    """Check a plan against the instance and recompute its objective from
+    raw instance data, independent of any model: delivery and empty
+    profits minus sail costs and port fees.  One pass replays each path
+    with the flows aboard it; a ValueError names the first fault of:
+
+    - a path of an unknown ship, one not from its ship's start to the
+      sink, or a hop that is no arc;
+    - a visit on two ships' paths (the shared sink is no visit);
+    - a flow of an unknown demand or cargo type, or a negative one;
+    - a demand flow delivered to no destination of its demand, or an
+      empty flow not from a surplus to a deficit of its own type;
+    - a flow whose ship does not call at its two ends in order;
+    - a leg whose total load, empties included, or laden reefer load
+      exceeds the ship's capacity by more than lp.TOL_FEAS;
+    - flows moving more than a demand's amount, a surplus or a deficit,
+      beyond lp.TOL_FEAS relative to it."""
     total = 0.0
-    positions: dict[str, dict[str, int]] = {}
+    # ship -> its path's positions and each leg's [total, laden reefer] load
+    legs: dict[str, tuple[dict[str, int], list[list[float]]]] = {}
+    owner: dict[str, str] = {}  # visit -> the ship whose path calls there
     for sid, path in solution.ship_paths.items():
         ship = instance.ship_by_id.get(sid)
         if ship is None:
             raise ValueError(f"path for unknown ship {sid}")
-        for src, dst in zip(path, path[1:]):
-            if instance.arc(src, dst) is None:
-                raise ValueError(f"ship {sid}: arc {src}->{dst} not in graph")
-        total -= instance.path_cost(ship, path)
-        positions[sid] = {node: k for k, node in enumerate(path)}
+        if not path or path[0] != ship.start_visit or path[-1] != instance.sink:
+            raise ValueError(f"ship {sid}: path {'-'.join(path)} does not run from its start to the sink")
+        try:
+            total -= instance.path_cost(ship, path)
+        except KeyError as hop:
+            raise ValueError(f"ship {sid}: arc {'->'.join(hop.args[0])} not in graph") from None
+        for node in path[:-1]:
+            if owner.setdefault(node, sid) != sid:
+                raise ValueError(f"visit {node} lies on the paths of ships {owner[node]} and {sid}")
+        legs[sid] = ({node: k for k, node in enumerate(path)}, [[0.0, 0.0] for _ in path[1:]])
 
+    def ride(what: str, sid: str, src: str, dst: str, amount: float, reefer: bool) -> None:
+        pos, loads = legs.get(sid, ({}, []))
+        if amount < -1e-9:
+            raise ValueError(f"{what} is negative")
+        if src not in pos or dst not in pos or pos[src] >= pos[dst]:
+            raise ValueError(f"{what} does not ride ship {sid} from {src} to {dst}")
+        for load in loads[pos[src]:pos[dst]]:
+            load[0] += amount
+            if reefer:
+                load[1] += amount
+
+    moved: dict[str, list[float]] = {}  # demand or empty point -> [amount moved, amount held]
     for f in solution.demand_flows:
-        if f.amount < -1e-9:
-            raise ValueError(f"negative flow for demand {f.demand}")
         m = instance.demand_by_id.get(f.demand)
         if m is None:
             raise ValueError(f"flow for unknown demand {f.demand}")
-        pos = positions.get(f.ship)
-        if pos is None or m.origin not in pos or f.destination not in pos:
-            raise ValueError(
-                f"flow for demand {f.demand} rides ship {f.ship} which does not "
-                f"visit {m.origin} and {f.destination}"
-            )
-        if pos[m.origin] >= pos[f.destination]:
-            raise ValueError(f"flow for demand {f.demand} travels backwards")
-        total += f.amount * delivery_coef(instance, f.demand, f.destination)
-
+        if f.destination not in m.destinations:
+            raise ValueError(f"flow for demand {m.id} is delivered to {f.destination}, not a destination")
+        ride(f"flow for demand {m.id}", f.ship, m.origin, f.destination, f.amount, m.cargo_type == "rf")
+        moved.setdefault(f"demand {m.id}", [0.0, m.amount])[0] += f.amount
+        total += f.amount * delivery_coef(instance, m.id, f.destination)
+    points = {(p.visit, p.cargo_type): p.amount for p in instance.empty_points}
     for f in solution.empty_flows:
-        if f.amount < -1e-9:
-            raise ValueError("negative empty flow")
-        if f.cargo_type not in instance.empty_revenue:
-            raise ValueError(f"empty flow of unknown cargo type {f.cargo_type}")
-        pos = positions.get(f.ship)
-        if pos is None or f.src not in pos or f.dst not in pos or pos[f.src] >= pos[f.dst]:
-            raise ValueError(f"empty flow {f.src}->{f.dst} not supported by ship {f.ship}")
-        total += f.amount * empty_coef(instance, f.cargo_type, f.src, f.dst)
+        q = f.cargo_type
+        if q not in instance.empty_revenue:
+            raise ValueError(f"empty flow of unknown cargo type {q}")
+        if points.get((f.src, q), 0.0) <= 0 or points.get((f.dst, q), 0.0) >= 0:
+            raise ValueError(f"empty flow {f.src}->{f.dst} does not run from a {q} surplus to a deficit")
+        ride(f"empty flow {f.src}->{f.dst}", f.ship, f.src, f.dst, f.amount, False)  # empties use no plugs
+        for visit in (f.src, f.dst):
+            moved.setdefault(f"{q} empty point {visit}", [0.0, abs(points[(visit, q)])])[0] += f.amount
+        total += f.amount * empty_coef(instance, q, f.src, f.dst)
+
+    for sid, (_, loads) in legs.items():
+        ship, path = instance.ship_by_id[sid], solution.ship_paths[sid]
+        for leg, pair in enumerate(loads):
+            for kind, load, cap in zip(("total", "reefer"), pair, (ship.capacity_dc, ship.capacity_rf)):
+                if load > cap + lp.TOL_FEAS:
+                    hop = f"{path[leg]}->{path[leg + 1]}"
+                    raise ValueError(f"ship {sid}: {kind} load {load:.3f} > {cap} on {hop}")
+    for what, (amount, held) in moved.items():
+        if amount > held + lp.TOL_FEAS * (1 + held):
+            raise ValueError(f"flows move {amount:g} TEU of {what}, more than its {held:g}")
     return total
 
 

@@ -324,31 +324,6 @@ def _capacity_cut_rows(
     return rows
 
 
-def leg_loads(instance: Instance, path, flows, empty_flows) -> list[tuple[float, float]]:
-    """(total, laden reefer) load on each leg of path: a flow is aboard from
-    its origin's visit up to its destination's.  A flow whose origin or
-    destination is off the path, or out of order on it, is a ValueError."""
-    pos = {node: k for k, node in enumerate(path)}
-
-    def legs(flow: str, src: str, dst: str) -> range:
-        if src not in pos or dst not in pos or pos[src] >= pos[dst]:
-            raise ValueError(f"{flow} does not travel {src}->{dst} along {'-'.join(path)}")
-        return range(pos[src], pos[dst])
-
-    total = [0.0] * max(len(path) - 1, 0)
-    rf = [0.0] * len(total)
-    for f in flows:
-        m = instance.demand_by_id[f.demand]
-        for leg in legs(f"flow for demand {f.demand}", m.origin, f.destination):
-            total[leg] += f.amount
-            if m.cargo_type == "rf":
-                rf[leg] += f.amount
-    for f in empty_flows:
-        for leg in legs("empty flow", f.src, f.dst):
-            total[leg] += f.amount  # empties never use reefer plugs
-    return list(zip(total, rf))
-
-
 def separate_cuts(ctx: CompactModel, x) -> list[tuple[str, str]]:
     """Keys of the capacity cuts the candidate violates by more than
     TOL_FEAS and the model does not carry yet, in ctx.cut_rows order."""
@@ -437,20 +412,3 @@ class CompactPricing(PricingEngine):
 def run_colgen_lazy(instance: Instance, time_limit: float | None = None, log=None) -> Solution:
     """Column generation with the compact lazy-constraint pricing engine."""
     return run_column_generation(instance, time_limit, log, engine=CompactPricing)
-
-
-def capacity_violations(instance: Instance, solution: Solution) -> list[str]:
-    """Replay a solution's flows along each ship path and report every leg
-    where a capacity scope is exceeded (empty string list means sound)."""
-    out: list[str] = []
-    for sid, path in solution.ship_paths.items():
-        ship = instance.ship_by_id[sid]
-        caps = (ship.capacity_dc, ship.capacity_rf)
-        flows = [f for f in solution.demand_flows if f.ship == sid]
-        empty_flows = [f for f in solution.empty_flows if f.ship == sid]
-        for leg, loads in enumerate(leg_loads(instance, path, flows, empty_flows)):
-            for kind, load, cap in zip(("total", "reefer"), loads, caps):
-                if load > cap + lp.TOL_FEAS:
-                    hop = f"{path[leg]}->{path[leg + 1]}"
-                    out.append(f"{sid}: {kind} load {load:.3f} > {cap} on {hop}")
-    return out

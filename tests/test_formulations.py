@@ -16,6 +16,7 @@ from fixtures import (
     GAP2_IP,
     GAP2_LP_REDUCED,
     T1_OPT,
+    chain4,
     empty_repos19,
     gap_2ship,
     relaxation_value,
@@ -127,6 +128,58 @@ def test_evaluate_objective_rejects_bad_path():
 def test_evaluate_objective_names_unknown_ids(solution, unknown):
     with pytest.raises(ValueError, match=f"unknown {unknown}"):
         evaluate_objective(t1(), solution)
+
+
+T1_PATH = ("v0", "v1", "v2", "tau")
+CHAIN4_PATH = ("v0", "v1", "v2", "v3", "tau")
+EMPTY_PATH = ("s0", "u", "w", "tau")
+
+
+def _empty_rich():
+    return empty_repos19().with_empty_revenue({"dc": 30000, "rf": 30000})
+
+
+@pytest.mark.parametrize(
+    "instance, paths, flows, empties, fault",
+    [
+        (t1, {"s1": T1_PATH}, [DemandFlow("m1", "s1", "v2", 500.0)], [],
+         r"total load 500\.000 > 100 on v1->v2"),
+        (chain4, {"s1": CHAIN4_PATH}, [DemandFlow("m1", "s1", "v2", 5.0)], [],
+         "delivered to v2, not a destination"),
+        (chain4, {"s1": CHAIN4_PATH}, [DemandFlow("m1", "s1", "tau", 5.0)], [],
+         "delivered to tau, not a destination"),
+        (t1, {"s1": ("v1", "v2", "tau")}, [DemandFlow("m1", "s1", "v2", 50.0)], [],
+         "path v1-v2-tau does not run from its start to the sink"),
+        (t1, {"s1": ("v0", "v1", "v2")}, [DemandFlow("m1", "s1", "v2", 50.0)], [],
+         "path v0-v1-v2 does not run from its start to the sink"),
+        (gap_2ship, {"s1": ("g1", "w", "d", "tau"), "s2": ("g2", "w", "d", "tau")},
+         [DemandFlow("m", "s1", "d", 10.0), DemandFlow("m", "s2", "d", 10.0)], [],
+         "visit w lies on the paths of ships s1 and s2"),
+        (t1, {"s1": T1_PATH}, [DemandFlow("m1", "s1", "v2", 90.0)], [],
+         "flows move 90 TEU of demand m1, more than its 50"),
+        (_empty_rich, {"s1": EMPTY_PATH}, [], [EmptyFlow("dc", "s1", "u", "w", 50.0)],
+         "flows move 50 TEU of dc empty point u, more than its 20"),
+        (_empty_rich, {"s1": EMPTY_PATH}, [], [EmptyFlow("dc", "s1", "s0", "w", 20.0)],
+         "empty flow s0->w does not run from a dc surplus to a deficit"),
+        (_empty_rich, {"s1": EMPTY_PATH}, [], [EmptyFlow("rf", "s1", "u", "w", 20.0)],
+         "empty flow u->w does not run from a rf surplus to a deficit"),
+        (t1, {"s1": ("v0", "v2", "tau")}, [DemandFlow("m1", "s1", "v2", 50.0)], [],
+         "flow for demand m1 does not ride ship s1 from v1 to v2"),
+        (t1, {"s1": T1_PATH}, [DemandFlow("m1", "s1", "v1", 50.0)], [],
+         "flow for demand m1 is delivered to v1, not a destination"),
+    ],
+    ids=[
+        "over-capacity", "off-destination", "to-the-sink", "skips-its-start", "stops-short",
+        "visit-on-two-paths", "over-demand-amount", "over-surplus", "from-no-surplus",
+        "of-another-type", "origin-off-path", "delivered-at-origin",
+    ],
+)
+def test_evaluate_objective_names_each_fault_of_a_plan(instance, paths, flows, empties, fault):
+    """A ValueError names each plan's fault; the over-capacity plan also
+    moves more than its demand's amount, and loads are checked first."""
+    sol = Solution("m", OPTIMAL, ship_paths=paths, demand_flows=flows, empty_flows=empties)
+    with pytest.raises(ValueError, match=fault):
+        evaluate_objective(instance(), sol)
 
 
 def test_lp_gap_fixture():

@@ -1,11 +1,14 @@
 import json
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from lsfrp import lp
 from lsfrp.cli import METHODS, run_method
+from lsfrp.formulations import evaluate_objective
 from lsfrp.instance import CARGO_TYPES, validate
 from lsfrp.io import (
     GeneratorParams,
@@ -35,6 +38,16 @@ def test_instance_round_trip():
     data = write_instance(t1())
     again = write_instance(parse_instance(data))
     assert again == data
+
+
+def test_formats_doc_solution_is_sound_on_its_instance():
+    """The two examples of docs/formats.md parse, and the solution passes
+    the one check of a plan on the instance with the objective it states."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    instance_doc, solution_doc = re.findall(r"```json\n(.*?)```", doc, re.S)
+    ins = parse_instance(instance_doc.encode())
+    sol = parse_solution(solution_doc.encode())
+    assert evaluate_objective(ins, sol) == pytest.approx(sol.objective, abs=1e-9)
 
 
 def test_parse_rejects_unknown_visit():
